@@ -30,9 +30,9 @@ instance instead of a report unless it fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -162,8 +162,6 @@ def _emit(report: dict, started: float, args) -> int:
     report["schema"] = SCHEMA
     report["stats"] = dict(report.get("stats", {}))
     report["stats"]["elapsed_ms"] = round(1000 * (time.perf_counter() - started), 3)
-    if getattr(args, "threads", None):
-        report["threads"] = args.threads
     json.dump(report, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     if "error" in report:
@@ -288,26 +286,28 @@ def _write_instance(inst, args) -> None:
 def cmd_gen(args, report) -> None:
     if args.n < 0:
         raise CliError("argument", "--n must be nonnegative")
-    if args.kind == "random-ftg":
-        g, t = gen_random_ftg(args.n, args.p, args.q, args.seed)
-        inst = tio.Instance(g, t)
-    elif args.kind == "random-colored":
-        if args.colors < 1:
-            raise CliError("argument", "--colors must be at least 1")
-        g, c = gen_random_edge_colored(args.n, args.p, args.colors, args.seed)
-        inst = tio.Instance(g, TransitionSystem(), coloring=c)
-    else:
-        if args.mh < 1:
-            raise CliError("argument", "--mh must be at least 1")
-        psi = gen_random_psi(args.mh, args.n, args.p, args.seed)
-        if args.kind == "psi-reduce":
-            out = psi_reduction(psi)
-            inst = tio.Instance(
-                out.graph, out.transition_system(), terminals=((out.s, out.t),)
-            )
-        else:  # psi-reduce-ham
-            out = hamiltonian_reduction(psi)
-            inst = tio.Instance(out.graph, out.transition_system())
+    # the generators reject parameters they cannot realize with ValueError
+    with _reported_as("argument", ValueError):
+        if args.kind == "random-ftg":
+            g, t = gen_random_ftg(args.n, args.p, args.q, args.seed)
+            inst = tio.Instance(g, t)
+        elif args.kind == "random-colored":
+            if args.colors < 1:
+                raise CliError("argument", "--colors must be at least 1")
+            g, c = gen_random_edge_colored(args.n, args.p, args.colors, args.seed)
+            inst = tio.Instance(g, TransitionSystem(), coloring=c)
+        else:
+            if args.mh < 1:
+                raise CliError("argument", "--mh must be at least 1")
+            psi = gen_random_psi(args.mh, args.n, args.p, args.seed)
+            if args.kind == "psi-reduce":
+                out = psi_reduction(psi)
+                inst = tio.Instance(
+                    out.graph, out.transition_system(), terminals=((out.s, out.t),)
+                )
+            else:  # psi-reduce-ham
+                out = hamiltonian_reduction(psi)
+                inst = tio.Instance(out.graph, out.transition_system())
     _write_instance(inst, args)
 
 
@@ -333,21 +333,18 @@ def cmd_oracle(args, report) -> None:
     report.update(answer=yes, yes=yes)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once, as it depends on nothing at run time."""
     ap = argparse.ArgumentParser(
         prog="transita",
         description="Solvers, oracles and generators for forbidden-transition graphs",
     )
-    default_threads = int(os.environ.get("TRANSITA_THREADS", "1"))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict-exit", action="store_true")
-        p.add_argument(
-            "--threads", type=int, default=default_threads,
-            help="reserved; results are independent of the thread count",
-        )
 
     p = sub.add_parser("compath", help="shortest compatible path of bounded length")
     p.add_argument("--instance", required=True)

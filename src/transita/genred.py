@@ -68,11 +68,14 @@ def gen_random_psi(m_h: int, n_g: int, p_edge: float, seed: int) -> PSIInstance:
     rng = random.Random(f"psi/{seed}")
     h_edges = set()
     guard = 0
+    # at most 6 pattern vertices, or as few as can hold m_h edges
+    cap = max(2, min(2 * m_h, 6))
+    while cap * (cap - 1) // 2 < m_h:
+        cap += 1
     while len(h_edges) < m_h:
         guard += 1
         if guard > 1000:
-            raise ValueError("cannot realize requested pattern size")
-        cap = max(2, min(2 * m_h, 6))
+            raise ValueError(f"cannot realize {m_h} pattern edges in 1000 draws")
         u, v = rng.sample(range(cap), 2)
         h_edges.add((min(u, v), max(u, v)))
     used = sorted({v for e in h_edges for v in e})

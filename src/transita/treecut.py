@@ -260,11 +260,15 @@ class TreecutDecomposition:
                 stack.append(c)
         self.postorder = list(reversed(order))
         self._y = {}
+        self._cut = {}
         for tnode in self.postorder:
             y = set(self.bags[tnode])
             for c in self.children[tnode]:
                 y |= self._y[c]
-            self._y[tnode] = frozenset(y)
+            self._y[tnode] = y = frozenset(y)
+            self._cut[tnode] = () if tnode == self.root else tuple(
+                e for e, (u, v) in enumerate(g.edges) if (u in y) != (v in y)
+            )
 
     def nodes(self):
         return self.postorder
@@ -276,12 +280,7 @@ class TreecutDecomposition:
         return frozenset(range(self.g.n)) - self._y[t]
 
     def cut_edges(self, t) -> tuple:
-        if t == self.root:
-            return ()
-        y = self._y[t]
-        return tuple(
-            e for e, (u, v) in enumerate(self.g.edges) if (u in y) != (v in y)
-        )
+        return self._cut[t]
 
     def is_thin(self, t) -> bool:
         return t != self.root and len(self.cut_edges(t)) <= 2
@@ -293,70 +292,49 @@ class TreecutDecomposition:
         return [c for c in self.children[t] if not self.is_thin(c)]
 
     def torso_size(self, t) -> int:
-        """|V(3-center)| of the torso at t."""
-        g = self.g
-        if len(self.bags) == 1:
-            classes = {v: v for v in range(g.n)}
-            keep = set(range(g.n))
-        else:
-            classes = {}
-            for v in self.bags[t]:
-                classes[v] = v
-            comps = []
-            if t != self.root:
-                comps.append(frozenset(range(g.n)) - self._y[t])
-            for c in self.children[t]:
-                comps.append(self._y[c])
-            for i, comp in enumerate(comps):
-                for v in comp:
-                    classes[v] = ("shrunk", t, i)
-            keep = set(classes.values())
-        mult = {}
-        for u, v in g.edges:
-            cu, cv = classes[u], classes[v]
-            if cu == cv:
+        """|V(3-center)| of the torso at t.
+
+        Each child subtree, and the rest of the graph above t, shrinks to one
+        vertex; edges inside a shrunk vertex vanish.  Shrunk vertices of
+        degree at most two are then suppressed until none is left: a degree-2
+        vertex's two ends are joined, which keeps their degrees (two parallel
+        edges become a loop, counting 2), and a degree-1 vertex lowers its
+        neighbour's degree.  Degrees never rise, so the worklist order does
+        not change the result.
+        """
+        bag = self.bags[t]
+        # shrunk vertices: -1 above t, -2, -3, ... the child subtrees
+        shrunk = {v: -2 - i for i, c in enumerate(self.children[t]) for v in self._y[c]}
+        adj = {x: {} for x in range(-1 - len(self.children[t]), 0)}
+        for u, v in self.g.edges:
+            a = u if u in bag else shrunk.get(u, -1)
+            b = v if v in bag else shrunk.get(v, -1)
+            if a != b:
+                for x, y in ((a, b), (b, a)):
+                    if x < 0:
+                        adj[x][y] = adj[x].get(y, 0) + 1
+        deg = {x: sum(nb.values()) for x, nb in adj.items()}
+        work = [x for x in adj if deg[x] <= 2]
+        while work:
+            x = work.pop()
+            nb = adj.pop(x, None)
+            if nb is None:
                 continue
-            key = (cu, cv) if repr(cu) < repr(cv) else (cv, cu)
-            mult[key] = mult.get(key, 0) + 1
-        verts = {c for c in keep if isinstance(c, int) or any(c in k for k in mult)}
-        verts |= set(self.bags[t])
-        # suppress degree <= 2 vertices outside the bag, allowing loops
-        edges = []
-        for (a, b), cnt in mult.items():
-            edges.extend([(a, b)] * cnt)
-        bag = set(self.bags[t])
-        verts = bag | {x for e in edges for x in e}
-        changed = True
-        while changed:
-            changed = False
-            deg = {v: 0 for v in verts}
-            for a, b in edges:
-                deg[a] += 1
-                deg[b] += 1
-            for v in sorted(verts - bag, key=repr):
-                if deg.get(v, 0) <= 2:
-                    inc = [e for e in edges if v in e]
-                    edges = [e for e in edges if v not in e]
-                    ends = []
-                    for a, b in inc:
-                        if a == v and b == v:
-                            pass  # a loop at v contributes nothing after removal
-                        elif a == v:
-                            ends.append(b)
-                        else:
-                            ends.append(a)
-                    if len(ends) == 2:
-                        edges.append((ends[0], ends[1]))
-                    verts.discard(v)
-                    changed = True
-                    break
-        # drop isolated non-bag leftovers
-        deg = {v: 0 for v in verts}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-        verts = {v for v in verts if v in bag or deg.get(v, 0) > 0}
-        return len(verts)
+            for y in nb:
+                if y < 0:
+                    del adj[y][x]
+            ends = [y for y, k in nb.items() for _ in range(k)]
+            if len(ends) == 2 and ends[0] != ends[1]:
+                # a loop is left out: it is never the end of a later drop
+                a, b = ends
+                for p, q in ((a, b), (b, a)):
+                    if p < 0:
+                        adj[p][q] = adj[p].get(q, 0) + 1
+            elif len(ends) == 1 and ends[0] < 0:
+                deg[ends[0]] -= 1
+                if deg[ends[0]] <= 2:
+                    work.append(ends[0])
+        return len(bag) + len(adj)
 
     def width(self) -> int:
         w = 0
@@ -394,11 +372,15 @@ def evaluate_width(g: Graph, dec: DecompositionFile):
     return tc.width(), tc.is_nice()
 
 
+class NicenessError(RuntimeError):
+    """make_nice produced a decomposition that breaks its guarantees."""
+
+
 def make_nice(g: Graph, dec: DecompositionFile) -> DecompositionFile:
     """Reattach violating thin nodes below the sibling subtree they touch.
 
     The output is nice with width and node count not exceeding the input's;
-    both facts are asserted rather than assumed.
+    both facts are checked, raising NicenessError, rather than assumed.
     """
     tc = TreecutDecomposition(g, dec)
     width_before = tc.width()
@@ -436,9 +418,11 @@ def make_nice(g: Graph, dec: DecompositionFile) -> DecompositionFile:
         parent[t] = b
         cur = rebuild()
     else:  # pragma: no cover
-        raise AssertionError("make_nice did not converge")
-    assert cur.is_nice()
-    assert cur.width() <= width_before, "niceness transformation raised the width"
+        raise NicenessError("make_nice did not converge")
+    if not cur.is_nice():
+        raise NicenessError("niceness transformation left a violating thin node")
+    if cur.width() > width_before:
+        raise NicenessError("niceness transformation raised the width")
     return cur.to_file()
 
 
@@ -450,42 +434,51 @@ def exhaustive_treecut_decomposition(
 ) -> Optional[DecompositionFile]:
     """Minimum-width decomposition over a canonical two-level search space.
 
-    Candidates: the single root bag, and for every subset S of vertices a
-    root bag S with one leaf per remaining vertex or per component of G-S.
-    Returns None when nothing within k_max exists in the space; guarded to
-    n <= EXHAUSTIVE_MAX_N.
+    Candidates, in order: the single root bag, then for every subset S of
+    vertices (by bitmask) a root bag S with one leaf per remaining vertex,
+    and one leaf per component of G-S when that differs.  Returns the first
+    candidate of minimum width if that width is at most k_max, else None;
+    guarded to n <= EXHAUSTIVE_MAX_N.
+
+    Branch and bound: a candidate's width is at least its root bag size (the
+    root torso holds the bag) and each leaf's size and cut size, and it is
+    evaluated only when that bound is at most k_max and below the best width
+    found so far.  A mask whose |S| alone fails the test is skipped before
+    G-S is split.  A skipped candidate is wider than k_max or no narrower
+    than an earlier one, so the result is the one that evaluating every
+    candidate gives.
     """
     if g.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive search is guarded to n <= {EXHAUSTIVE_MAX_N}")
     if g.n == 0:
         return DecompositionFile(0, (), ((),))
     best = None
-    best_width = None
+    best_width = k_max + 1  # only a candidate narrower than this counts
 
-    def consider(dec):
+    def consider(bound, bags):
         nonlocal best, best_width
+        if bound >= best_width:
+            return
+        dec = DecompositionFile(0, tuple((0, i) for i in range(1, len(bags))), tuple(bags))
         w, _ = evaluate_width(g, dec)
-        if best_width is None or w < best_width:
+        if w < best_width:
             best, best_width = dec, w
 
-    consider(single_bag_treecut(g))
-    all_v = list(range(g.n))
+    consider(g.n, [tuple(range(g.n))])
     for mask in range(1 << g.n):
-        s = [v for v in all_v if mask >> v & 1]
-        rest = [v for v in all_v if not mask >> v & 1]
-        if not rest:
+        s = tuple(v for v in range(g.n) if mask >> v & 1)
+        rest = [v for v in range(g.n) if not mask >> v & 1]
+        if not rest or len(s) >= best_width:
             continue
-        bags = [tuple(s)] + [(v,) for v in rest]
-        edges = [(0, i + 1) for i in range(len(rest))]
-        consider(DecompositionFile(0, tuple(edges), tuple(bags)))
+        consider(max(len(s), *map(g.degree, rest)), [s] + [(v,) for v in rest])
         comps = _components(g, set(rest))
         if len(comps) != len(rest):
-            bags = [tuple(s)] + [tuple(sorted(c)) for c in comps]
-            edges = [(0, i + 1) for i in range(len(comps))]
-            consider(DecompositionFile(0, tuple(edges), tuple(bags)))
-    if best_width is not None and best_width <= k_max:
-        return best
-    return None
+            cut = [sum(w not in c for v in c for w, _ in g.adj(v)) for c in comps]
+            consider(
+                max(len(s), *map(len, comps), *cut),
+                [s] + [tuple(sorted(c)) for c in comps],
+            )
+    return best
 
 
 def single_bag_treecut(g: Graph) -> DecompositionFile:

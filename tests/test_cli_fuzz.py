@@ -2,9 +2,11 @@
 
 Instances of both directedness, with and without colors and weights, are
 fed to every command, sometimes corrupted, together with flag values that
-may be malformed or out of range.  Each run must write exactly one
-``transita-report/1`` line and exit with 0, 1 or 2, where 2 marks exactly
-the reports that carry an error.
+may be malformed or out of range; ``gen`` of every kind is run with small
+and out-of-range sizes.  Each run must write exactly one line and exit with
+0, 1 or 2: a ``transita-report/1`` report, where 2 marks exactly the
+reports that carry an error, or the instance that a successful ``gen``
+wrote.
 """
 
 import io
@@ -17,7 +19,7 @@ import pytest
 
 from transita.cli import main
 from transita.core import DiGraph, EdgeColoring, Graph, TransitionSystem, all_transitions
-from transita.io import Instance, serialize_decomposition, serialize_instance
+from transita.io import Instance, parse_instance, serialize_decomposition, serialize_instance
 from transita.treecut import single_bag_treecut
 
 pytest.importorskip("hypothesis")
@@ -29,6 +31,10 @@ SMALL = st.sampled_from(["-1", "0", "1", "2", "4"])
 PAIRS = st.sampled_from(["0,1", "2,3", "1,4", "0,0", "0-1", "9,1", "0,1,2"])
 QUADS = st.sampled_from(["0,1,2,3", "1,0,3,2", "0,2,3,4", "0,0,1,2", "0,9,1,2", "0,1,2"])
 CORRUPTIONS = st.sampled_from(["", "}", "-1", "99", '"x"', "[]", "null"])
+GEN_KINDS = st.sampled_from(["random-ftg", "random-colored", "psi-reduce", "psi-reduce-ham"])
+GEN_SIZES = st.sampled_from(["-1", "0", "1", "3", "6"])
+GEN_PROBS = st.sampled_from(["-0.5", "0", "0.5", "1", "2"])
+GEN_MH = st.sampled_from(["-1", "0", "1", "3", "16", "30", "100000"])
 
 
 @st.composite
@@ -86,11 +92,25 @@ def cli_argv(draw, inst, dec):
     return argv + draw(st.sampled_from([[], ["--strict-exit"]]))
 
 
+def _check_one_run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    out = buf.getvalue()
+    assert out.count("\n") == 1
+    if argv[0] == "gen" and code == 0:
+        parse_instance(out.encode())
+        return
+    report = json.loads(out)
+    assert report["schema"] == "transita-report/1"
+    assert code in (0, 1, 2)
+    assert (code == 2) == ("error" in report) == (report["answer"] is None)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_every_run_writes_one_report(data):
     g, text = data.draw(instance_text())
-    buf = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         inst = os.path.join(tmp, "inst.json")
         with open(inst, "w") as fh:
@@ -98,12 +118,13 @@ def test_every_run_writes_one_report(data):
         dec = os.path.join(tmp, "dec.json")
         with open(dec, "wb") as fh:
             fh.write(serialize_decomposition(single_bag_treecut(g)))
-        argv = data.draw(cli_argv(inst, dec))
-        with redirect_stdout(buf):
-            code = main(argv)
-    out = buf.getvalue()
-    assert out.count("\n") == 1
-    report = json.loads(out)
-    assert report["schema"] == "transita-report/1"
-    assert code in (0, 1, 2)
-    assert (code == 2) == ("error" in report) == (report["answer"] is None)
+        _check_one_run(data.draw(cli_argv(inst, dec)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=GEN_KINDS, n=GEN_SIZES, p=GEN_PROBS, q=GEN_PROBS, colors=GEN_SIZES,
+       mh=GEN_MH, seed=st.sampled_from(["0", "1", "7"]), strict=st.booleans())
+def test_every_gen_run_writes_one_report_or_instance(kind, n, p, q, colors, mh, seed, strict):
+    argv = ["gen", kind, "--n", n, "--p", p, "--q", q, "--colors", colors, "--mh", mh,
+            "--seed", seed]
+    _check_one_run(argv + ["--strict-exit"] * strict)

@@ -12,6 +12,7 @@ from transita.io import (
     DecompositionFile,
     Instance,
     parse_decomposition,
+    parse_instance,
     serialize_decomposition,
     serialize_instance,
 )
@@ -110,6 +111,23 @@ def test_gen_roundtrip_through_cli(tmp_path):
     assert code == 0
     code, out = run_cli(["validate", "--instance", str(out_path)])
     assert json.loads(out)["answer"] is True
+
+
+@pytest.mark.parametrize("kind", ["psi-reduce", "psi-reduce-ham"])
+def test_gen_psi_beyond_fifteen_pattern_edges(tmp_path, kind):
+    out_path = tmp_path / "psi.json"
+    code, out = run_cli(["gen", kind, "--mh", "16", "--n", "6", "--out", str(out_path)])
+    assert code == 0 and out == ""
+    inst = parse_instance(out_path.read_bytes())
+    assert (inst.terminals is not None) == (kind == "psi-reduce")
+
+
+def test_threads_flag_is_gone(instance_file):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["validate", "--instance", instance_file, "--threads", "2"])
+    assert exc.value.code == 2
+    _, out = run_cli(["validate", "--instance", instance_file])
+    assert "threads" not in json.loads(out)
 
 
 def test_cli_subprocess_entry_point(instance_file):
@@ -229,6 +247,7 @@ def cli_inputs(tmp_path):
         (["comvdp", "--instance", "{und}", "--decomposition", "{partial}"], "input-format"),
         (["comvdp", "--instance", "{big}", "--pairs", "0,1"], "size-limit"),
         (["oracle", "disjoint", "--instance", "{big}", "--pairs", "0,1"], "size-limit"),
+        (["gen", "psi-reduce", "--mh", "100000"], "argument"),
     ],
 )
 def test_failures_write_one_error_report(cli_inputs, argv, kind):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transita.core import Graph, TransitionSystem, all_transitions
 from transita.genred import gen_random_ftg
@@ -17,6 +18,7 @@ from transita.treecut import (
     enumerate_records,
     evaluate_width,
     exhaustive_treecut_decomposition,
+    NicenessError,
     make_nice,
     scomvdp,
     single_bag_treecut,
@@ -110,6 +112,108 @@ def test_make_nice_properties():
         if not was_nice:
             checked += 1
     assert checked > 0  # the corpus exercised actual reattachments
+
+
+def test_make_nice_checks_survive_optimized_mode(monkeypatch):
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    dec = DecompositionFile(0, ((0, 1), (0, 2)), ((1, 2), (0,), (3,)))
+    monkeypatch.setattr(TreecutDecomposition, "is_nice", lambda self: False)
+    with pytest.raises(NicenessError, match="violating thin node"):
+        make_nice(g, dec)
+    monkeypatch.undo()
+    widths = iter([0, 1])  # the input reads narrower than the output
+    monkeypatch.setattr(TreecutDecomposition, "width", lambda self: next(widths))
+    with pytest.raises(NicenessError, match="raised the width"):
+        make_nice(g, dec)
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+def _unpruned_search(g, k_max):
+    """First minimum-width candidate of the search space, every one evaluated."""
+    cands = [DecompositionFile(0, (), (tuple(range(g.n)),))]
+    for mask in range(1 << g.n):
+        s = tuple(v for v in range(g.n) if mask >> v & 1)
+        rest = [v for v in range(g.n) if not mask >> v & 1]
+        if not rest:
+            continue
+        comps = []
+        for v in rest:
+            if any(v in c for c in comps):
+                continue
+            comp, stack = {v}, [v]
+            while stack:
+                for w, _ in g.adj(stack.pop()):
+                    if w in rest and w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            comps.append(tuple(sorted(comp)))
+        leaf_sets = [[(v,) for v in rest]]
+        if len(comps) != len(rest):
+            leaf_sets.append(comps)
+        for leaves in leaf_sets:
+            edges = tuple((0, i + 1) for i in range(len(leaves)))
+            cands.append(DecompositionFile(0, edges, (s, *leaves)))
+    best, best_width = None, None
+    for dec in cands:
+        w, _ = evaluate_width(g, dec)
+        if best_width is None or w < best_width:
+            best, best_width = dec, w
+    return best if best_width <= k_max else None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=small_graphs(), k_max=st.integers(0, 6))
+def test_pruned_search_returns_the_unpruned_result(g, k_max):
+    assert exhaustive_treecut_decomposition(g, k_max) == _unpruned_search(g, k_max)
+
+
+def _torso_by_definition(g, tc, t):
+    """|V(3-center)| of the torso at t, suppressing one vertex at a time."""
+    parts = [tc.y_set(c) for c in tc.children[t]]
+    if t != tc.root:
+        parts.append(tc.z_set(t))
+    cls = {v: v for v in tc.bags[t]}
+    for i, part in enumerate(parts):
+        cls.update((v, ("part", i)) for v in part)
+    edges = [(cls[u], cls[v]) for u, v in g.edges if cls[u] != cls[v]]
+    outside = sorted({x for e in edges for x in e} - set(tc.bags[t]), key=repr)
+    while True:
+        low = [x for x in outside if sum((a == x) + (b == x) for a, b in edges) <= 2]
+        if not low:
+            return len(tc.bags[t]) + len(outside)
+        x = low[0]
+        ends = [b if a == x else a for a, b in edges if (a == x) != (b == x)]
+        edges = [e for e in edges if x not in e]
+        if len(ends) == 2:
+            edges.append(tuple(ends))
+        outside.remove(x)
+
+
+@st.composite
+def decompositions(draw):
+    g = draw(small_graphs())
+    nodes = draw(st.integers(1, g.n + 2))
+    tree = tuple((draw(st.integers(0, i - 1)), i) for i in range(1, nodes))
+    bags = [[] for _ in range(nodes)]
+    for v in range(g.n):
+        bags[draw(st.integers(0, nodes - 1))].append(v)
+    return g, DecompositionFile(0, tree, tuple(map(tuple, bags)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=decompositions())
+def test_torso_size_matches_the_definition(case):
+    g, dec = case
+    tc = TreecutDecomposition(g, dec)
+    for t in tc.nodes():
+        assert tc.torso_size(t) == _torso_by_definition(g, tc, t)
 
 
 def test_suppress_vertex_cases():
