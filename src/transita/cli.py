@@ -18,7 +18,13 @@ exactly one report, with ``"answer": null`` and
   (wrong directedness, no edge colors, a zero-length directed cycle);
 - ``argument``: a flag value that is malformed or out of range;
 - ``width-bound``: no decomposition within ``--max-width``;
-- ``size-limit``: the instance exceeds a documented size guard.
+- ``size-limit``: the instance exceeds a documented size guard;
+- ``internal``: a solver's own result check failed, which is a bug in the
+  solver, not in the input.
+
+``compath`` and ``detour`` reports carry "certified": false when the hash
+family swept was seeded random rather than certified perfect (n > 32), so
+that a "no" is only probable.
 
 Exit codes: 0 when the run answers; 1 when it answers "no" under
 ``--strict-exit``; 2 for an error report.  Usage errors found by argparse
@@ -39,7 +45,7 @@ from contextlib import contextmanager
 
 from . import io as tio
 from .compath import compath, family_for_bound
-from .core import Endpoint, TransitionSystem, validate_transition_system
+from .core import Endpoint, InvariantError, TransitionSystem, validate_transition_system
 from .detour import comdetour
 from .dsp import (
     PositivityError,
@@ -188,7 +194,10 @@ def cmd_compath(args, report) -> None:
         seed=args.seed, witness=args.witness, family=fam,
     )
     length, wit = res if args.witness else (res, None)
-    report.update(answer=length is not None, length=length, family_size=len(fam))
+    report.update(
+        answer=length is not None, length=length,
+        family_size=len(fam), certified=fam.certified,
+    )
     if args.witness and wit is not None:
         report["witness"] = list(wit.vertices)
 
@@ -204,7 +213,9 @@ def cmd_detour(args, report) -> None:
         inst.graph, inst.transitions, s, tgt, args.slack,
         seed=args.seed, witness=args.witness,
     )
-    report.update(answer=res.yes, yes=res.yes, nu=res.nu, dist=res.dist)
+    report.update(
+        answer=res.yes, yes=res.yes, nu=res.nu, dist=res.dist, certified=res.certified,
+    )
     if res.diagnostic:
         report["diagnostic"] = res.diagnostic
     if args.witness and res.witness is not None:
@@ -428,6 +439,8 @@ def main(argv=None) -> int:
         args.func(args, report)
     except CliError as exc:
         report.update(answer=None, error={"kind": exc.kind, "message": str(exc)})
+    except InvariantError as exc:
+        report.update(answer=None, error={"kind": "internal", "message": str(exc)})
     if "answer" not in report:  # gen wrote an instance, not a report
         return 0
     return _emit(report, started, args)

@@ -1,9 +1,11 @@
 """Fixed-parameter shortest compatible path via color coding.
 
-The solver colors vertices with functions from a k-perfect hash family and
+The solver colors vertices with functions from a perfect hash family and
 runs a dynamic program over (color set, last directed edge) states; a path
 is found iff some family member colors its vertices injectively.  Endpoints
-may be vertices or edges (the path then starts/ends with that edge).
+may be vertices or edges (the path then starts/ends with that edge).  The
+one family construction, `family_for_bound`, is certified perfect for
+n <= 32; above that it is seeded random, and a "no" is only probable.
 """
 
 from __future__ import annotations
@@ -20,22 +22,20 @@ from .core import Endpoint, Graph, TransitionSystem, Walk, INF
 
 @dataclass(frozen=True)
 class HashFamily:
-    """Family of functions [0..n-1] -> [k].
+    """Family of functions [0..n-1] -> [k] that splits perfect_for-sets.
 
-    perfect_for is the subset size the family splits: for every vertex set S
-    with |S| <= perfect_for some member is injective on S.  The classical
-    construction uses range k = perfect_for; wider ranges trade palette size
-    for far fewer members.
+    Splitting means that for every vertex set S with |S| <= perfect_for some
+    member is injective on S.  certified says whether that was checked while
+    building the family; an uncertified family is seeded random and splits
+    each set only with high probability, so a "no" found with it may be
+    wrong.
     """
 
     n: int
     k: int
     functions: tuple  # tuple of length-n tuples with values in 0..k-1
-    perfect_for: int = 0
-
-    def __post_init__(self):
-        if self.perfect_for == 0:
-            object.__setattr__(self, "perfect_for", self.k)
+    perfect_for: int
+    certified: bool
 
     def __len__(self):
         return len(self.functions)
@@ -53,107 +53,40 @@ def verify_k_perfect(fam: HashFamily, subset_size: Optional[int] = None) -> bool
     return True
 
 
-def _random_function(n: int, k: int, rng: random.Random) -> tuple:
-    return tuple(rng.randrange(k) for _ in range(n))
-
-
-def build_hash_family(n: int, k: int, mode: str = "auto", seed: int = 0) -> HashFamily:
-    """Construct a k-perfect hash family of functions [n] -> [k].
-
-    Modes:
-      - "exhaustive": all k^n functions (tiny k^n only).
-      - "greedy": seeded random functions kept while they cover uncovered
-        k-subsets, then direct repair; certified perfect (n <= 20).
-      - "random": ceil(e^k * k * ln n) + 8 seeded trials, uncertified.
-      - "auto": exhaustive when k^n is tiny, greedy when n <= 20, else random.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    if k == 1:
-        return HashFamily(n, k, ((0,) * n,))
-    if n <= k:
-        return HashFamily(n, k, (tuple(range(n)),))
-    if mode == "auto":
-        mode = "exhaustive" if k**n <= 4096 else ("greedy" if n <= 20 else "random")
-    rng = random.Random(f"{seed}/{n}/{k}/{mode}")
-    if mode == "exhaustive":
-        if k**n > 200_000:
-            raise ValueError("exhaustive family too large")
-        fns = tuple(itertools.product(range(k), repeat=n))
-        return HashFamily(n, k, fns)
-    if mode == "random":
-        trials = math.ceil(math.e**k * k * math.log(n)) + 8
-        return HashFamily(n, k, tuple(_random_function(n, k, rng) for _ in range(trials)))
-    if mode != "greedy":
-        raise ValueError(f"unknown mode {mode!r}")
-    if n > 20:
-        raise ValueError("greedy certification needs n <= 20")
-    uncovered = set(itertools.combinations(range(n), k))
-    fns = []
-    trials = math.ceil(math.e**k * k * math.log(n)) + 64
-    for _ in range(trials):
-        if not uncovered:
-            break
-        f = _random_function(n, k, rng)
-        hit = [s for s in uncovered if len({f[v] for v in s}) == k]
-        if hit:
-            fns.append(f)
-            uncovered.difference_update(hit)
-    for s in sorted(uncovered):
-        f = [rng.randrange(k) for _ in range(n)]
-        for i, v in enumerate(s):
-            f[v] = i
-        fns.append(tuple(f))
-    return HashFamily(n, k, tuple(fns))
-
-
 @lru_cache(maxsize=512)
-def _cached_family(n: int, k: int, mode: str, seed: int) -> HashFamily:
-    return build_hash_family(n, k, mode, seed)
+def family_for_bound(n: int, bound: int, seed: int = 0) -> HashFamily:
+    """The hash family ComPath sweeps for length bound `bound` on n vertices.
 
-
-@lru_cache(maxsize=512)
-def build_splitter_family(n: int, subset_size: int, seed: int = 0) -> HashFamily:
-    """Seeded family over a doubled color range, certified for n <= 32.
-
-    Doubling the range makes a random function injective on a fixed j-set
-    with constant probability, so a certified family stays small enough to
-    sweep exhaustively; residual subsets are repaired directly.
+    The dynamic program needs injectivity only on the path's non-endpoint
+    vertices, so the family splits j-sets, j = max(bound - 1, 1).  For
+    n <= 32 it is certified by construction: the j-subsets are walked in
+    lexicographic order, and each subset that no kept member colors
+    injectively gets one seeded random function over 2j colors, repaired
+    to be injective on it.  Doubling the range makes a random member split
+    a fixed j-set with constant probability, so few repairs are needed.
+    Above n = 32 the C(n, j) walk is too slow, and the family is
+    ceil(e^j * j * ln n) + 8 seeded random functions over j colors,
+    uncertified.
     """
-    j = subset_size
+    j = max(bound - 1, 1)
+    if j == 1:
+        return HashFamily(n, 1, ((0,) * n,), 1, True)
+    if n <= j:
+        return HashFamily(n, j, (tuple(range(n)),), j, True)
     rng = random.Random(f"{seed}/splitter/{n}/{j}")
-    k = 2 * j
-    if j <= 1 or n <= j:
-        return build_hash_family(n, max(j, 1), "auto", seed)
-    fns = []
     if n > 32:
         trials = math.ceil(math.e**j * j * math.log(n)) + 8
-        fns = [_random_function(n, j, rng) for _ in range(trials)]
-        return HashFamily(n, j, tuple(fns), perfect_for=j)
-    base = 24 + 16 * j
-    fns = [_random_function(n, k, rng) for _ in range(base)]
-    extra = []
+        fns = tuple(tuple(rng.randrange(j) for _ in range(n)) for _ in range(trials))
+        return HashFamily(n, j, fns, j, False)
+    fns = []
     for sub in itertools.combinations(range(n), j):
         if any(len({f[v] for v in sub}) == j for f in fns):
             continue
-        if not any(len({f[v] for v in sub}) == j for f in extra):
-            f = [rng.randrange(k) for _ in range(n)]
-            for i, v in enumerate(sub):
-                f[v] = i
-            extra.append(tuple(f))
-    return HashFamily(n, k, tuple(fns + extra), perfect_for=j)
-
-
-def family_for_bound(n: int, bound: int, seed: int = 0) -> HashFamily:
-    """Shared family for ComPath with length bound `bound` on n vertices.
-
-    The dynamic program needs injectivity only on the path's non-endpoint
-    vertices, so a family splitting (bound-1)-sets suffices.
-    """
-    j = max(bound - 1, 1)
-    if n <= 20:
-        return _cached_family(n, j, "auto", seed)
-    return build_splitter_family(n, j, seed)
+        f = [rng.randrange(2 * j) for _ in range(n)]
+        for i, v in enumerate(sub):
+            f[v] = i
+        fns.append(tuple(f))
+    return HashFamily(n, 2 * j, tuple(fns), j, True)
 
 
 class SlotGraph:
@@ -446,58 +379,6 @@ def _orientations(g: Graph, ep: Endpoint, is_start: bool) -> list:
     if is_start:
         return [("e", ep.ident, a), ("e", ep.ident, b)]
     return [("e", ep.ident, b), ("e", ep.ident, a)]
-
-
-def colorful_compatible_path(
-    g: Graph,
-    t: TransitionSystem,
-    x,
-    y,
-    coloring: Sequence[int],
-    k: int,
-):
-    """Shortest colorful compatible x-y path under one fixed vertex coloring.
-
-    coloring[v] are positive color indices; a path is colorful when its
-    vertices carry pairwise distinct colors.  Returns the length (<= k) of
-    the shortest such path, or None.
-    """
-    x = x if isinstance(x, Endpoint) else Endpoint.vertex(x)
-    y = y if isinstance(y, Endpoint) else Endpoint.vertex(y)
-    x.validate(g)
-    y.validate(g)
-    if len(coloring) != g.n:
-        raise ValueError("coloring must be total on the vertices")
-    palette = sorted(set(coloring))
-    remap = {c: i for i, c in enumerate(palette)}
-    col = [remap[c] for c in coloring]
-    sg = SlotGraph(g, t)
-    goals = _orientations(g, y, False)
-    best = None
-    for start in _orientations(g, x, True):
-        results = [None] * len(goals)
-        for i, goal in enumerate(goals):
-            if start[0] == "v" and goal == start:
-                results[i] = 0
-            elif (
-                start[0] == "e"
-                and goal[0] == "e"
-                and goal[1] == start[1]
-                and goal[2] == g.other_end(start[1], start[2])
-                and k >= 1
-            ):
-                results[i] = 1
-        slot_goal = {}
-        for i, goal in enumerate(goals):
-            for s in _goal_slots(sg, goal, None):
-                slot_goal.setdefault(s, []).append(i)
-        bwd = [0] * (2 * g.m)  # no walk prefilter for the single-coloring op
-        _colorful_run(sg, col, start, goals, k, results, [None] * len(goals),
-                      slot_goal, None, bwd, False)
-        for r in results:
-            if r is not None and (best is None or r < best):
-                best = r
-    return best
 
 
 def compath(

@@ -17,6 +17,14 @@ from typing import Iterable, Optional, Sequence, Union
 INF = math.inf
 
 
+class InvariantError(RuntimeError):
+    """A solver's own check failed: a bug in the solver, not bad input.
+
+    Solvers raise it instead of using assert, so the checks also run under
+    python -O.
+    """
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with dense edge ids.
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Graph, TransitionSystem, Walk, bfs_dist, is_compatible_walk, INF
+from .core import (
+    Graph, InvariantError, TransitionSystem, Walk, bfs_dist, is_compatible_walk, INF,
+)
 from .compath import SlotGraph, family_for_bound, oriented_compath
 
 
@@ -56,6 +58,9 @@ class DetourResult:
     dist: Optional[int]
     witness: Optional[Walk] = None
     diagnostic: Optional[str] = None
+    # False when the hash family swept was uncertified, so a "no" is only
+    # probable (see compath.family_for_bound)
+    certified: bool = True
 
 
 def zero_detour_path(g: Graph, t: TransitionSystem, s: int, tgt: int) -> Optional[int]:
@@ -118,11 +123,12 @@ def comdetour(
     if d <= k:
         from .compath import compath  # delegation per the small-distance case
 
-        res = compath(g, t, s, tgt, d + k, seed=seed, witness=witness)
+        fam = family_for_bound(g.n, d + k, seed)
+        res = compath(g, t, s, tgt, d + k, witness=witness, family=fam)
         ln, w = res if witness else (res, None)
         if ln is None:
-            return DetourResult(False, None, d)
-        return DetourResult(True, ln, d, w)
+            return DetourResult(False, None, d, certified=fam.certified)
+        return DetourResult(True, ln, d, w, certified=fam.certified)
 
     ls = LayerStructure.build(g, s)
     hi = d + k
@@ -131,9 +137,7 @@ def comdetour(
     # Both the seeding calls and the join segments need length bound 2k+1:
     # an x..u prefix spans up to k+1 layers plus k slack, and a join with a
     # bound of 2k would already fail to find the single-edge prefix at k=0.
-    inner_bound = 2 * k + 1
-    fam_seed = family_for_bound(g.n, 2 * k + 1, seed)
-    fam_loop = fam_seed
+    fam = family_for_bound(g.n, 2 * k + 1, seed)
 
     table = {}  # inter-layer edge id -> best known length of an e..tgt path
     pieces = {}  # edge id -> witness walk (seed) or (prefix walk, next edge)
@@ -151,7 +155,7 @@ def comdetour(
             continue
         region = ls.region(g, x, hi)
         res = oriented_compath(
-            g, t, ("e", e, x), [("v", tgt)], 2 * k + 1, fam_seed,
+            g, t, ("e", e, x), [("v", tgt)], 2 * k + 1, fam,
             allowed_vertices=region, slot_graph=sg, witness=witness,
         )
         res, ws = res if witness else (res, [None])
@@ -184,7 +188,7 @@ def comdetour(
                     continue
                 for e in starts:
                     res = oriented_compath(
-                        g, t, ("e", e, x), goals, inner_bound, fam_loop,
+                        g, t, ("e", e, x), goals, 2 * k + 1, fam,
                         allowed_vertices=region, slot_graph=sg, witness=witness,
                     )
                     res, ws = res if witness else (res, [None] * len(goals))
@@ -211,14 +215,15 @@ def comdetour(
             nu = table[e]
             nu_edge = e
     if nu > hi:
-        return DetourResult(False, None, d)
+        return DetourResult(False, None, d, certified=fam.certified)
     wit = None
     if witness:
         wit = _assemble(g, pieces, nu_edge)
-        assert wit.vertices[0] == s and wit.vertices[-1] == tgt
-        assert wit.is_path() and is_compatible_walk(g, t, wit)
-        assert wit.length == nu
-    return DetourResult(True, int(nu), d, wit)
+        if wit.vertices[0] != s or wit.vertices[-1] != tgt or wit.length != nu:
+            raise InvariantError("assembled detour has the wrong ends or length")
+        if not (wit.is_path() and is_compatible_walk(g, t, wit)):
+            raise InvariantError("assembled detour is not a compatible path")
+    return DetourResult(True, int(nu), d, wit, certified=fam.certified)
 
 
 def _assemble(g: Graph, pieces, e: int) -> Walk:
@@ -227,7 +232,8 @@ def _assemble(g: Graph, pieces, e: int) -> Walk:
         return pieces[e][1]
     _, prefix, g2 = pieces[e]
     rest = _assemble(g, pieces, g2)
-    assert prefix.vertices[-1] == rest.vertices[0]
+    if prefix.vertices[-1] != rest.vertices[0]:
+        raise InvariantError("detour pieces do not meet")
     return Walk(
         prefix.vertices + rest.vertices[1:],
         prefix.edge_ids + rest.edge_ids,

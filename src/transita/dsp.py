@@ -15,7 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import DiGraph, TransitionSystem, Walk, INF, is_compatible_walk
+from .core import (
+    DiGraph, InvariantError, TransitionSystem, Walk, INF, dijkstra, is_compatible_walk,
+)
 
 
 class PositivityError(ValueError):
@@ -222,7 +224,8 @@ def dag_compatible_path(g: DiGraph, t: TransitionSystem, s: int, tgt: int, witne
         return False, None
     verts = [s] + [g.head(a) for a in seq]
     walk = Walk(tuple(verts), tuple(seq))
-    assert walk.is_path() and is_compatible_walk(g, t, walk)
+    if not (walk.is_path() and is_compatible_walk(g, t, walk)):
+        raise InvariantError("DAG witness is not a compatible path")
     return True, walk
 
 
@@ -492,22 +495,22 @@ def _interior(seq: Sequence) -> list:
 
 
 def _validated_result(g, t, s_pairs, arcs1, arcs2, mode):
-    (s1, t1), (s2, t2) = s_pairs
     walks = []
-    for (s, tgt), arcs in (((s1, t1), arcs1), ((s2, t2), arcs2)):
-        verts = [s] + [g.head(a) for a in arcs]
-        w = Walk(tuple(verts), tuple(arcs))
-        assert w.vertices[-1] == tgt
-        assert w.is_path(), "reconstructed witness revisits a vertex"
-        assert is_compatible_walk(g, t, w)
+    for (s, tgt), arcs in zip(s_pairs, (arcs1, arcs2)):
+        w = Walk((s,) + tuple(g.head(a) for a in arcs), tuple(arcs))
+        if w.vertices[-1] != tgt:
+            raise InvariantError("reconstructed witness misses its target")
+        if not (w.is_path() and is_compatible_walk(g, t, w)):
+            raise InvariantError("reconstructed witness is not a compatible path")
+        if sum(g.weight(a) for a in arcs) != dijkstra(g, s)[tgt]:
+            raise InvariantError("reconstructed witness is not a shortest path")
         walks.append(w)
     if mode == "edge":
-        assert not set(arcs1) & set(arcs2)
+        shared = set(arcs1) & set(arcs2)
     else:
-        assert not set(walks[0].vertices) & set(walks[1].vertices)
-    for (s, tgt), w in zip(s_pairs, walks):
-        dist = _dijkstra_labels(DArcGraph.from_core(g, TransitionSystem()), s)
-        assert sum(g.weight(a) for a in w.edge_ids) == dist[tgt]
+        shared = set(walks[0].vertices) & set(walks[1].vertices)
+    if shared:
+        raise InvariantError(f"witnesses share {mode} items {sorted(shared)}")
     return DspResult(True, tuple(walks))
 
 
@@ -576,7 +579,7 @@ def edge_disjoint_2dspp(
     return _validated_result(g, t, ((s1, t1), (s2, t2)), arcs1, arcs2, "edge")
 
 
-def _reconstruct(star, dg, steps, start, inner, mode, inner_pair=None):
+def _reconstruct(star, dg, steps, start, inner, mode):
     """Splice product steps into two original-orientation arc sequences."""
     p1 = [start[0]]
     p2_chunks = [[start[1]]]
@@ -587,24 +590,19 @@ def _reconstruct(star, dg, steps, start, inner, mode, inner_pair=None):
             v = star.star_head(e2a)
             chunk = [e2n]
             if v in star.v0:
-                ok, q = inner(v, e2n, e2a, True)
-                assert ok
-                chunk += _interior(q)
+                chunk += _interior(_inner_one(inner, v, e2n, e2a))
             p2_chunks.append(chunk)
         elif kind == "ii":
             _, e1a, e1n, e2a = step
             v = star.star_head(e1a)
             if v in star.v0:
-                ok, q = inner(v, e1a, e1n, True)
-                assert ok
-                p1 += _interior(q)
+                p1 += _interior(_inner_one(inner, v, e1a, e1n))
             p1.append(e1n)
         else:
             _, e1a, e1n, e2a, e2n = step
             v = star.star_head(e1a)
             chunk = [e2n]
             if v in star.v0:
-                assert inner_pair is not None or mode == "edge"
                 q1, q2 = _inner_two(star, dg, v, e1a, e1n, e2a, e2n, mode)
                 p1 += _interior(q1)
                 chunk += _interior(q2)
@@ -616,17 +614,25 @@ def _reconstruct(star, dg, steps, start, inner, mode, inner_pair=None):
     return p1, p2
 
 
+def _inner_one(inner, rep, a_in, a_out):
+    ok, q = inner(rep, a_in, a_out, True)
+    if not ok:
+        raise InvariantError(f"no compatible path through blob {rep!r} on rebuild")
+    return q
+
+
 def _inner_two(star, dg, rep, e1a, e1n, e2a, e2n, mode):
     gs, src, tgt = _inner_graph(
         dg, star, rep, [(e1a, "in"), (e1n, "out"), (e2n, "in"), (e2a, "out")]
     )
-    ok, (q1, q2) = _dag_two_disjoint_raw(
+    ok, qs = _dag_two_disjoint_raw(
         gs, src[e1a], tgt[e1n], src[e2n], tgt[e2a],
         vertex_mode=(mode == "vertex"), witness=True,
     )
-    assert ok
-    # q1/q2 include the boundary arcs as first/last elements
-    return q1, q2
+    if not ok:
+        raise InvariantError(f"no disjoint routing through blob {rep!r} on rebuild")
+    # both paths include the boundary arcs as first/last elements
+    return qs
 
 
 def _inner_graph(dg: DArcGraph, star, rep, boundary):
@@ -772,7 +778,8 @@ def vertex_disjoint_2dspp(
                 by_vertex.setdefault(a[1], set()).add(a)
         for v, some in by_vertex.items():
             allp = {a for a in gp.arcs if isinstance(a, tuple) and a[:2] == ("par", v)}
-            assert allp <= eset, f"parallel arcs at {v!r} split across E_i'"
+            if not allp <= eset:
+                raise InvariantError(f"parallel arcs at {v!r} split across E_i'")
     star = ContractedStar(gp, e1p, e2p)
 
     from functools import lru_cache
@@ -805,7 +812,8 @@ def vertex_disjoint_2dspp(
             return permits_double(e1a, v, e1n)
         _, e1a, e1n, e2a, e2n = step
         v = star.star_head(e1a)
-        assert v in star.v0, "type-(iii) product arc at a non-contracted vertex"
+        if v not in star.v0:
+            raise InvariantError("type-(iii) product arc at a non-contracted vertex")
         if not (permits_double(e1a, v, e1n) and permits_double(e2n, v, e2a)):
             return False
         gs, src, tgt = _inner_graph(

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import EdgeColoring, Graph
+from .core import EdgeColoring, Graph, InvariantError
 from .io import DecompositionFile
 
 # Lexicographically smallest irreducible polynomial of each degree over
@@ -87,7 +87,7 @@ class FieldGF2a:
                 x = self._clmul(x, g)
             if len(seen) == self.size - 1:
                 return
-        raise AssertionError("no multiplicative generator found")
+        raise InvariantError("no multiplicative generator found")
 
     def add(self, x: int, y: int) -> int:
         return x ^ y
@@ -295,10 +295,6 @@ def validate_tree_decomposition(g: Graph, dec: DecompositionFile) -> list:
         if not any(u in bag and v in bag for bag in dec.bags):
             out.append(f"edge {e}=({u},{v}) not covered by a bag")
     return out
-
-
-def tree_decomposition_width(dec: DecompositionFile) -> int:
-    return max(len(b) for b in dec.bags) - 1
 
 
 def single_bag_decomposition(g: Graph) -> DecompositionFile:
@@ -589,7 +585,7 @@ def _state_join(s1, s2):
 
 
 def _prune_rank(states, field, stats):
-    """Per-(f, closed) representative reduction; asserts the size bound."""
+    """Per-(f, closed) representative reduction; checks the size bound."""
     buckets = {}
     for st in states:
         buckets.setdefault((st[0], st[3]), []).append(st)
@@ -600,7 +596,8 @@ def _prune_rank(states, field, stats):
         if closed or len(z) == 0:
             # matching and colors are empty here, so the bucket deduplicates
             # to a single state
-            assert len(bucket) == 1
+            if len(bucket) != 1:
+                raise InvariantError("a closed or empty-Z bucket holds several states")
             out.update(bucket)
             continue
         if len(bucket) <= cap:
@@ -608,7 +605,8 @@ def _prune_rank(states, field, stats):
             continue
         traces = [ColoredTrace(st[0], st[1], st[2]) for st in sorted(bucket)]
         kept = reduce_representatives(traces, field)
-        assert len(kept) <= cap, (len(kept), cap)
+        if len(kept) > cap:
+            raise InvariantError(f"{len(kept)} representatives exceed the cap {cap}")
         out.update((tr.f, tr.matching, tr.zeta, closed) for tr in kept)
     if stats is not None:
         stats["max_family"] = max(stats.get("max_family", 0), len(out))
@@ -653,7 +651,7 @@ def _run_dp(g, edge_color, nice, prune, deadline, stats):
                     if ns is not None:
                         states.add(ns)
         else:  # pragma: no cover
-            raise AssertionError(node.kind)
+            raise InvariantError(f"unknown nice-tree node kind {node.kind!r}")
         if prune is not None:
             states = prune(states)
         elif stats is not None:

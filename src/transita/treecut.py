@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .core import Graph, TransitionSystem, Walk
+from .core import Graph, InvariantError, TransitionSystem, Walk
 from .io import DecompositionFile
 
 
@@ -372,7 +372,7 @@ def evaluate_width(g: Graph, dec: DecompositionFile):
     return tc.width(), tc.is_nice()
 
 
-class NicenessError(RuntimeError):
+class NicenessError(InvariantError):
     """make_nice produced a decomposition that breaks its guarantees."""
 
 
@@ -611,7 +611,8 @@ def enumerate_records(
         import math
 
         bound = 4**width * math.factorial(width) ** 3
-        assert len(out) <= bound, (len(out), bound)
+        if len(out) > bound:
+            raise InvariantError(f"{len(out)} records exceed the bound {bound}")
     return out
 
 
@@ -1050,7 +1051,8 @@ def solve_internal(g, tsys, pairs, dec: TreecutDecomposition, t, d_children, wid
     """Valid records of an internal node, given the children's valid records."""
     thin = dec.thin_children(t)
     bold = dec.bold_children(t)
-    assert len(bold) <= 2 * width + 1, "nice decompositions bound bold children"
+    if len(bold) > 2 * width + 1:
+        raise InvariantError("a nice decomposition has at most 2w+1 bold children")
     out = []
     for rec in enumerate_records(g, dec, t, pairs, width):
         base = build_corresponding_state(g, tsys, pairs, dec, t, rec)
@@ -1089,7 +1091,7 @@ def solve_internal(g, tsys, pairs, dec: TreecutDecomposition, t, d_children, wid
             if any(
                 v not in core and ws.lg.degree(v) > 2 for v in ws.lg.adj
             ):  # pragma: no cover - structural guarantee of the construction
-                raise AssertionError("non-core vertex of degree above two")
+                raise InvariantError("non-core vertex of degree above two")
             if scomvdp_state(ws.lg, ws.pairs, set(dec.bags[t])):
                 found = True
                 break

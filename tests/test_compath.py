@@ -1,34 +1,28 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from transita.compath import (
-    HashFamily,
-    build_hash_family,
-    build_splitter_family,
-    colorful_compatible_path,
-    compath,
-    family_for_bound,
-    verify_k_perfect,
-)
+from transita.compath import compath, family_for_bound, verify_k_perfect
 from transita.core import Endpoint, Graph, TransitionSystem, all_transitions, is_compatible_walk
 from transita.genred import gen_random_ftg
 from transita.oracle import brute_compatible_path
 
 
 def test_family_trivial_cases():
-    # a single constant function is 1-perfect
-    fam = build_hash_family(5, 1)
-    assert len(fam) == 1 and verify_k_perfect(fam)
-    # n <= k: one injection suffices
-    fam = build_hash_family(3, 3)
-    assert verify_k_perfect(fam)
+    # bound <= 2 leaves at most one inner vertex: one constant function
+    fam = family_for_bound(5, 2)
+    assert len(fam) == 1 and fam.certified and verify_k_perfect(fam)
+    # n <= bound - 1: one injection suffices
+    fam = family_for_bound(3, 4)
+    assert len(fam) == 1 and fam.certified and verify_k_perfect(fam)
 
 
 def test_family_certified_small():
-    fam = build_hash_family(6, 3)
-    assert verify_k_perfect(fam)
+    fam = family_for_bound(6, 4)
+    assert fam.perfect_for == 3 and verify_k_perfect(fam)
     # derived check: some member is injective on each of the C(6,3)=20 subsets
     subsets = list(itertools.combinations(range(6), 3))
     assert len(subsets) == 20
@@ -36,32 +30,27 @@ def test_family_certified_small():
         assert any(len({f[v] for v in s}) == 3 for f in fam.functions)
 
 
-def test_family_greedy_mode_certified():
-    fam = build_hash_family(9, 4, mode="greedy", seed=2)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), bound=st.integers(0, 6), seed=st.integers(0, 50))
+def test_family_for_bound_is_certified_perfect(n, bound, seed):
+    fam = family_for_bound(n, bound, seed)
+    assert fam.certified and fam.n == n
+    assert fam.perfect_for == max(bound - 1, 1)
+    assert all(len(f) == n and all(0 <= c < fam.k for c in f) for f in fam.functions)
     assert verify_k_perfect(fam)
 
 
 def test_family_random_mode_size():
-    import math
-
-    fam = build_hash_family(25, 3, mode="random", seed=1)
-    assert len(fam) == math.ceil(math.e**3 * 3 * math.log(25)) + 8
+    # above n = 32 the family is seeded random and says so
+    fam = family_for_bound(40, 3, seed=1)
+    assert fam.certified is False and fam.perfect_for == fam.k == 2
+    assert len(fam) == math.ceil(math.e**2 * 2 * math.log(40)) + 8
 
 
 def test_splitter_family_certified():
-    fam = build_splitter_family(12, 4, seed=0)
-    assert fam.perfect_for == 4
+    fam = family_for_bound(12, 5, seed=0)
+    assert fam.perfect_for == 4 and fam.k == 8 and fam.certified
     assert verify_k_perfect(fam, subset_size=4)
-
-
-def test_colorful_single_edge():
-    g = Graph(2, [(0, 1)])
-    assert colorful_compatible_path(g, TransitionSystem(), 0, 1, [1, 2], 1) == 1
-
-
-def test_colorful_blocked_middle():
-    g = Graph(3, [(0, 1), (1, 2)])
-    assert colorful_compatible_path(g, TransitionSystem(), 0, 2, [1, 2, 3], 5) is None
 
 
 def test_colorful_c5_with_removed_transition():
@@ -69,9 +58,9 @@ def test_colorful_c5_with_removed_transition():
     pairs = set(all_transitions(g).pairs)
     pairs.discard((0, 1))  # forbid going straight through vertex 1
     t = TransitionSystem(pairs)
-    # rainbow coloring: the long way round is the only compatible route
-    assert colorful_compatible_path(g, t, 0, 2, [1, 2, 5, 4, 3], 4) == 3
+    # the long way round is the only compatible route
     assert compath(g, t, 0, 2, 4) == 3
+    assert compath(g, t, 0, 2, 2) is None
 
 
 def test_compath_trivial_cases():
@@ -143,7 +132,7 @@ def test_invalid_endpoint_raises():
     with pytest.raises(ValueError):
         compath(g, TransitionSystem(), 5, 0, 2)
     with pytest.raises(ValueError):
-        colorful_compatible_path(g, TransitionSystem(), Endpoint.edge(3), 0, [1, 2], 2)
+        compath(g, TransitionSystem(), Endpoint.edge(3), 0, 2)
 
 
 def test_family_for_bound_reuses_cache():

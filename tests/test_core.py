@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 
 import pytest
@@ -163,3 +165,15 @@ def test_walk_predicates():
     w = walk_from_vertices(g, [0, 1, 2, 0])
     assert w.is_closed() and w.is_cycle() and not w.is_path()
     assert walk_from_vertices(g, [0, 1]).is_path()
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert; runtime checks raise core.InvariantError instead
+    import transita
+
+    found = []
+    for path in sorted(pathlib.Path(transita.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

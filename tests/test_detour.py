@@ -135,3 +135,16 @@ def test_witness_layer_identity():
         )
         assert res.nu == int(dist[tgt]) + a_cnt + 2 * b_cnt
         assert a_cnt + b_cnt <= k
+
+
+def test_comdetour_says_whether_its_family_is_certified():
+    # a path 0-1-...-(n-1): the layered branch (dist > k) and the delegated
+    # branch (dist <= k) both report the family they swept
+    for n, certified in ((20, True), (40, False)):
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        t = all_transitions(g)
+        far = comdetour(g, t, 0, n - 1, 2)
+        near = comdetour(g, t, 0, 2, 2)
+        assert far.yes and far.nu == n - 1 and far.certified is certified
+        assert near.yes and near.nu == 2 and near.certified is certified
+    assert comdetour(Graph(40, []), TransitionSystem(), 0, 3, 1).certified

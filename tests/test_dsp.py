@@ -196,3 +196,37 @@ def test_oracle_shortest_path_enumeration_respects_compatibility():
     assert enumerate_shortest_compatible_paths(g, TransitionSystem(), 0, 2) == []
     paths = enumerate_shortest_compatible_paths(g, TransitionSystem([(0, 1)]), 0, 2)
     assert len(paths) == 1 and paths[0].vertices == (0, 1, 2)
+
+
+def test_vertex_witness_through_a_contracted_blob():
+    # a 2x3 grid digraph; the product path takes a type-(iii) step inside a
+    # contracted blob, whose two inner paths must be rebuilt
+    g = DiGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    t = all_transitions(g)
+    assert vertex_disjoint_2dspp(g, t, 1, 5, 0, 4, witness=False).yes
+    res = vertex_disjoint_2dspp(g, t, 1, 5, 0, 4)
+    assert res.yes
+    assert [list(w.vertices) for w in res.paths] == [[1, 2, 5], [0, 3, 4]]
+    assert brute_2dspp(g, t, [(1, 5), (0, 4)], "vertex")
+
+
+def test_vertex_witnesses_on_random_grid_digraphs():
+    # mostly-rightward/downward grids with every transition permitted often
+    # route both paths through one contracted blob
+    rng = random.Random(2)
+    for _ in range(2000):
+        rows, cols = rng.randint(2, 3), rng.randint(2, 4)
+        arcs = []
+        for v in range(rows * cols):
+            for w in (v + 1 if (v + 1) % cols else None, v + cols):
+                if w is not None and w < rows * cols:
+                    arcs.append((v, w) if rng.random() < 0.8 else (w, v))
+        g = DiGraph(rows * cols, arcs)
+        t = all_transitions(g)
+        s1, t1, s2, t2 = rng.sample(range(g.n), 4)
+        res = vertex_disjoint_2dspp(g, t, s1, t1, s2, t2)
+        assert res.yes == brute_2dspp(g, t, [(s1, t1), (s2, t2)], "vertex")
+        if res.yes:
+            w1, w2 = res.paths
+            assert (w1.vertices[0], w1.vertices[-1]) == (s1, t1)
+            assert (w2.vertices[0], w2.vertices[-1]) == (s2, t2)

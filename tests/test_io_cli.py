@@ -50,6 +50,7 @@ def test_compath_single_edge(tmp_path):
     )
     report = json.loads(out)
     assert report["length"] == 1 and report["family_size"] >= 1
+    assert report["certified"] is True
 
 
 def test_strict_exit_codes(tmp_path):
@@ -255,3 +256,49 @@ def test_failures_write_one_error_report(cli_inputs, argv, kind):
     code, out = run_cli(argv)
     report = _assert_error_report(code, out, kind)
     assert report["solver"].startswith(argv[0])
+
+
+def test_reports_say_when_the_family_is_uncertified(tmp_path):
+    from transita.core import Graph, all_transitions
+
+    g = Graph(40, [(v, v + 1) for v in range(39)])
+    path = tmp_path / "p40.json"
+    path.write_bytes(serialize_instance(Instance(g, all_transitions(g))))
+    code, out = run_cli(
+        ["compath", "--instance", str(path), "--from", "0", "--to", "3", "--max-len", "4"]
+    )
+    report = json.loads(out)
+    assert code == 0 and report["length"] == 3 and report["certified"] is False
+    code, out = run_cli(
+        ["detour", "--instance", str(path), "--from", "0", "--to", "39", "--slack", "1"]
+    )
+    report = json.loads(out)
+    assert code == 0 and report["nu"] == 39 and report["certified"] is False
+
+
+def test_dsp_vertex_witness_through_a_contracted_blob(tmp_path):
+    from transita.core import DiGraph, all_transitions
+
+    g = DiGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    path = tmp_path / "grid.json"
+    path.write_bytes(serialize_instance(Instance(g, all_transitions(g))))
+    code, out = run_cli(["dsp", "--instance", str(path), "--mode", "vertex", "--pairs", "1,5,0,4"])
+    assert code == 0 and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["answer"] is True and "error" not in report
+    assert report["paths"] == [[1, 2, 5], [0, 3, 4]]
+
+
+def test_failed_solver_check_writes_an_internal_error_report(tmp_path, monkeypatch):
+    from transita import cli
+    from transita.core import DiGraph, InvariantError, TransitionSystem
+
+    def broken(*args, **kwargs):
+        raise InvariantError("reconstructed witness misses its target")
+
+    monkeypatch.setattr(cli, "vertex_disjoint_2dspp", broken)
+    path = tmp_path / "p.json"
+    path.write_bytes(serialize_instance(Instance(DiGraph(4, [(0, 1), (2, 3)]), TransitionSystem())))
+    code, out = run_cli(["dsp", "--instance", str(path), "--mode", "vertex", "--pairs", "0,1,2,3"])
+    report = _assert_error_report(code, out, "internal")
+    assert "misses its target" in report["error"]["message"]

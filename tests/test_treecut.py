@@ -114,6 +114,13 @@ def test_make_nice_properties():
     assert checked > 0  # the corpus exercised actual reattachments
 
 
+def test_niceness_errors_are_invariant_errors():
+    from transita.core import InvariantError
+
+    assert issubclass(NicenessError, InvariantError)
+    assert issubclass(InvariantError, RuntimeError)
+
+
 def test_make_nice_checks_survive_optimized_mode(monkeypatch):
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     dec = DecompositionFile(0, ((0, 1), (0, 2)), ((1, 2), (0,), (3,)))
