@@ -63,40 +63,6 @@ class DetourResult:
     certified: bool = True
 
 
-def zero_detour_path(g: Graph, t: TransitionSystem, s: int, tgt: int) -> Optional[int]:
-    """dist(s,tgt) if a compatible s-tgt path of exactly that length exists.
-
-    Runs an ordinary BFS over the transition-filtered line graph; a
-    compatible walk of length exactly dist(s,tgt) is automatically simple.
-    """
-    if s == tgt:
-        return 0
-    dist = bfs_dist(g, s)
-    if dist[tgt] == INF:
-        return None
-    d = int(dist[tgt])
-    sg = SlotGraph(g, t)
-    start = [sg.slot(e, w) for w, e in g.adj(s)]
-    steps = [INF] * (2 * g.m)
-    queue = []
-    for sid in start:
-        steps[sid] = 1
-        queue.append(sid)
-    while queue:
-        nxt = []
-        for sid in queue:
-            if sg.head(sid) == tgt:
-                return d if steps[sid] == d else None
-            if steps[sid] >= d:
-                continue
-            for s2 in sg.succ[sid]:
-                if steps[s2] == INF:
-                    steps[s2] = steps[sid] + 1
-                    nxt.append(s2)
-        queue = nxt
-    return None
-
-
 def comdetour(
     g: Graph,
     t: TransitionSystem,

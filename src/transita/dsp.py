@@ -11,9 +11,9 @@ independently re-validated witness paths.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, Optional, Set
 
 from .core import (
     DiGraph, InvariantError, TransitionSystem, Walk, INF, dijkstra, is_compatible_walk,
@@ -26,6 +26,54 @@ class PositivityError(ValueError):
 
 class AcyclicityError(ValueError):
     """A graph required to be acyclic has a directed cycle."""
+
+
+def _kahn(succ: dict, error: str = "directed cycle present") -> list:
+    """Topological order of the digraph given as node -> successor nodes
+    (repeats allowed); raises AcyclicityError(error) on a directed cycle."""
+    indeg = dict.fromkeys(succ, 0)
+    for ws in succ.values():
+        for w in ws:
+            indeg[w] += 1
+    stack = sorted((v for v in succ if indeg[v] == 0), key=repr)
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                stack.append(w)
+    if len(order) != len(succ):
+        raise AcyclicityError(error)
+    return order
+
+
+def _level_search(start, goal, successors):
+    """Level-order search in which each node keeps the parent that discovered
+    it first; successors(node) yields (child, label) pairs.  Returns the
+    labels along the path from start to goal, or None when goal is
+    unreachable."""
+    if start == goal:
+        return []
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for child, label in successors(node):
+                if child in parent:
+                    continue
+                parent[child] = (node, label)
+                if child == goal:
+                    labels = []
+                    while parent[child] is not None:
+                        child, label = parent[child]
+                        labels.append(label)
+                    return labels[::-1]
+                nxt.append(child)
+        frontier = nxt
+    return None
 
 
 class DArcGraph:
@@ -88,22 +136,7 @@ class DArcGraph:
         return sub
 
     def topo_order(self) -> list:
-        indeg = {v: 0 for v in self.vertices}
-        for a, (u, v, _) in self.arcs.items():
-            indeg[v] += 1
-        queue = sorted([v for v in self.vertices if indeg[v] == 0], key=repr)
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for a in self.out[v]:
-                w = self.head(a)
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != len(self.vertices):
-            raise AcyclicityError("directed cycle present")
-        return order
+        return _kahn({v: [self.head(a) for a in self.out[v]] for v in self.vertices})
 
 
 def _dijkstra_labels(dg: DArcGraph, s) -> dict:
@@ -176,6 +209,30 @@ def _tight_reaching(dg: DArcGraph, s, t):
     return sorted((a for a in tight if dg.head(a) in reach), key=repr), dist
 
 
+def _add_sentinels(dg: DArcGraph, s1, t1, s2, t2, tag) -> dict:
+    """Zero-length sentinel arcs (tag, "A_i") into s_i and (tag, "B_i") out
+    of t_i, each with a fresh outer end labelled like the arc itself.
+
+    Every continuation out of s_i and into t_i is permitted; the update is a
+    union, so transitions of other paths passing through a terminal survive.
+    Returns the arc ids by name.
+    """
+    ids = {}
+    for name, v in (("A1", s1), ("B1", t1), ("A2", s2), ("B2", t2)):
+        aid = ids[name] = (tag, name)
+        dg.add_vertex(aid)
+        dg.add_vertex(v)
+        if name[0] == "A":
+            dg.add_arc(aid, aid, v, 0)
+        else:
+            dg.add_arc(aid, v, aid, 0)
+    for name, v in (("A1", s1), ("A2", s2)):
+        dg.trans.update(frozenset((ids[name], b)) for b in dg.out[v])
+    for name, v in (("B1", t1), ("B2", t2)):
+        dg.trans.update(frozenset((a, ids[name])) for a in dg.inc[v])
+    return ids
+
+
 # ---------------------------------------------------------------------------
 # Compatible path problems on directed acyclic graphs.
 
@@ -186,12 +243,11 @@ def dag_compatible_path_raw(dg: DArcGraph, s, tgt, witness: bool = False):
     dg.topo_order()  # raises on cycles
     if s == tgt:
         return (True, ()) if witness else True
-    parent = {}
-    frontier = []
-    for a in sorted(dg.out.get(s, ()), key=repr):
-        parent[a] = None
-        frontier.append(a)
-    seen = set(frontier)
+    # its own loop, not _level_search: it starts from several arcs and stops
+    # at any arc into tgt, and written with callbacks for those, this
+    # innermost search of vertex mode ran measurably slower
+    parent = dict.fromkeys(sorted(dg.out.get(s, ()), key=repr))
+    frontier = list(parent)
     while frontier:
         nxt = []
         for a in frontier:
@@ -199,14 +255,12 @@ def dag_compatible_path_raw(dg: DArcGraph, s, tgt, witness: bool = False):
                 if not witness:
                     return True
                 seq = []
-                cur = a
-                while cur is not None:
-                    seq.append(cur)
-                    cur = parent[cur]
+                while a is not None:
+                    seq.append(a)
+                    a = parent[a]
                 return True, tuple(reversed(seq))
             for b in sorted(dg.out[dg.head(a)], key=repr):
-                if b not in seen and dg.permits(a, b):
-                    seen.add(b)
+                if b not in parent and dg.permits(a, b):
                     parent[b] = a
                     nxt.append(b)
         frontier = nxt
@@ -239,7 +293,7 @@ def _levels(dg: DArcGraph) -> dict:
     return lvl
 
 
-def _dag_two_disjoint(dg0: DArcGraph, s1, t1, s2, t2, vertex_mode: bool, witness: bool):
+def _dag_two_disjoint(dg0: DArcGraph, s1, t1, s2, t2, mode: str, witness: bool):
     """Perl-Shiloach style search over arc pairs ordered by longest-path levels.
 
     A product node (e1, e2) holds the last arcs of both partial paths; the
@@ -247,29 +301,12 @@ def _dag_two_disjoint(dg0: DArcGraph, s1, t1, s2, t2, vertex_mode: bool, witness
     sits on its closing sentinel arc the other side extends freely, which is
     exactly the level comparison against a level-0 sentinel head.
     """
+    vertex_mode = mode == "vertex"
+    if vertex_mode and {s1, t1} & {s2, t2}:
+        return (False, None) if witness else False
     dg = dg0.restriction(dg0.arcs)  # private copy
-    for v in (s1, t1, s2, t2):
-        dg.add_vertex(v)  # terminals may be isolated
-    sent_arc = {}
-    for name in ("A1", "B1", "A2", "B2"):
-        dg.add_vertex(("dsent", name))
-        sent_arc[name] = ("darc", name)
-    dg.add_arc(sent_arc["A1"], ("dsent", "A1"), s1, 0)
-    dg.add_arc(sent_arc["B1"], t1, ("dsent", "B1"), 0)
-    dg.add_arc(sent_arc["A2"], ("dsent", "A2"), s2, 0)
-    dg.add_arc(sent_arc["B2"], t2, ("dsent", "B2"), 0)
-    for name, v in (("A1", s1), ("A2", s2)):
-        for b in dg.out[v]:
-            if b != sent_arc[name]:
-                dg.trans.add(frozenset((sent_arc[name], b)))
-    for name, v in (("B1", t1), ("B2", t2)):
-        for a in dg.inc[v]:
-            if a != sent_arc[name]:
-                dg.trans.add(frozenset((a, sent_arc[name])))
+    sent_arc = _add_sentinels(dg, s1, t1, s2, t2, "darc")
     lvl = _levels(dg)
-
-    start = (sent_arc["A1"], sent_arc["A2"])
-    goal = (sent_arc["B1"], sent_arc["B2"])
 
     def successors(node):
         e1, e2 = node
@@ -281,72 +318,33 @@ def _dag_two_disjoint(dg0: DArcGraph, s1, t1, s2, t2, vertex_mode: bool, witness
                     continue
                 if vertex_mode and dg.head(e2n) in (dg.tail(e1), h1):
                     continue
-                out.append(((e1, e2n), 1))
+                out.append(((e1, e2n), (2, e2n)))
         if lvl[h1] >= lvl[h2] and e1 != sent_arc["B1"]:
             for e1n in dg.out[h1]:
                 if e1n == e2 or not dg.permits(e1, e1n):
                     continue
                 if vertex_mode and dg.head(e1n) in (dg.tail(e2), h2):
                     continue
-                out.append(((e1n, e2), 2))
+                out.append(((e1n, e2), (1, e1n)))
         return out
 
-    parent = {start: None}
-    frontier = [start]
-    found = start == goal
-    while frontier and not found:
-        nxt = []
-        for node in frontier:
-            for child, typ in successors(node):
-                if child not in parent:
-                    parent[child] = (node, typ)
-                    if child == goal:
-                        found = True
-                    nxt.append(child)
-        frontier = nxt
-    if not found:
+    steps = _level_search(
+        (sent_arc["A1"], sent_arc["A2"]), (sent_arc["B1"], sent_arc["B2"]), successors
+    )
+    if steps is None:
         return (False, None) if witness else False
     if not witness:
         return True
-    p1, p2 = [sent_arc["A1"]], [sent_arc["A2"]]
-    steps = []
-    cur = goal
-    while parent[cur] is not None:
-        prev, typ = parent[cur]
-        steps.append((cur, typ))
-        cur = prev
-    steps.reverse()
-    for (f1, f2), typ in steps:
-        if typ == 1:
-            p2.append(f2)
-        else:
-            p1.append(f1)
     strip = set(sent_arc.values())
-    w1 = tuple(a for a in p1 if a not in strip)
-    w2 = tuple(a for a in p2 if a not in strip)
-    return True, (w1, w2)
+    return True, tuple(
+        tuple(a for side, a in steps if side == i and a not in strip) for i in (1, 2)
+    )
 
 
-def dag_two_edge_disjoint(g: DiGraph, t: TransitionSystem, s1, t1, s2, t2, witness=False):
-    """Two compatible edge-disjoint s_i-t_i paths in an acyclic digraph."""
-    dg = DArcGraph.from_core(g, t)
-    dg.topo_order()
-    return _dag_two_disjoint(dg, s1, t1, s2, t2, vertex_mode=False, witness=witness)
-
-
-def dag_two_vertex_disjoint(g: DiGraph, t: TransitionSystem, s1, t1, s2, t2, witness=False):
-    """Two compatible vertex-disjoint s_i-t_i paths in an acyclic digraph."""
-    if {s1, t1} & {s2, t2}:
-        return (False, None) if witness else False
-    dg = DArcGraph.from_core(g, t)
-    dg.topo_order()
-    return _dag_two_disjoint(dg, s1, t1, s2, t2, vertex_mode=True, witness=witness)
-
-
-def _dag_two_disjoint_raw(dg: DArcGraph, s1, t1, s2, t2, vertex_mode, witness=False):
-    if vertex_mode and {s1, t1} & {s2, t2}:
-        return (False, None) if witness else False
-    return _dag_two_disjoint(dg, s1, t1, s2, t2, vertex_mode, witness)
+def dag_two_disjoint(g: DiGraph, t: TransitionSystem, s1, t1, s2, t2, mode, witness=False):
+    """Two compatible s_i-t_i paths in an acyclic digraph, edge-disjoint or
+    vertex-disjoint as mode ("edge" or "vertex") says; errors on cyclic input."""
+    return _dag_two_disjoint(DArcGraph.from_core(g, t), s1, t1, s2, t2, mode, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +389,7 @@ class ContractedStar:
             if tl == hd:
                 raise AcyclicityError("a non-contracted arc closed a loop")
             succ[tl].add(hd)
-        indeg = {c: 0 for c in self.members}
-        for c, ss in succ.items():
-            for d in ss:
-                indeg[d] += 1
-        queue = sorted((c for c in self.members if indeg[c] == 0), key=repr)
-        topo = []
-        while queue:
-            c = queue.pop()
-            topo.append(c)
-            for d in succ[c]:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    queue.append(d)
-        if len(topo) != len(self.members):
-            raise AcyclicityError("contracted graph has a directed cycle")
+        topo = _kahn(succ, "contracted graph has a directed cycle")
         self.reach = {c: {c} for c in self.members}
         for c in reversed(topo):
             for d in succ[c]:
@@ -426,10 +410,6 @@ class ContractedStar:
             for a, (u, v, _) in sorted(self.dg.arcs.items(), key=lambda kv: repr(kv[0]))
             if u in ms and v in ms
         ]
-
-    def inner_graph(self, rep, extra_arcs, source_dg: DArcGraph) -> DArcGraph:
-        ids = set(self.blob_arcs(rep)) | set(extra_arcs)
-        return source_dg.restriction(ids)
 
 
 def _product_path(star: ContractedStar, start, goal, arc_ok):
@@ -458,29 +438,55 @@ def _product_path(star: ContractedStar, start, goal, arc_ok):
                         res.append(((e1n, e2n), ("iii", e1, e1n, e2, e2n)))
         return res
 
-    parent = {start: None}
-    frontier = [start]
-    while frontier and goal not in parent:
-        nxt = []
-        for node in frontier:
-            for child, step in successors(node):
-                if child not in parent:
-                    parent[child] = (node, step)
-                    nxt.append(child)
-        frontier = nxt
-    if goal not in parent:
-        return None
-    steps = []
-    cur = goal
-    while parent[cur] is not None:
-        prev, step = parent[cur]
-        steps.append(step)
-        cur = prev
-    steps.reverse()
-    return steps
+    return _level_search(start, goal, successors)
+
+
+def _inner_graph(dg: DArcGraph, star, rep, routes):
+    """Blob subgraph plus boundary arcs re-anchored on fresh outside copies.
+
+    routes lists (entry arc, exit arc) pairs; returns the graph and the
+    fresh (source, target) labels of each route, flattened.  Boundary arcs
+    may share outside endpoints, which can close spurious cycles through
+    the blob; fresh copies keep the graph acyclic without changing which
+    boundary-to-boundary routings exist.  Transition checks are arc-id
+    based and unaffected by the relabeling.
+    """
+    gs = DArcGraph()
+    for a in star.blob_arcs(rep):
+        u, v, w = dg.arcs[a]
+        gs.add_vertex(u)
+        gs.add_vertex(v)
+        gs.add_arc(a, u, v, w)
+    ends = []
+    for a_in, a_out in routes:
+        for a, entry in ((a_in, True), (a_out, False)):
+            u, v, w = dg.arcs[a]
+            lbl = ("bnd", len(ends))
+            gs.add_vertex(lbl)
+            if entry:
+                gs.add_vertex(v)
+                gs.add_arc(a, lbl, v, w)
+            else:
+                gs.add_vertex(u)
+                gs.add_arc(a, u, lbl, w)
+            ends.append(lbl)
+    keep = set(gs.arcs)
+    gs.trans = {p for p in dg.trans if p <= keep}
+    return gs, ends
+
+
+def _blob_routing(dg: DArcGraph, star, rep, routes, mode, witness=False):
+    """Compatible routes through blob rep, one per (entry arc, exit arc) pair
+    in routes, disjoint in the given mode when there are two.  Each witness
+    route includes its entry and exit arcs."""
+    gs, ends = _inner_graph(dg, star, rep, routes)
+    if len(routes) == 1:
+        return dag_compatible_path_raw(gs, *ends, witness=witness)
+    return _dag_two_disjoint(gs, *ends, mode, witness)
+
 
 # ---------------------------------------------------------------------------
-# Edge-disjoint variant.
+# The driver shared by both variants.
 
 
 @dataclass
@@ -488,10 +494,6 @@ class DspResult:
     yes: bool
     paths: Optional[tuple] = None  # pair of Walks in the input graph
     diagnostic: Optional[str] = None
-
-
-def _interior(seq: Sequence) -> list:
-    return list(seq[1:-1])
 
 
 def _validated_result(g, t, s_pairs, arcs1, arcs2, mode):
@@ -522,189 +524,127 @@ def edge_disjoint_2dspp(
     Requires every directed cycle to have positive length.  A yes answer
     carries two re-validated witness paths.
     """
+    return _two_dspp(g, t, s1, t1, s2, t2, "edge", witness)
+
+
+def vertex_disjoint_2dspp(
+    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, witness: bool = True
+) -> DspResult:
+    """Two vertex-disjoint shortest compatible paths, in polynomial time."""
+    return _two_dspp(g, t, s1, t1, s2, t2, "vertex", witness)
+
+
+def _tight_pairs(dg: DArcGraph, ids) -> tuple:
+    """E1 and E2: the arcs on shortest sentinel-to-sentinel paths per pair."""
+    return tuple(_tight_reaching(dg, ids["A" + i], ids["B" + i])[0] for i in "12")
+
+
+def _two_dspp(g, t, s1, t1, s2, t2, mode, witness):
+    """The 2-DSPP pipeline; vertex mode runs it on the split graph."""
     if s1 == t1 or s2 == t2:
         raise ValueError("terminal pairs must have distinct endpoints")
-    dg, a_ids = _build_working(g, t, s1, t1, s2, t2)
-    e1, _ = _tight_reaching(dg, ("sent", "s1p"), ("sent", "t1p"))
-    e2, _ = _tight_reaching(dg, ("sent", "s2p"), ("sent", "t2p"))
+    if mode == "vertex" and {s1, t1} & {s2, t2}:
+        return DspResult(False, diagnostic="terminal pairs share a vertex")
+    check_positive_cycles(g)
+    dg = DArcGraph.from_core(g, t)
+    a_ids = _add_sentinels(dg, s1, t1, s2, t2, "sa")
+    e1, e2 = _tight_pairs(dg, a_ids)
     if a_ids["A1"] not in e1 or a_ids["A2"] not in e2:
         return DspResult(False, diagnostic="a target is unreachable")
+    if mode == "vertex":
+        dg = build_split_graph(dg.restriction(set(e1) | set(e2)))
+        e1, e2 = _tight_pairs(dg, a_ids)
+        if a_ids["A1"] not in e1 or a_ids["A2"] not in e2:
+            return DspResult(False, diagnostic="a target is unreachable after splitting")
+        # parallel-arc property: with one incoming arc of v- in Ei', all the
+        # parallel arcs at v are
+        par = [a for a in dg.arcs if not isinstance(a, int) and a[0] == "par"]
+        for ei in (set(e1), set(e2)):
+            split = {p[1] for p in par if p in ei} & {p[1] for p in par if p not in ei}
+            if split:
+                v = min(split, key=repr)
+                raise InvariantError(f"parallel arcs at {v!r} split across E_i'")
     star = ContractedStar(dg, e1, e2)
 
-    def inner(rep, a_in, a_out, want_witness=False):
-        gs, src, tgt = _inner_graph(dg, star, rep, [(a_in, "in"), (a_out, "out")])
-        return dag_compatible_path_raw(gs, src[a_in], tgt[a_out], witness=want_witness)
+    @lru_cache(maxsize=None)
+    def permits_double(a_in, rep, a_out):
+        """T_{G''} membership: entry arc, blob, exit arc (original orientations)."""
+        if rep not in star.v0:
+            return dg.permits(a_in, a_out)
+        return _blob_routing(dg, star, rep, [(a_in, a_out)], mode)
 
     def arc_ok(step):
         kind = step[0]
         if kind == "i":
             _, e1a, e2a, e2n = step
             v = star.star_head(e2a)
-            if v in star.reach[star.star_head(e1a)]:
-                return False
-            if v in star.v0:
-                return inner(v, e2n, e2a)
-            return dg.permits(e2n, e2a)
+            return v not in star.reach[star.star_head(e1a)] and permits_double(e2n, v, e2a)
         if kind == "ii":
             _, e1a, e1n, e2a = step
             v = star.star_head(e1a)
-            if v in star.reach[star.star_head(e2a)]:
-                return False
-            if v in star.v0:
-                return inner(v, e1a, e1n)
-            return dg.permits(e1a, e1n)
+            return v not in star.reach[star.star_head(e2a)] and permits_double(e1a, v, e1n)
         _, e1a, e1n, e2a, e2n = step
         v = star.star_head(e1a)
-        if v in star.v0:
-            gs, src, tgt = _inner_graph(
-                dg, star, v,
-                [(e1a, "in"), (e1n, "out"), (e2n, "in"), (e2a, "out")],
-            )
-            return _dag_two_disjoint_raw(
-                gs, src[e1a], tgt[e1n], src[e2n], tgt[e2a], vertex_mode=False
-            )
-        return dg.permits(e1a, e1n) and dg.permits(e2n, e2a)
+        if mode == "vertex" and v not in star.v0:
+            raise InvariantError("type-(iii) product arc at a non-contracted vertex")
+        # a disjoint routing through the blob implies both single routes
+        if not (permits_double(e1a, v, e1n) and permits_double(e2n, v, e2a)):
+            return False
+        return v not in star.v0 or _blob_routing(dg, star, v, [(e1a, e1n), (e2n, e2a)], mode)
 
     start = (a_ids["A1"], a_ids["B2"])
-    goal = (a_ids["B1"], a_ids["A2"])
-    steps = _product_path(star, start, goal, arc_ok)
+    steps = _product_path(star, start, (a_ids["B1"], a_ids["A2"]), arc_ok)
     if steps is None:
         return DspResult(False)
     if not witness:
         return DspResult(True)
-    arcs1, arcs2 = _reconstruct(star, dg, steps, start, inner, mode="edge")
-    sent = set(a_ids.values())
-    arcs1 = [a for a in arcs1 if a not in sent]
-    arcs2 = [a for a in arcs2 if a not in sent]
-    return _validated_result(g, t, ((s1, t1), (s2, t2)), arcs1, arcs2, "edge")
+    # working arcs of the input keep their int ids; sentinel and parallel
+    # arcs have tuple ids
+    arcs1, arcs2 = (
+        [a for a in p if isinstance(a, int)] for p in _reconstruct(dg, star, steps, start, mode)
+    )
+    return _validated_result(g, t, ((s1, t1), (s2, t2)), arcs1, arcs2, mode)
 
 
-def _reconstruct(star, dg, steps, start, inner, mode):
+def _reconstruct(dg, star, steps, start, mode):
     """Splice product steps into two original-orientation arc sequences."""
+
+    def interiors(v, routes):
+        """The arcs strictly inside blob v of each rebuilt route."""
+        if v not in star.v0:
+            return [[] for _ in routes]
+        ok, found = _blob_routing(dg, star, v, routes, mode, witness=True)
+        if not ok:
+            what = "compatible path" if len(routes) == 1 else "disjoint routing"
+            raise InvariantError(f"no {what} through blob {v!r} on rebuild")
+        return [list(q[1:-1]) for q in ([found] if len(routes) == 1 else found)]
+
     p1 = [start[0]]
     p2_chunks = [[start[1]]]
     for step in steps:
         kind = step[0]
         if kind == "i":
             _, e1a, e2a, e2n = step
-            v = star.star_head(e2a)
-            chunk = [e2n]
-            if v in star.v0:
-                chunk += _interior(_inner_one(inner, v, e2n, e2a))
-            p2_chunks.append(chunk)
+            (q2,) = interiors(star.star_head(e2a), [(e2n, e2a)])
+            p2_chunks.append([e2n] + q2)
         elif kind == "ii":
             _, e1a, e1n, e2a = step
-            v = star.star_head(e1a)
-            if v in star.v0:
-                p1 += _interior(_inner_one(inner, v, e1a, e1n))
-            p1.append(e1n)
+            (q1,) = interiors(star.star_head(e1a), [(e1a, e1n)])
+            p1 += q1 + [e1n]
         else:
             _, e1a, e1n, e2a, e2n = step
-            v = star.star_head(e1a)
-            chunk = [e2n]
-            if v in star.v0:
-                q1, q2 = _inner_two(star, dg, v, e1a, e1n, e2a, e2n, mode)
-                p1 += _interior(q1)
-                chunk += _interior(q2)
-            p1.append(e1n)
-            p2_chunks.append(chunk)
-    p2 = []
-    for chunk in reversed(p2_chunks):
-        p2 += chunk
-    return p1, p2
+            q1, q2 = interiors(star.star_head(e1a), [(e1a, e1n), (e2n, e2a)])
+            p1 += q1 + [e1n]
+            p2_chunks.append([e2n] + q2)
+    return p1, [a for chunk in reversed(p2_chunks) for a in chunk]
 
-
-def _inner_one(inner, rep, a_in, a_out):
-    ok, q = inner(rep, a_in, a_out, True)
-    if not ok:
-        raise InvariantError(f"no compatible path through blob {rep!r} on rebuild")
-    return q
-
-
-def _inner_two(star, dg, rep, e1a, e1n, e2a, e2n, mode):
-    gs, src, tgt = _inner_graph(
-        dg, star, rep, [(e1a, "in"), (e1n, "out"), (e2n, "in"), (e2a, "out")]
-    )
-    ok, qs = _dag_two_disjoint_raw(
-        gs, src[e1a], tgt[e1n], src[e2n], tgt[e2a],
-        vertex_mode=(mode == "vertex"), witness=True,
-    )
-    if not ok:
-        raise InvariantError(f"no disjoint routing through blob {rep!r} on rebuild")
-    # both paths include the boundary arcs as first/last elements
-    return qs
-
-
-def _inner_graph(dg: DArcGraph, star, rep, boundary):
-    """Blob subgraph plus boundary arcs re-anchored on fresh outside copies.
-
-    Boundary arcs may share outside endpoints, which can close spurious
-    cycles through the blob; fresh copies keep the graph acyclic without
-    changing which boundary-to-boundary routings exist.  Transition checks
-    are arc-id based and unaffected by the relabeling.
-    """
-    gs = DArcGraph()
-    members = star.members[rep]
-    for a in star.blob_arcs(rep):
-        u, v, w = dg.arcs[a]
-        gs.add_vertex(u)
-        gs.add_vertex(v)
-        gs.add_arc(a, u, v, w)
-    src, tgt = {}, {}
-    for i, (a, role) in enumerate(boundary):
-        u, v, w = dg.arcs[a]
-        if role == "in":
-            lbl = ("bnd", i)
-            gs.add_vertex(lbl)
-            gs.add_vertex(v)
-            gs.add_arc(a, lbl, v, w)
-            src[a] = lbl
-        else:
-            lbl = ("bnd", i)
-            gs.add_vertex(lbl)
-            gs.add_vertex(u)
-            gs.add_arc(a, u, lbl, w)
-            tgt[a] = lbl
-    keep = set(gs.arcs)
-    gs.trans = {p for p in dg.trans if p <= keep}
-    return gs, src, tgt
-
-def _build_working(g: DiGraph, t: TransitionSystem, s1, t1, s2, t2):
-    """Sentinel-extended working copy with permissive terminal transitions.
-
-    Adds s_i', t_i' with zero-length arcs and permits every continuation out
-    of s_i and into t_i; the t_i update is a union, so transitions of other
-    paths passing through a terminal survive.
-    """
-    check_positive_cycles(g)
-    dg = DArcGraph.from_core(g, t)
-    for name in ("s1p", "t1p", "s2p", "t2p"):
-        dg.add_vertex(("sent", name))
-    a_ids = {}
-    for name, (tailv, headv) in (
-        ("A1", (("sent", "s1p"), s1)),
-        ("B1", (t1, ("sent", "t1p"))),
-        ("A2", (("sent", "s2p"), s2)),
-        ("B2", (t2, ("sent", "t2p"))),
-    ):
-        aid = ("sa", name)
-        dg.add_arc(aid, tailv, headv, 0)
-        a_ids[name] = aid
-    for name, v in (("A1", s1), ("A2", s2)):
-        for b in list(dg.out[v]):
-            if b != a_ids[name]:
-                dg.trans.add(frozenset((a_ids[name], b)))
-    for name, v in (("B1", t1), ("B2", t2)):
-        for a in list(dg.inc[v]):
-            if a != a_ids[name]:
-                dg.trans.add(frozenset((a, a_ids[name])))
-    return dg, a_ids
 
 # ---------------------------------------------------------------------------
 # Vertex-disjoint variant via vertex splitting.
 
 
-SENT_LABELS = {("sent", "s1p"), ("sent", "t1p"), ("sent", "s2p"), ("sent", "t2p")}
+# the outer ends of the working graph's sentinel arcs, which _two_dspp tags "sa"
+SENT_LABELS = {("sa", name) for name in ("A1", "B1", "A2", "B2")}
 
 
 def build_split_graph(dg: DArcGraph) -> DArcGraph:
@@ -747,90 +687,3 @@ def build_split_graph(dg: DArcGraph) -> DArcGraph:
                     continue
                 gp.trans.add(frozenset((("par", v, x), y)))
     return gp
-
-
-def vertex_disjoint_2dspp(
-    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, witness: bool = True
-) -> DspResult:
-    """Two vertex-disjoint shortest compatible paths, in polynomial time."""
-    if s1 == t1 or s2 == t2:
-        raise ValueError("terminal pairs must have distinct endpoints")
-    if {s1, t1} & {s2, t2}:
-        return DspResult(False, diagnostic="terminal pairs share a vertex")
-    dg, a_ids = _build_working(g, t, s1, t1, s2, t2)
-    e1, _ = _tight_reaching(dg, ("sent", "s1p"), ("sent", "t1p"))
-    e2, _ = _tight_reaching(dg, ("sent", "s2p"), ("sent", "t2p"))
-    if a_ids["A1"] not in e1 or a_ids["A2"] not in e2:
-        return DspResult(False, diagnostic="a target is unreachable")
-    pruned = dg.restriction(set(e1) | set(e2))
-    gp = build_split_graph(pruned)
-    e1p, _ = _tight_reaching(gp, ("sent", "s1p"), ("sent", "t1p"))
-    e2p, _ = _tight_reaching(gp, ("sent", "s2p"), ("sent", "t2p"))
-    if a_ids["A1"] not in e1p or a_ids["A2"] not in e2p:
-        return DspResult(False, diagnostic="a target is unreachable after splitting")
-    # parallel-arc property: with one incoming arc of v- in Ei', all the
-    # parallel arcs at v are
-    for eip in (e1p, e2p):
-        eset = set(eip)
-        by_vertex = {}
-        for a in eip:
-            if isinstance(a, tuple) and a and a[0] == "par":
-                by_vertex.setdefault(a[1], set()).add(a)
-        for v, some in by_vertex.items():
-            allp = {a for a in gp.arcs if isinstance(a, tuple) and a[:2] == ("par", v)}
-            if not allp <= eset:
-                raise InvariantError(f"parallel arcs at {v!r} split across E_i'")
-    star = ContractedStar(gp, e1p, e2p)
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def permits_double(a_in, rep, a_out):
-        """T_{G''} membership: entry arc, blob, exit arc (original orientations)."""
-        if rep not in star.v0:
-            return gp.permits(a_in, a_out)
-        gs, src, tgt = _inner_graph(gp, star, rep, [(a_in, "in"), (a_out, "out")])
-        return dag_compatible_path_raw(gs, src[a_in], tgt[a_out])
-
-    def inner(rep, a_in, a_out, want_witness=False):
-        gs, src, tgt = _inner_graph(gp, star, rep, [(a_in, "in"), (a_out, "out")])
-        return dag_compatible_path_raw(gs, src[a_in], tgt[a_out], witness=want_witness)
-
-    def arc_ok(step):
-        kind = step[0]
-        if kind == "i":
-            _, e1a, e2a, e2n = step
-            v = star.star_head(e2a)
-            if v in star.reach[star.star_head(e1a)]:
-                return False
-            return permits_double(e2n, v, e2a)
-        if kind == "ii":
-            _, e1a, e1n, e2a = step
-            v = star.star_head(e1a)
-            if v in star.reach[star.star_head(e2a)]:
-                return False
-            return permits_double(e1a, v, e1n)
-        _, e1a, e1n, e2a, e2n = step
-        v = star.star_head(e1a)
-        if v not in star.v0:
-            raise InvariantError("type-(iii) product arc at a non-contracted vertex")
-        if not (permits_double(e1a, v, e1n) and permits_double(e2n, v, e2a)):
-            return False
-        gs, src, tgt = _inner_graph(
-            gp, star, v, [(e1a, "in"), (e1n, "out"), (e2n, "in"), (e2a, "out")]
-        )
-        return _dag_two_disjoint_raw(
-            gs, src[e1a], tgt[e1n], src[e2n], tgt[e2a], vertex_mode=True
-        )
-
-    start = (a_ids["A1"], a_ids["B2"])
-    goal = (a_ids["B1"], a_ids["A2"])
-    steps = _product_path(star, start, goal, arc_ok)
-    if steps is None:
-        return DspResult(False)
-    if not witness:
-        return DspResult(True)
-    arcs1p, arcs2p = _reconstruct(star, gp, steps, start, inner, mode="vertex")
-    arcs1 = [a for a in arcs1p if isinstance(a, int)]
-    arcs2 = [a for a in arcs2p if isinstance(a, int)]
-    return _validated_result(g, t, ((s1, t1), (s2, t2)), arcs1, arcs2, "vertex")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import Graph, InvariantError, TransitionSystem, Walk
@@ -382,6 +383,11 @@ def make_nice(g: Graph, dec: DecompositionFile) -> DecompositionFile:
     The output is nice with width and node count not exceeding the input's;
     both facts are checked, raising NicenessError, rather than assumed.
     """
+    return _make_nice(g, dec)[0].to_file()
+
+
+def _make_nice(g: Graph, dec: DecompositionFile) -> Tuple[TreecutDecomposition, int]:
+    """make_nice's decomposition, unconverted, with its checked width."""
     tc = TreecutDecomposition(g, dec)
     width_before = tc.width()
     nodes = sorted(tc.bags)
@@ -421,9 +427,10 @@ def make_nice(g: Graph, dec: DecompositionFile) -> DecompositionFile:
         raise NicenessError("make_nice did not converge")
     if not cur.is_nice():
         raise NicenessError("niceness transformation left a violating thin node")
-    if cur.width() > width_before:
+    width = cur.width()
+    if width > width_before:
         raise NicenessError("niceness transformation raised the width")
-    return cur.to_file()
+    return cur, width
 
 
 EXHAUSTIVE_MAX_N = 10
@@ -679,13 +686,19 @@ def _terminate_state(ws: WorkState, drop_set: Set, groups_edges: List[List[int]]
     return labels
 
 
+@lru_cache(maxsize=8)
+def _input_lgraph(g: Graph, tsys: TransitionSystem) -> LGraph:
+    """The input as an LGraph, built once per graph and transition system;
+    callers copy it before changing it."""
+    return LGraph.from_core(g, tsys)
+
+
 def build_corresponding_state(
     g: Graph, tsys: TransitionSystem, pairs, dec: TreecutDecomposition, t, rec: Record
 ) -> WorkState:
     """The corresponding instance of record rec at node t, as a WorkState."""
-    lg = LGraph.from_core(g, tsys)
     ws = WorkState(
-        lg,
+        _input_lgraph(g, tsys).copy(),
         {frozenset(p) for p in pairs},
         {e: tuple(g.edges[e]) for e in range(g.m)},
         itertools.count(),
@@ -1112,9 +1125,7 @@ def comvdp(g: Graph, tsys: TransitionSystem, pairs, dec: DecompositionFile,
     flat = [v for p in pairs for v in p]
     if len(flat) != len(set(flat)):
         return False, {"reason": "overlapping terminal pairs"}
-    nice_file = make_nice(g, dec)
-    tc = TreecutDecomposition(g, nice_file)
-    width = tc.width()
+    tc, width = _make_nice(g, dec)
     info = {"width": width, "nice": True}
     if return_tables:
         info["decomposition"] = tc

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from transita.core import Graph, TransitionSystem, all_transitions, bfs_dist, is_compatible_walk, INF
-from transita.detour import comdetour, zero_detour_path
+from transita.detour import comdetour
 from transita.genred import gen_random_ftg
 from transita.oracle import brute_compatible_path
 
@@ -22,13 +22,13 @@ def grid3():
 
 def test_zero_detour_single_edge():
     g = Graph(2, [(0, 1)])
-    assert zero_detour_path(g, TransitionSystem(), 0, 1) == 1
+    assert comdetour(g, TransitionSystem(), 0, 1, 0).nu == 1
 
 
 def test_zero_detour_all_transitions_is_bfs():
     g = grid3()
-    assert zero_detour_path(g, all_transitions(g), 0, 8) == 4
-    assert zero_detour_path(g, all_transitions(g), 0, 2) == 2
+    assert comdetour(g, all_transitions(g), 0, 8, 0).nu == 4
+    assert comdetour(g, all_transitions(g), 0, 2, 0).nu == 2
 
 
 def test_zero_detour_blocked_monotone_route():
@@ -39,7 +39,7 @@ def test_zero_detour_blocked_monotone_route():
     block = tuple(sorted((g.edge_id(0, 1), g.edge_id(1, 2))))
     pairs.discard(block)
     t = TransitionSystem(pairs)
-    assert zero_detour_path(g, t, 0, 2) is None
+    assert not comdetour(g, t, 0, 2, 0).yes
     assert brute_compatible_path(g, t, 0, 2, 2) is None  # derived confirmation
 
 

@@ -8,8 +8,7 @@ from transita.dsp import (
     PositivityError,
     check_positive_cycles,
     dag_compatible_path,
-    dag_two_edge_disjoint,
-    dag_two_vertex_disjoint,
+    dag_two_disjoint,
     edge_disjoint_2dspp,
     shortest_edge_sets,
     vertex_disjoint_2dspp,
@@ -95,12 +94,12 @@ def test_dag_two_disjoint_examples():
     # two arc-disjoint parallel tracks
     g = DiGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     t = all_transitions(g)
-    assert dag_two_edge_disjoint(g, t, 0, 2, 3, 5)
-    assert dag_two_vertex_disjoint(g, t, 0, 2, 3, 5)
+    assert dag_two_disjoint(g, t, 0, 2, 3, 5, "edge")
+    assert dag_two_disjoint(g, t, 0, 2, 3, 5, "vertex")
     # one mandatory shared bridge arc
     bridge = DiGraph(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])
     tb = all_transitions(bridge)
-    assert not dag_two_edge_disjoint(bridge, tb, 0, 4, 1, 5)
+    assert not dag_two_disjoint(bridge, tb, 0, 4, 1, 5, "edge")
     # transition-blocked variant of a feasible instance
     g2 = DiGraph(4, [(0, 1), (1, 2), (1, 3)])
     t_ok = TransitionSystem([(0, 1), (0, 2)])
@@ -212,7 +211,7 @@ def test_vertex_witness_through_a_contracted_blob():
 
 def test_vertex_witnesses_on_random_grid_digraphs():
     # mostly-rightward/downward grids with every transition permitted often
-    # route both paths through one contracted blob
+    # route both paths through one contracted blob; both modes run on each
     rng = random.Random(2)
     for _ in range(2000):
         rows, cols = rng.randint(2, 3), rng.randint(2, 4)
@@ -224,9 +223,10 @@ def test_vertex_witnesses_on_random_grid_digraphs():
         g = DiGraph(rows * cols, arcs)
         t = all_transitions(g)
         s1, t1, s2, t2 = rng.sample(range(g.n), 4)
-        res = vertex_disjoint_2dspp(g, t, s1, t1, s2, t2)
-        assert res.yes == brute_2dspp(g, t, [(s1, t1), (s2, t2)], "vertex")
-        if res.yes:
-            w1, w2 = res.paths
-            assert (w1.vertices[0], w1.vertices[-1]) == (s1, t1)
-            assert (w2.vertices[0], w2.vertices[-1]) == (s2, t2)
+        for fn, mode in ((edge_disjoint_2dspp, "edge"), (vertex_disjoint_2dspp, "vertex")):
+            res = fn(g, t, s1, t1, s2, t2)
+            assert res.yes == brute_2dspp(g, t, [(s1, t1), (s2, t2)], mode)
+            if res.yes:
+                w1, w2 = res.paths
+                assert (w1.vertices[0], w1.vertices[-1]) == (s1, t1)
+                assert (w2.vertices[0], w2.vertices[-1]) == (s2, t2)
