@@ -11,8 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 INF = math.inf
 
@@ -410,6 +409,27 @@ def bfs_dist(g, s: int) -> list:
                     nxt.append(w)
         queue = nxt
     return dist
+
+
+def components(g: Graph, within) -> list:
+    """Vertex sets of the components of the subgraph induced by within, in
+    order of their smallest vertex."""
+    seen = set()
+    comps = []
+    for v in sorted(within):
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for w, _ in g.adj(x):
+                if w in within and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def dijkstra(g: DiGraph, s: int) -> list:

@@ -81,10 +81,10 @@ def comdetour(
         raise ValueError("k must be nonnegative")
     if s == tgt:
         return DetourResult(True, 0, 0, Walk((s,), ()) if witness else None)
-    dist = bfs_dist(g, s)
-    if dist[tgt] == INF:
+    ls = LayerStructure.build(g, s)
+    if ls.dist[tgt] == INF:
         return DetourResult(False, None, None, diagnostic="target unreachable from source")
-    d = int(dist[tgt])
+    d = int(ls.dist[tgt])
 
     if d <= k:
         from .compath import compath  # delegation per the small-distance case
@@ -96,7 +96,6 @@ def comdetour(
             return DetourResult(False, None, d, certified=fam.certified)
         return DetourResult(True, ln, d, w, certified=fam.certified)
 
-    ls = LayerStructure.build(g, s)
     hi = d + k
     pruned = {v for v in range(g.n) if ls.dist[v] <= hi}
     sg = SlotGraph(g, t)
@@ -184,7 +183,7 @@ def comdetour(
         return DetourResult(False, None, d, certified=fam.certified)
     wit = None
     if witness:
-        wit = _assemble(g, pieces, nu_edge)
+        wit = _assemble(pieces, nu_edge)
         if wit.vertices[0] != s or wit.vertices[-1] != tgt or wit.length != nu:
             raise InvariantError("assembled detour has the wrong ends or length")
         if not (wit.is_path() and is_compatible_walk(g, t, wit)):
@@ -192,15 +191,16 @@ def comdetour(
     return DetourResult(True, int(nu), d, wit, certified=fam.certified)
 
 
-def _assemble(g: Graph, pieces, e: int) -> Walk:
-    kind = pieces[e][0]
-    if kind == "seed":
-        return pieces[e][1]
-    _, prefix, g2 = pieces[e]
-    rest = _assemble(g, pieces, g2)
-    if prefix.vertices[-1] != rest.vertices[0]:
-        raise InvariantError("detour pieces do not meet")
-    return Walk(
-        prefix.vertices + rest.vertices[1:],
-        prefix.edge_ids + rest.edge_ids,
-    )
+def _assemble(pieces, e: int) -> Walk:
+    """The join prefixes along the chain from e, then the seed walk it ends in."""
+    vertices, edge_ids = [pieces[e][1].vertices[0]], []
+    while True:
+        piece = pieces[e]
+        walk = piece[1]
+        if walk.vertices[0] != vertices[-1]:
+            raise InvariantError("detour pieces do not meet")
+        vertices += walk.vertices[1:]
+        edge_ids += walk.edge_ids
+        if piece[0] == "seed":
+            return Walk(tuple(vertices), tuple(edge_ids))
+        e = piece[2]

@@ -160,24 +160,14 @@ def _dijkstra_labels(dg: DArcGraph, s) -> dict:
 
 def check_positive_cycles(g: DiGraph) -> None:
     """Raise PositivityError when some directed cycle has zero total length."""
-    zero = [a for a in range(g.m) if g.weight(a) == 0]
-    out = {}
-    for a in zero:
-        out.setdefault(g.tail(a), []).append(g.head(a))
-    color = {}
-
-    def dfs(v):
-        color[v] = 1
-        for w in out.get(v, ()):
-            if color.get(w) == 1:
-                raise PositivityError("zero-length directed cycle")
-            if color.get(w) is None:
-                dfs(w)
-        color[v] = 2
-
-    for v in sorted(out):
-        if color.get(v) is None:
-            dfs(v)
+    succ = {v: [] for v in range(g.n)}
+    for a, (u, v) in enumerate(g.arcs):
+        if g.weight(a) == 0:
+            succ[u].append(v)
+    try:
+        _kahn(succ)
+    except AcyclicityError:
+        raise PositivityError("zero-length directed cycle") from None
 
 
 def shortest_edge_sets(g: DiGraph, s: int, t: int):

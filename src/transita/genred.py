@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
-from .core import EdgeColoring, Graph, TransitionSystem, all_transitions
+from .core import EdgeColoring, Graph, TransitionSystem, all_transitions, components
 
 
 def gen_random_ftg(n: int, p_edge: float, q_transition: float, seed: int):
@@ -363,45 +363,16 @@ def hamiltonian_reduction(psi: PSIInstance) -> HamiltonianReductionOutput:
 
 
 def is_linear_forest(g: Graph, removed: Sequence[int]) -> bool:
-    """Does deleting `removed` leave a disjoint union of paths?"""
-    gone = set(removed)
-    deg = {}
-    for u, v in g.edges:
-        if u in gone or v in gone:
-            continue
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        if deg[u] > 2 or deg[v] > 2:
-            return False
-    # path components only: no cycles
-    seen = set()
-    adj = {}
-    for u, v in g.edges:
-        if u in gone or v in gone:
-            continue
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v0 in adj:
-        if v0 in seen:
-            continue
-        comp = []
-        stack = [v0]
-        comp_seen = set()
-        ecount = 0
-        while stack:
-            x = stack.pop()
-            if x in comp_seen:
-                continue
-            comp_seen.add(x)
-            comp.append(x)
-            for w in adj.get(x, ()):
-                ecount += 1
-                if w not in comp_seen:
-                    stack.append(w)
-        seen |= comp_seen
-        if ecount // 2 != len(comp) - 1:
-            return False
-    return True
+    """Does deleting `removed` leave a disjoint union of paths?
+
+    It does iff no remaining vertex has degree above 2 and the remaining
+    graph is a forest: its edges number its vertices minus its components.
+    """
+    left = set(range(g.n)) - set(removed)
+    deg = {v: sum(w in left for w, _ in g.adj(v)) for v in left}
+    if any(d > 2 for d in deg.values()):
+        return False
+    return sum(deg.values()) // 2 == len(left) - len(components(g, left))
 
 
 def validate_ham_bags(out: HamiltonianReductionOutput) -> list:

@@ -211,6 +211,19 @@ class DecompositionFile:
         return children
 
 
+def postorder(children, root) -> list:
+    """Nodes of a rooted tree, each after its children; children[t] lists
+    t's children in the order they are visited."""
+    order = []
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        stack.extend(children[t])
+    order.reverse()
+    return order
+
+
 def parse_decomposition(data: Union[bytes, str]) -> DecompositionFile:
     if isinstance(data, bytes):
         data = data.decode("utf-8")

@@ -18,7 +18,6 @@ from .core import (
     Graph,
     TransitionSystem,
     Walk,
-    bfs_dist,
     dijkstra,
     INF,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import EdgeColoring, Graph, InvariantError
-from .io import DecompositionFile
+from .io import DecompositionFile, postorder
 
 # Lexicographically smallest irreducible polynomial of each degree over
 # GF(2), bitmask encoding with the leading term included.
@@ -260,45 +260,30 @@ def reduce_representatives(traces: Sequence[ColoredTrace], field: FieldGF2a) -> 
 
 
 def validate_tree_decomposition(g: Graph, dec: DecompositionFile) -> list:
-    """Violations of the tree-decomposition axioms (empty list iff valid)."""
+    """Violations of the tree-decomposition axioms (empty list iff valid).
+
+    A vertex's bags are connected in the tree iff exactly one of them is the
+    root or has a parent bag without that vertex.
+    """
     out = []
-    children = dec.children_map()
-    occurrences = {v: [] for v in range(g.n)}
+    parent = {c: t for t, cs in dec.children_map().items() for c in cs}
+    bags = [set(bag) for bag in dec.bags]
+    occurrences = {v: set() for v in range(g.n)}
     for i, bag in enumerate(dec.bags):
         for v in bag:
             if not (0 <= v < g.n):
                 out.append(f"bags[{i}]: vertex {v} out of range")
             else:
-                occurrences[v].append(i)
-    for v in range(g.n):
-        occ = set(occurrences[v])
+                occurrences[v].add(i)
+    for v, occ in occurrences.items():
         if not occ:
             out.append(f"vertex {v} in no bag")
-            continue
-        # connectivity of the occurrence set in the tree
-        start = next(iter(occ))
-        seen = {start}
-        stack = [start]
-        adj = {i: [] for i in range(dec.num_nodes)}
-        for a, b in dec.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        while stack:
-            x = stack.pop()
-            for yq in adj[x]:
-                if yq in occ and yq not in seen:
-                    seen.add(yq)
-                    stack.append(yq)
-        if seen != occ:
+        elif sum(i == dec.root or v not in bags[parent[i]] for i in occ) != 1:
             out.append(f"vertex {v}: bags not connected in the tree")
     for e, (u, v) in enumerate(g.edges):
-        if not any(u in bag and v in bag for bag in dec.bags):
+        if not occurrences[u] & occurrences[v]:
             out.append(f"edge {e}=({u},{v}) not covered by a bag")
     return out
-
-
-def single_bag_decomposition(g: Graph) -> DecompositionFile:
-    return DecompositionFile(0, (), (tuple(range(g.n)),))
 
 
 def min_degree_decomposition(g: Graph) -> DecompositionFile:
@@ -355,16 +340,10 @@ def build_nice_tree(g: Graph, dec: DecompositionFile) -> list:
     if bad:
         raise ValueError("invalid tree decomposition: " + "; ".join(bad))
     children = dec.children_map()
+    parent = {c: t for t, cs in children.items() for c in cs}
+    order = postorder(children, dec.root)
+    rank = {t: i for i, t in enumerate(order)}
     edge_at = {}
-    postorder = []
-
-    def post(t):
-        for c in children[t]:
-            post(c)
-        postorder.append(t)
-
-    post(dec.root)
-    rank = {t: i for i, t in enumerate(postorder)}
     for e, (u, v) in enumerate(g.edges):
         cands = [i for i, bag in enumerate(dec.bags) if u in bag and v in bag]
         t = min(cands, key=lambda i: rank[i])
@@ -376,35 +355,34 @@ def build_nice_tree(g: Graph, dec: DecompositionFile) -> list:
         nodes.append(_NiceNode(kind, data, tuple(bag), tuple(kids)))
         return len(nodes) - 1
 
-    def build(t):
+    def carry(idx, bag, target):
+        """Forget, then introduce, one vertex at a time from bag to target."""
+        cur, target = set(bag), set(target)
+        for v in sorted(cur - target):
+            cur.remove(v)
+            idx = emit("forget", (v,), sorted(cur), (idx,))
+        for v in sorted(target - cur):
+            cur.add(v)
+            idx = emit("intro", (v,), sorted(cur), (idx,))
+        return idx
+
+    # stream[c]: the last node of child c, carried to its parent's bag as
+    # soon as c is finished, before c's next sibling is built
+    stream = {}
+    for t in order:
         bag_t = tuple(sorted(set(dec.bags[t])))
-        streams = []
-        for c in children[t]:
-            idx = build(c)
-            cur_bag = list(nodes[idx].bag)
-            for v in sorted(set(cur_bag) - set(bag_t)):
-                cur_bag.remove(v)
-                idx = emit("forget", (v,), sorted(cur_bag), (idx,))
-            for v in sorted(set(bag_t) - set(cur_bag)):
-                cur_bag.append(v)
-                idx = emit("intro", (v,), sorted(cur_bag), (idx,))
-            streams.append(idx)
-        if not streams:
-            idx = emit("leaf", (), (), ())
-            cur = []
-            for v in bag_t:
-                cur.append(v)
-                idx = emit("intro", (v,), sorted(cur), (idx,))
+        if children[t]:
+            idx = stream.pop(children[t][0])
+            for c in children[t][1:]:
+                idx = emit("join", (), bag_t, (idx, stream.pop(c)))
         else:
-            idx = streams[0]
-            for other in streams[1:]:
-                idx = emit("join", (), bag_t, (idx, other))
+            idx = carry(emit("leaf", (), (), ()), (), bag_t)
         for e in sorted(edge_at.get(t, ())):
             u, v = g.edges[e]
             idx = emit("edge", (u, v, e), bag_t, (idx,))
-        return idx
+        if t != dec.root:
+            stream[t] = carry(idx, bag_t, dec.bags[parent[t]])
 
-    idx = build(dec.root)
     for v in sorted(set(dec.bags[dec.root]), reverse=True):
         bag = tuple(w for w in nodes[idx].bag if w != v)
         idx = emit("forget", (v,), bag, (idx,))

@@ -11,12 +11,12 @@ records, and decides the residual bounded-size instance exhaustively.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .core import Graph, InvariantError, TransitionSystem, Walk
-from .io import DecompositionFile
+from .core import Graph, InvariantError, TransitionSystem, components
+from .io import DecompositionFile, postorder
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +250,8 @@ class TreecutDecomposition:
                 seen[v] += 1
         if any(c != 1 for c in seen):
             raise ValueError("bags must partition the vertex set")
-        self.parent = {}
-        order = []
-        stack = [self.root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for c in self.children[x]:
-                self.parent[c] = x
-                stack.append(c)
-        self.postorder = list(reversed(order))
+        self.parent = {c: t for t, cs in self.children.items() for c in cs}
+        self.postorder = postorder(self.children, self.root)
         self._y = {}
         self._cut = {}
         for tnode in self.postorder:
@@ -343,21 +335,21 @@ class TreecutDecomposition:
             w = max(w, len(self.cut_edges(t)), self.torso_size(t))
         return w
 
-    def is_nice(self) -> bool:
-        g = self.g
+    def _violation(self):
+        """The first thin node, in postorder, with a neighbour in a sibling's
+        subtree, paired with the first such sibling; None when nice."""
         for t in self.postorder:
-            if t == self.root or not self.is_thin(t):
+            if not self.is_thin(t):
                 continue
-            par = self.parent[t]
-            sib_union = set()
-            for b in self.children[par]:
-                if b != t:
-                    sib_union |= self._y[b]
             yt = self._y[t]
-            nbrs = {w for v in yt for w, _ in g.adj(v)} - yt
-            if nbrs & sib_union:
-                return False
-        return True
+            nbrs = {w for v in yt for w, _ in self.g.adj(v)} - yt
+            for b in self.children[self.parent[t]]:
+                if b != t and nbrs & self._y[b]:
+                    return t, b
+        return None
+
+    def is_nice(self) -> bool:
+        return self._violation() is None
 
     def to_file(self) -> DecompositionFile:
         ids = sorted(self.bags)
@@ -405,19 +397,7 @@ def _make_nice(g: Graph, dec: DecompositionFile) -> Tuple[TreecutDecomposition, 
 
     cur = rebuild()
     for _ in range(guard):
-        move = None
-        for t in cur.postorder:
-            if t == cur.root or not cur.is_thin(t):
-                continue
-            par = cur.parent[t]
-            yt = cur.y_set(t)
-            nbrs = {w for v in yt for w, _ in g.adj(v)} - yt
-            for b in cur.children[par]:
-                if b != t and nbrs & cur.y_set(b):
-                    move = (t, b)
-                    break
-            if move:
-                break
+        move = cur._violation()
         if move is None:
             break
         t, b = move
@@ -478,7 +458,7 @@ def exhaustive_treecut_decomposition(
         if not rest or len(s) >= best_width:
             continue
         consider(max(len(s), *map(g.degree, rest)), [s] + [(v,) for v in rest])
-        comps = _components(g, set(rest))
+        comps = components(g, set(rest))
         if len(comps) != len(rest):
             cut = [sum(w not in c for v in c for w, _ in g.adj(v)) for c in comps]
             consider(
@@ -491,24 +471,6 @@ def exhaustive_treecut_decomposition(
 def single_bag_treecut(g: Graph) -> DecompositionFile:
     return DecompositionFile(0, (), (tuple(range(g.n)),))
 
-
-def _components(g: Graph, within: Set[int]) -> List[Set[int]]:
-    seen = set()
-    comps = []
-    for v in sorted(within):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w, _ in g.adj(x):
-                if w in within and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
 
 # ---------------------------------------------------------------------------
 # Records: how solution paths may cross the cut of a node.

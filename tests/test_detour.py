@@ -148,3 +148,14 @@ def test_comdetour_says_whether_its_family_is_certified():
         assert far.yes and far.nu == n - 1 and far.certified is certified
         assert near.yes and near.nu == 2 and near.certified is certified
     assert comdetour(Graph(40, []), TransitionSystem(), 0, 3, 1).certified
+
+
+def test_comdetour_witness_on_a_long_path():
+    # the witness is assembled along a join chain of 1,199 pieces in a loop
+    n = 1200
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    t = TransitionSystem([(e, e + 1) for e in range(n - 2)])
+    res = comdetour(g, t, 0, n - 1, 0, witness=True)
+    assert res.yes and res.nu == n - 1
+    assert res.witness.vertices == tuple(range(n))
+    assert is_compatible_walk(g, t, res.witness)

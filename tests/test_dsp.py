@@ -145,6 +145,17 @@ def test_2dspp_zero_cycle_rejected():
         edge_disjoint_2dspp(g, all_transitions(g), 0, 2, 1, 3)
 
 
+def test_2dspp_on_a_long_zero_weight_chain():
+    # 3,000 vertices joined by zero-length arcs: the zero-cycle check is a
+    # topological sort, not a recursive search, so the length is no limit
+    n = 3000
+    g = DiGraph(n, [(i, i + 1) for i in range(n - 1)], [0] * (n - 1))
+    check_positive_cycles(g)
+    res = edge_disjoint_2dspp(g, TransitionSystem([(i, i + 1) for i in range(n - 2)]), 0, 5, 6, 9)
+    assert res.yes
+    assert [w.vertices for w in res.paths] == [(0, 1, 2, 3, 4, 5), (6, 7, 8, 9)]
+
+
 def test_2dspp_matches_oracle_both_modes():
     rng = random.Random(99)
     cnt = 0

@@ -302,3 +302,53 @@ def test_failed_solver_check_writes_an_internal_error_report(tmp_path, monkeypat
     code, out = run_cli(["dsp", "--instance", str(path), "--mode", "vertex", "--pairs", "0,1,2,3"])
     report = _assert_error_report(code, out, "internal")
     assert "misses its target" in report["error"]["message"]
+
+
+def test_deep_inputs_write_one_report(tmp_path):
+    # each of these three inputs once ended in a RecursionError traceback
+    from transita.core import DiGraph, EdgeColoring, Graph, TransitionSystem
+
+    n = 1100
+    cycle = Instance(
+        Graph(n, [(i, (i + 1) % n) for i in range(n)]),
+        TransitionSystem(),
+        EdgeColoring(tuple(1 + i % 2 for i in range(n)), 2),
+    )
+    bags = tuple((0, i, i + 1) for i in range(1, n - 1))
+    path_dec = DecompositionFile(0, tuple((i, i + 1) for i in range(len(bags) - 1)), bags)
+    chain = Instance(
+        DiGraph(3000, [(i, i + 1) for i in range(2999)], [0] * 2999),
+        TransitionSystem([(i, i + 1) for i in range(2998)]),
+    )
+    path = Instance(
+        Graph(1200, [(v, v + 1) for v in range(1199)]),
+        TransitionSystem([(e, e + 1) for e in range(1198)]),
+    )
+    files = {
+        "cycle": serialize_instance(cycle),
+        "dec": serialize_decomposition(path_dec),
+        "chain": serialize_instance(chain),
+        "path": serialize_instance(path),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+        files[name] = str(tmp_path / name)
+
+    code, out = run_cli(["pchc", "--instance", files["cycle"], "--decomposition", files["dec"]])
+    assert code == 0 and out.count("\n") == 1
+    assert json.loads(out)["answer"] is True
+
+    code, out = run_cli(["dsp", "--instance", files["chain"], "--mode", "edge", "--pairs", "0,5,6,9"])
+    assert code == 0 and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["answer"] is True
+    assert report["paths"] == [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9]]
+
+    code, out = run_cli(
+        ["detour", "--instance", files["path"], "--from", "0", "--to", "1199",
+         "--slack", "0", "--witness"]
+    )
+    assert code == 0 and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["answer"] is True and report["nu"] == 1199
+    assert report["witness"] == list(range(1200))

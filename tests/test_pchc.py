@@ -21,10 +21,10 @@ from transita.pchc import (
     pi_row,
     rank_based_pchc,
     reduce_representatives,
-    single_bag_decomposition,
     validate_tree_decomposition,
     _single_cycle,
 )
+from transita.treecut import single_bag_treecut
 
 
 def perfect_matchings(z):
@@ -253,12 +253,12 @@ def test_reduce_representatives_rejects_mixed_f():
 
 def test_pchc_trivial_instances():
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    dec = single_bag_decomposition(tri)
+    dec = single_bag_treecut(tri)
     col = EdgeColoring((1, 2, 3), 3)
     assert naive_pchc(tri, col, dec) and rank_based_pchc(tri, col, dec)
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     mono = EdgeColoring((1, 1, 1, 1), 1)
-    dec4 = single_bag_decomposition(c4)
+    dec4 = single_bag_treecut(c4)
     assert not naive_pchc(c4, mono, dec4)
     assert not rank_based_pchc(c4, mono, dec4)
 
@@ -318,3 +318,37 @@ def test_validate_tree_decomposition_catches_defects():
     g = Graph(3, [(0, 1), (1, 2)])
     bad = DecompositionFile(0, ((0, 1),), ((0, 1), (2,)))  # edge (1,2) uncovered
     assert any("not covered" in v for v in validate_tree_decomposition(g, bad))
+    # every kind of violation at once, in the order they are reported: bag
+    # entries out of range, then vertices in no bag or in bags that are not
+    # connected in the tree (vertex 0 sits at both ends of the path 0-1-2),
+    # then uncovered edges
+    g5 = Graph(5, [(0, 1), (1, 2), (2, 3)])
+    dec = DecompositionFile(0, ((0, 1), (1, 2)), ((0, 1), (2, 5), (0, 3, -1)))
+    assert validate_tree_decomposition(g5, dec) == [
+        "bags[1]: vertex 5 out of range",
+        "bags[2]: vertex -1 out of range",
+        "vertex 0: bags not connected in the tree",
+        "vertex 4 in no bag",
+        "edge 1=(1,2) not covered by a bag",
+        "edge 2=(2,3) not covered by a bag",
+    ]
+    # a vertex's bags may meet at the root or below it, and a bag may list
+    # the vertex twice
+    star = DecompositionFile(1, ((1, 0), (1, 2)), ((0, 1), (1, 1, 2), (2, 3, 4)))
+    assert validate_tree_decomposition(g5, star) == []
+    split = DecompositionFile(1, ((1, 0), (1, 2)), ((0, 1), (2,), (1, 2, 3, 4)))
+    assert validate_tree_decomposition(g5, split) == [
+        "vertex 1: bags not connected in the tree"
+    ]
+
+
+def test_rank_pchc_on_a_deep_path_decomposition():
+    # an alternately 2-colored 1,100-cycle with 1,098 bags in one path: the
+    # nice tree is built without recursion, so its depth is no limit
+    n = 1100
+    g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    col = EdgeColoring(tuple(1 + i % 2 for i in range(n)), 2)
+    bags = tuple((0, i, i + 1) for i in range(1, n - 1))
+    dec = DecompositionFile(0, tuple((i, i + 1) for i in range(len(bags) - 1)), bags)
+    assert validate_tree_decomposition(g, dec) == []
+    assert rank_based_pchc(g, col, dec)
