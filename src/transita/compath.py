@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,15 +79,49 @@ def family_for_bound(n: int, bound: int, seed: int = 0) -> HashFamily:
         trials = math.ceil(math.e**j * j * math.log(n)) + 8
         fns = tuple(tuple(rng.randrange(j) for _ in range(n)) for _ in range(trials))
         return HashFamily(n, j, fns, j, False)
+    # The walk visits the (j-1)-prefixes in lexicographic order and scans
+    # the last vertex of each subset.  alive[i] is the bitmask of kept
+    # members injective on sub[:i]; clash[i][v] is the bitmask of kept
+    # members that give v the color of some vertex of sub[:i], built from
+    # eq[w], whose entry v marks the members with f[w] == f[v].  The next
+    # prefix recomputes both only from its first changed position d on, so
+    # each subset costs one mask test.
+    p = j - 1
     fns = []
-    for sub in itertools.combinations(range(n), j):
-        if any(len({f[v] for v in sub}) == j for f in fns):
-            continue
-        f = [rng.randrange(2 * j) for _ in range(n)]
-        for i, v in enumerate(sub):
-            f[v] = i
-        fns.append(tuple(f))
-    return HashFamily(n, 2 * j, tuple(fns), j, True)
+    eq = [[0] * n for _ in range(n)]
+    alive = [0] * j
+    clash = [[0] * n for _ in range(j)]
+    sub = list(range(p))
+    d = 0
+    while True:
+        for i in range(d, p):
+            alive[i + 1] = alive[i] & ~clash[i][sub[i]]
+            clash[i + 1] = list(map(operator.or_, clash[i], eq[sub[i]]))
+        last = sub[-1]
+        while True:
+            live, row = alive[p], clash[p]
+            last = next((v for v in range(last + 1, n) if not live & ~row[v]), n)
+            if last == n:
+                break
+            f = [rng.randrange(2 * j) for _ in range(n)]
+            for i, v in enumerate(sub + [last]):
+                f[v] = i
+            bit = 1 << len(fns)
+            fns.append(tuple(f))
+            for i in range(j):
+                alive[i] |= bit
+            for v in range(n):
+                for w in range(n):
+                    if f[w] == f[v]:
+                        eq[v][w] |= bit
+                for i in range(f[v] + 1, j):  # sub[:i] has the colors 0..i-1
+                    clash[i][v] |= bit
+        d = p - 1
+        while d >= 0 and sub[d] == d + n - j:
+            d -= 1
+        if d < 0:
+            return HashFamily(n, 2 * j, tuple(fns), j, True)
+        sub[d:] = range(sub[d] + 1, sub[d] + 1 + p - d)
 
 
 class SlotGraph:
@@ -95,10 +130,11 @@ class SlotGraph:
     Slot 2e+d is edge e traversed so that its head is endpoints(e)[1-d].
     Successors follow permitted transitions at the head.  Compatible walks
     are exactly the walks of this digraph, which makes it the shared
-    substrate for walk prefilters and the colorful DP.
+    substrate for walk prefilters and the colorful DP.  heads[sid] and
+    tails[sid] are the slot's head and tail vertices.
     """
 
-    __slots__ = ("g", "t", "succ", "pred")
+    __slots__ = ("g", "t", "succ", "pred", "heads", "tails")
 
     def __init__(self, g: Graph, t: TransitionSystem):
         self.g = g
@@ -119,14 +155,8 @@ class SlotGraph:
             for nxt in outs:
                 pred[nxt].append(sid)
         self.pred = tuple(tuple(p) for p in pred)
-
-    def head(self, sid: int) -> int:
-        e, d = divmod(sid, 2)
-        return self.g.edges[e][1 - d]
-
-    def tail(self, sid: int) -> int:
-        e, d = divmod(sid, 2)
-        return self.g.edges[e][d]
+        self.heads = tuple(g.edges[sid >> 1][1 - (sid & 1)] for sid in range(2 * g.m))
+        self.tails = tuple(g.edges[sid >> 1][sid & 1] for sid in range(2 * g.m))
 
     def slot(self, e: int, head: int) -> int:
         u, v = self.g.edges[e]
@@ -180,13 +210,14 @@ def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed, backward=Fals
             dist[s] = 1
             queue.append(s)
     nbr = sg.pred if backward else sg.succ
+    heads, tails = sg.heads, sg.tails
     while queue:
         nxt = []
         for s in queue:
             for u in nbr[s]:
                 if dist[u] == INF:
                     if allowed is not None and (
-                        sg.head(u) not in allowed or sg.tail(u) not in allowed
+                        heads[u] not in allowed or tails[u] not in allowed
                     ):
                         continue
                     dist[u] = dist[s] + 1
@@ -205,13 +236,14 @@ def _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
     admissible prune.
     """
     g = sg.g
+    heads, succ = sg.heads, sg.succ
     starts = _start_slots(sg, start, allowed)
     parents = {} if witness else None
     frontier = {}
     if start[0] == "v":
         c0 = col[start[1]]
         for sid in starts:
-            h = sg.head(sid)
+            h = heads[sid]
             if col[h] == c0:
                 continue
             key = ((1 << c0) | (1 << col[h]), sid)
@@ -241,8 +273,8 @@ def _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
         nxt = {}
         for mask, ss in frontier.items():
             for sid in ss:
-                for s2 in sg.succ[sid]:
-                    h = sg.head(s2)
+                for s2 in succ[sid]:
+                    h = heads[s2]
                     if allowed is not None and h not in allowed:
                         continue
                     if bwd[s2] == INF or length + 1 + bwd[s2] > bound:
@@ -268,10 +300,10 @@ def _rebuild(sg: SlotGraph, parents, state) -> Walk:
         slots.append(cur[1])
         cur = parents[cur]
     slots.reverse()
-    verts = [sg.tail(slots[0])]
+    verts = [sg.tails[slots[0]]]
     eids = []
     for sid in slots:
-        verts.append(sg.head(sid))
+        verts.append(sg.heads[sid])
         eids.append(sid // 2)
     return Walk(tuple(verts), tuple(eids))
 

@@ -3,7 +3,9 @@
 The solver classifies vertices into BFS layers, seeds a table over
 inter-layer edges near the target with direct ComPath calls, and fills
 earlier layers by joining short ComPath segments with already-computed
-entries across permitted transitions.
+entries across permitted transitions.  The join runs one multi-goal ComPath
+sweep per (x, layer du, start edge): its goals are the edges into every
+vertex u at layer du, so one sweep serves every u of the layer.
 """
 
 from __future__ import annotations
@@ -43,12 +45,9 @@ class LayerStructure:
         u, v = g.endpoints(e)
         return u if self.dist[u] < self.dist[v] else v
 
-    def region(self, g: Graph, x: int, hi: int) -> set:
+    def region(self, x: int, hi: int) -> set:
         """Vertex set of the induced subgraph G_(x, hi]."""
-        lo = self.dist[x]
-        return {x} | {
-            v for v in range(g.n) if lo < self.dist[v] <= hi
-        }
+        return {x}.union(*self.layers[int(self.dist[x]) + 1:hi + 1])
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,6 @@ def comdetour(
         return DetourResult(True, ln, d, w, certified=fam.certified)
 
     hi = d + k
-    pruned = {v for v in range(g.n) if ls.dist[v] <= hi}
     sg = SlotGraph(g, t)
     # Both the seeding calls and the join segments need length bound 2k+1:
     # an x..u prefix spans up to k+1 layers plus k slack, and a join with a
@@ -118,7 +116,7 @@ def comdetour(
         x = ls.low(g, e)
         if ls.dist[x] < d - k - 1:
             continue
-        region = ls.region(g, x, hi)
+        region = ls.region(x, hi)
         res = oriented_compath(
             g, t, ("e", e, x), [("v", tgt)], 2 * k + 1, fam,
             allowed_vertices=region, slot_graph=sg, witness=witness,
@@ -130,48 +128,44 @@ def comdetour(
             if witness:
                 pieces[e] = ("seed", ws[0])
 
-    # Fill earlier layers; joins step across permitted transitions at u.
-    by_layer = {}
-    for e in inter:
-        by_layer.setdefault(int(ls.dist[ls.low(g, e)]), []).append(e)
     incident_inter = {}
     for e in inter:
         for v in g.endpoints(e):
             incident_inter.setdefault(v, []).append(e)
 
+    # Fill earlier layers.  One sweep per (x, du, start edge) reaches the
+    # edges into every u at layer du inside G_(x, du]; goals carry their
+    # (f, u), and a hit joins across a permitted transition at u onto a
+    # higher inter-layer edge g2 already in the table.  An entry written at
+    # layer m is read only by joins from lower layers.
     for m in range(d - k - 1, -1, -1):
-        for x in ls.layers[m] if m < len(ls.layers) else ():
-            for u in sorted(pruned):
-                du = int(ls.dist[u])
-                if not (m < du <= m + k + 1):
-                    continue
-                region = ls.region(g, x, du)
-                starts = [e for w, e in g.adj(x) if w in region]
-                goal_edges = [e for w, e in g.adj(u) if w in region]
-                goals = [("e", e, u) for e in goal_edges]
+        for x in ls.layers[m]:
+            for du in range(m + 1, m + k + 2):
+                region = ls.region(x, du)
+                goals = [
+                    ("e", f, u) for u in ls.layers[du] for w, f in g.adj(u) if w in region
+                ]
                 if not goals:
                     continue
-                for e in starts:
+                for e in [e for w, e in g.adj(x) if w in region]:
                     res = oriented_compath(
                         g, t, ("e", e, x), goals, 2 * k + 1, fam,
                         allowed_vertices=region, slot_graph=sg, witness=witness,
                     )
                     res, ws = res if witness else (res, [None] * len(goals))
-                    for gi, f in enumerate(goal_edges):
-                        r = res[gi]
+                    for (_, f, u), r, w in zip(goals, res, ws):
                         if r is None:
                             continue
-                        # Join across u onto a higher inter-layer edge g'.
                         for g2 in incident_inter.get(u, ()):
                             if ls.low(g, g2) != u or g2 not in table:
                                 continue
                             if not t.permits(f, g2):
                                 continue
                             p = table[g2]
-                            if ls.dist[x] + r + p <= hi and table.get(e, INF) > r + p:
+                            if m + r + p <= hi and table.get(e, INF) > r + p:
                                 table[e] = r + p
                                 if witness:
-                                    pieces[e] = ("join", ws[gi], g2)
+                                    pieces[e] = ("join", w, g2)
 
     nu = INF
     nu_edge = None

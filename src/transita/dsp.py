@@ -533,9 +533,9 @@ def _two_dspp(g, t, s1, t1, s2, t2, mode, witness):
     """The 2-DSPP pipeline; vertex mode runs it on the split graph."""
     if s1 == t1 or s2 == t2:
         raise ValueError("terminal pairs must have distinct endpoints")
+    check_positive_cycles(g)
     if mode == "vertex" and {s1, t1} & {s2, t2}:
         return DspResult(False, diagnostic="terminal pairs share a vertex")
-    check_positive_cycles(g)
     dg = DArcGraph.from_core(g, t)
     a_ids = _add_sentinels(dg, s1, t1, s2, t2, "sa")
     e1, e2 = _tight_pairs(dg, a_ids)

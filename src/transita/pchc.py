@@ -343,10 +343,13 @@ def build_nice_tree(g: Graph, dec: DecompositionFile) -> list:
     parent = {c: t for t, cs in children.items() for c in cs}
     order = postorder(children, dec.root)
     rank = {t: i for i, t in enumerate(order)}
+    occ = [set() for _ in range(g.n)]
+    for i, bag in enumerate(dec.bags):
+        for v in bag:
+            occ[v].add(i)
     edge_at = {}
     for e, (u, v) in enumerate(g.edges):
-        cands = [i for i, bag in enumerate(dec.bags) if u in bag and v in bag]
-        t = min(cands, key=lambda i: rank[i])
+        t = min(occ[u] & occ[v], key=rank.__getitem__)
         edge_at.setdefault(t, []).append(e)
 
     nodes = []

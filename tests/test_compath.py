@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transita.compath import compath, family_for_bound, verify_k_perfect
+from transita.compath import SlotGraph, compath, family_for_bound, verify_k_perfect
 from transita.core import Endpoint, Graph, TransitionSystem, all_transitions, is_compatible_walk
 from transita.genred import gen_random_ftg
 from transita.oracle import brute_compatible_path
@@ -38,6 +38,45 @@ def test_family_for_bound_is_certified_perfect(n, bound, seed):
     assert fam.perfect_for == max(bound - 1, 1)
     assert all(len(f) == n and all(0 <= c < fam.k for c in f) for f in fam.functions)
     assert verify_k_perfect(fam)
+
+
+def _subset_walk_family(n, bound, seed):
+    """The certifying walk as first written: one color set per (subset, member)."""
+    j = max(bound - 1, 1)
+    rng = random.Random(f"{seed}/splitter/{n}/{j}")
+    fns = []
+    for sub in itertools.combinations(range(n), j):
+        if any(len({f[v] for v in sub}) == j for f in fns):
+            continue
+        f = [rng.randrange(2 * j) for _ in range(n)]
+        for i, v in enumerate(sub):
+            f[v] = i
+        fns.append(tuple(f))
+    return tuple(fns)
+
+
+def test_prefix_walk_keeps_the_subset_walk_family():
+    # the prefix-mask walk must keep the members the plain subset walk keeps,
+    # drawn from the same rng calls, so the families are identical
+    for seed in (0, 1, 7):
+        for n in range(4, 15):
+            for bound in range(3, 7):
+                if n <= bound - 1:
+                    continue
+                fam = family_for_bound(n, bound, seed)
+                assert fam.functions == _subset_walk_family(n, bound, seed), (n, bound, seed)
+                assert fam.certified
+
+
+def test_slot_graph_heads_and_tails():
+    g, t = gen_random_ftg(12, 0.35, 0.7, 5)
+    sg = SlotGraph(g, t)
+    assert len(sg.heads) == len(sg.tails) == 2 * g.m
+    for e, (u, v) in enumerate(g.edges):
+        for head, tail in ((v, u), (u, v)):
+            sid = sg.slot(e, head)
+            assert sid // 2 == e
+            assert (sg.heads[sid], sg.tails[sid]) == (head, tail)
 
 
 def test_family_random_mode_size():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import transita.detour
+
 from transita.core import Graph, TransitionSystem, all_transitions, bfs_dist, is_compatible_walk, INF
 from transita.detour import comdetour
 from transita.genred import gen_random_ftg
@@ -159,3 +161,56 @@ def test_comdetour_witness_on_a_long_path():
     assert res.yes and res.nu == n - 1
     assert res.witness.vertices == tuple(range(n))
     assert is_compatible_walk(g, t, res.witness)
+
+
+def test_join_makes_one_sweep_per_start_edge_and_layer(monkeypatch):
+    # every join call starts at an edge out of x and aims at the edges into
+    # all vertices of one layer du; no (x, du, start edge) is swept twice
+    g, t = gen_random_ftg(18, 0.25, 0.75, 31)
+    dist = bfs_dist(g, 0)
+    tgt = max(range(g.n), key=lambda v: (dist[v] != INF, dist[v]))
+    calls = []
+    real = transita.detour.oriented_compath
+
+    def counted(g_, t_, start, goals, *args, **kwargs):
+        calls.append((start, tuple(goals)))
+        return real(g_, t_, start, goals, *args, **kwargs)
+
+    monkeypatch.setattr(transita.detour, "oriented_compath", counted)
+    for k in range(3):
+        calls.clear()
+        res = comdetour(g, t, 0, tgt, k, seed=2)
+        ref = brute_compatible_path(g, t, 0, tgt, int(dist[tgt]) + k, size_guard=False)
+        assert res.nu == ref
+        joins = [(start, goals) for start, goals in calls if goals[0][0] == "e"]
+        assert joins, "the instance must reach the join"
+        keys = []
+        for (_, e, x), goals in joins:
+            layers = {int(dist[u]) for _, _, u in goals}
+            assert len(layers) == 1
+            keys.append((x, layers.pop(), e))
+        assert len(keys) == len(set(keys))
+
+
+def test_comdetour_witness_and_plain_runs_agree_with_the_oracle():
+    rng = random.Random(808)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(6, 14)
+        g, t = gen_random_ftg(n, 0.3, 0.75, rng.randrange(10**6))
+        s, tgt = rng.randrange(n), rng.randrange(n)
+        dist = bfs_dist(g, s)
+        if s == tgt or dist[tgt] == INF:
+            continue
+        for k in range(4):
+            plain = comdetour(g, t, s, tgt, k, seed=5)
+            wit = comdetour(g, t, s, tgt, k, seed=5, witness=True)
+            ref = brute_compatible_path(g, t, s, tgt, int(dist[tgt]) + k, size_guard=False)
+            assert plain.nu == wit.nu == ref
+            assert plain.yes == wit.yes == (ref is not None)
+            if wit.yes:
+                w = wit.witness
+                assert w.length == ref and w.is_path() and is_compatible_walk(g, t, w)
+                assert (w.vertices[0], w.vertices[-1]) == (s, tgt)
+                checked += 1
+    assert checked > 20

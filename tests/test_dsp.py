@@ -145,6 +145,17 @@ def test_2dspp_zero_cycle_rejected():
         edge_disjoint_2dspp(g, all_transitions(g), 0, 2, 1, 3)
 
 
+def test_zero_cycle_is_rejected_before_the_shared_terminal_answer():
+    # vertex mode with terminal pairs sharing a vertex still checks the
+    # input first, so a zero-length cycle is an error, not a "no"
+    g = DiGraph(2, [(0, 1), (1, 0)], (0, 0))
+    with pytest.raises(PositivityError):
+        vertex_disjoint_2dspp(g, TransitionSystem(), 0, 1, 1, 0)
+    h = DiGraph(2, [(0, 1), (1, 0)], (1, 1))
+    res = vertex_disjoint_2dspp(h, TransitionSystem(), 0, 1, 1, 0)
+    assert not res.yes and res.diagnostic == "terminal pairs share a vertex"
+
+
 def test_2dspp_on_a_long_zero_weight_chain():
     # 3,000 vertices joined by zero-length arcs: the zero-cycle check is a
     # topological sort, not a recursive search, so the length is no limit

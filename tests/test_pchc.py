@@ -4,13 +4,14 @@ import random
 import pytest
 
 from transita.core import EdgeColoring, Graph
-from transita.io import DecompositionFile
+from transita.io import DecompositionFile, postorder
 from transita.oracle import brute_pchc
 from transita.pchc import (
     ColoredTrace,
     FieldGF2a,
     IRREDUCIBLE,
     Trace,
+    build_nice_tree,
     cut_row,
     e_row,
     field_for_colors,
@@ -352,3 +353,32 @@ def test_rank_pchc_on_a_deep_path_decomposition():
     dec = DecompositionFile(0, tuple((i, i + 1) for i in range(len(bags) - 1)), bags)
     assert validate_tree_decomposition(g, dec) == []
     assert rank_based_pchc(g, col, dec)
+
+
+def test_nice_tree_places_each_edge_at_its_first_covering_bag():
+    # brute placement: scan every bag for both ends of each edge and take the
+    # first in postorder; the nice tree's edge nodes must follow it
+    rng = random.Random(7)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        p = rng.choice([0.4, 0.6, 0.8])
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        cases.append((g, min_degree_decomposition(g)))
+    n = 40
+    cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    bags = tuple((0, i, i + 1) for i in range(1, n - 1))
+    cases.append((cycle, DecompositionFile(0, tuple((i, i + 1) for i in range(len(bags) - 1)), bags)))
+    for g, dec in cases:
+        rank = {t: i for i, t in enumerate(postorder(dec.children_map(), dec.root))}
+        at = {}
+        for e, (u, v) in enumerate(g.edges):
+            t = min((i for i, bag in enumerate(dec.bags) if u in bag and v in bag), key=rank.get)
+            at.setdefault(t, []).append(e)
+        expected = [
+            (e, tuple(sorted(set(dec.bags[t]))))
+            for t in sorted(at, key=rank.get)
+            for e in sorted(at[t])
+        ]
+        nodes = build_nice_tree(g, dec)
+        assert [(nd.data[2], nd.bag) for nd in nodes if nd.kind == "edge"] == expected
