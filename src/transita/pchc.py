@@ -1,16 +1,21 @@
 """Properly colored Hamiltonian cycle on tree decompositions.
 
-Two engines share one dynamic program over boundary traces (degree map,
-endpoint matching, endpoint edge colors).  The naive engine keeps every
-trace; the rank-based engine prunes each family to a representative subset
-by Gaussian elimination over GF(2^a) on a cuts-times-monomials matrix, so
-the family size never depends on the number of colors.
+Two engines share one dynamic program over a nice tree decomposition.  Its
+states are positional: tuples aligned with the node's sorted bag giving each
+bag vertex's degree, the other end of its path fragment and the color of
+that fragment's end edge.  The naive engine keeps every state; the
+rank-based engine prunes each family sharing a degree tuple to a
+representative subset by Gaussian elimination over GF(2^a) on a
+cuts-times-monomials matrix, restricted to a column basis of the cut
+matrix, so the family size never depends on the number of colors.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import EdgeColoring, Graph, InvariantError
@@ -204,54 +209,112 @@ def cut_row(matching, z_order: Sequence) -> list:
     if not z:
         return [1]
     pos = {v: i for i, v in enumerate(z)}
-    width = 1 << (len(z) - 1)
-    row = [1] * width
-    for c in range(width):
-        side = {z[0]}
-        for i, v in enumerate(z[1:]):
-            if c >> i & 1:
-                side.add(v)
-        for a, b in matching:
-            if (a in side) != (b in side):
-                row[c] = 0
-                break
+    pairs = [(pos[a], pos[b]) for a, b in matching]
+    row = []
+    for c in range(1 << (len(z) - 1)):
+        side = c << 1 | 1  # bit i: z[i] is on z[0]'s side
+        row.append(int(all(side >> i & 1 == side >> j & 1 for i, j in pairs)))
     return row
 
 
-def e_row(trace: ColoredTrace, z_order: Sequence, field: FieldGF2a) -> list:
-    """Tensor of the cut row and the pi row, width 2^(2|Z|-1)."""
-    cr = cut_row(trace.matching, z_order)
-    pr = pi_row(dict(trace.zeta), z_order, field)
-    return [field.mul(c, p) if c else 0 for c in cr for p in pr]
+def _perfect_matchings(points: tuple) -> list:
+    if not points:
+        return [()]
+    a, rest = points[0], points[1:]
+    return [
+        ((a, b),) + m
+        for i, b in enumerate(rest)
+        for m in _perfect_matchings(rest[:i] + rest[i + 1 :])
+    ]
+
+
+@lru_cache(maxsize=None)
+def cut_basis(t: int) -> tuple:
+    """Lexicographically first column basis of the cut matrix on t points.
+
+    The cut matrix has one row cut_row(M, range(t)) per perfect matching M
+    of range(t) and 2^(t-1) columns; over GF(2) its rank is C(t-1, t/2).
+    Columns are taken in increasing order and kept when independent of the
+    columns kept before them.
+    """
+    rows = [cut_row(m, range(t)) for m in _perfect_matchings(tuple(range(t)))]
+    lead = {}  # leading bit -> column, as a bitmask over the rows
+    basis = []
+    for c in range(1 << (t - 1) if t else 1):
+        col = sum(row[c] << i for i, row in enumerate(rows))
+        while col:
+            h = col.bit_length() - 1
+            if h not in lead:
+                lead[h] = col
+                basis.append(c)
+                break
+            col ^= lead[h]
+    return tuple(basis)
+
+
+@lru_cache(maxsize=4096)
+def _basis_cuts(matching: tuple) -> tuple:
+    """Indices into cut_basis(t) of the cuts that no edge of a perfect
+    matching on range(t) crosses: the support of its projected cut row."""
+    t = 2 * len(matching)
+    row = cut_row(matching, range(t))
+    return tuple(j for j, c in enumerate(cut_basis(t)) if row[c])
 
 
 def reduce_representatives(traces: Sequence[ColoredTrace], field: FieldGF2a) -> list:
     """Representative subset spanning the same row space of the E matrix.
 
-    Input traces must share the degree map f.  Keeps original rows only
-    (earliest-first pivoting), so the result is a subset of the input of
-    size at most 2^(2|Z|-1).
+    Input traces must share the degree map f and be in ColoredTrace's
+    canonical form, f and zeta sorted by vertex.  A trace's E row is the
+    tensor of its cut row and its pi row, of width 2^(2|Z|-1).  Every cut
+    row lies in the row space of the cut matrix, whose rank is
+    C(|Z|-1, |Z|/2), and projecting onto a column basis of that matrix
+    (`cut_basis`) is injective on that space, hence on its tensor with the
+    monomials.  Rows are therefore eliminated on the basis cuts only, where
+    an E row is nonzero just on the cuts its matching is consistent with,
+    and earliest-first pivoting keeps exactly the traces it keeps on the
+    full rows.  The result is a subset of the input of size at most
+    C(|Z|-1, |Z|/2) * 2^|Z|.
     """
     if not traces:
         return []
     f0 = traces[0].f
     if any(tr.f != f0 for tr in traces):
         raise ValueError("traces must share the same degree map")
-    z_order = sorted(v for v, d in f0 if d == 1)
-    basis = []  # rows in echelon form: (pivot index, normalized row)
+    z_order = [v for v, d in f0 if d == 1]
+    pos = {v: i for i, v in enumerate(z_order)}
+    span = 1 << len(z_order)
+    width = len(cut_basis(len(z_order))) * span
+    exp, log, order = field._exp, field._log, field.size - 1
+    cuts = {}  # matching -> its basis cuts
+    basis = []  # (pivot, [(column, log of the entry)]) with entry 1 at pivot
     kept = []
     for tr in traces:
-        row = e_row(tr, z_order, field)
+        # logs of the pi row: the entry of monomial I is prod_{v not in I} zeta(v)
+        logs = [0]
+        for _, c in tr.zeta:
+            lc = log[c]
+            logs = [x + lc for x in logs] + logs
+        block = [exp[x % order] for x in logs]
+        if tr.matching not in cuts:
+            cuts[tr.matching] = _basis_cuts(tuple((pos[a], pos[b]) for a, b in tr.matching))
+        row = [0] * width
+        for j in cuts[tr.matching]:
+            row[j * span : (j + 1) * span] = block
         for pivot, brow in basis:
             c = row[pivot]
             if c:
-                row = [x ^ field.mul(c, y) for x, y in zip(row, brow)]
+                lc = log[c]
+                for k, lb in brow:
+                    row[k] ^= exp[lc + lb]
         pivot = next((i for i, x in enumerate(row) if x), None)
         if pivot is None:
             continue
-        inv = field.inv(row[pivot])
-        basis.append((pivot, [field.mul(inv, x) for x in row]))
+        lp = order - log[row[pivot]]
+        basis.append((pivot, [(k, (log[x] + lp) % order) for k, x in enumerate(row) if x]))
         kept.append(tr)
+        if len(basis) == width:
+            break  # the basis spans every row
     return kept
 
 
@@ -395,207 +458,190 @@ def build_nice_tree(g: Graph, dec: DecompositionFile) -> list:
 # ---------------------------------------------------------------------------
 # The shared dynamic program.
 #
-# A state is (f, M, zeta, closed) where f maps the bag to degrees, M is the
-# canonical matching tuple on the degree-1 vertices, zeta assigns each of
-# them the color of its single incident solution edge, and closed marks that
-# the single Hamiltonian cycle has been completed.
+# A state is (deg, mate, zeta, closed).  The first three are tuples aligned
+# with the node's sorted bag: deg[i] is the degree of bag[i] in the partial
+# solution, mate[i] the vertex at the other end of its path fragment when
+# deg[i] == 1 and -1 otherwise, and zeta[i] the color of its one solution
+# edge when deg[i] == 1 and 0 otherwise (colors are 1..l).  closed marks
+# that the single Hamiltonian cycle has been completed.  Equal partial
+# solutions are equal tuples, so no state needs a canonical form: intro and
+# forget slice at the vertex's bag position, and an edge edits two or three
+# slots.  mate holds vertices, not positions, so slicing leaves it valid.
+#
+# A node's family maps each (deg, closed) to the set of (mate, zeta) of its
+# states.  Which step applies to a state depends on deg alone, so edge and
+# join nodes decide it once per group, and the groups are the buckets that
+# the rank engine reduces.
 
 
 class PchcTimeout(Exception):
     """Raised by the naive engine when its time budget is exhausted."""
 
 
-def _state_intro(state, v):
-    f, m, z, closed = state
-    return (tuple(sorted(f + ((v, 0),))), m, z, closed)
+def _intro_family(family, i) -> dict:
+    return {
+        (deg[:i] + (0,) + deg[i:], closed): {
+            (m[:i] + (-1,) + m[i:], z[:i] + (0,) + z[i:]) for m, z in group
+        }
+        for (deg, closed), group in family.items()
+    }
 
 
-def _state_forget(state, v):
-    f, m, z, closed = state
-    fd = dict(f)
-    if fd.get(v) != 2:
-        return None
-    del fd[v]
-    return (tuple(sorted(fd.items())), m, z, closed)
+def _forget_family(family, i) -> dict:
+    """Keep the states in which the forgotten vertex has degree 2."""
+    return {
+        (deg[:i] + deg[i + 1 :], closed): {(m[:i] + m[i + 1 :], z[:i] + z[i + 1 :]) for m, z in group}
+        for (deg, closed), group in family.items()
+        if deg[i] == 2
+    }
 
 
-def _canon(fd, md, zd, closed):
-    return (
-        tuple(sorted(fd.items())),
-        tuple(sorted(tuple(sorted(p)) for p in md)),
-        tuple(sorted(zd.items())),
-        closed,
-    )
-
-
-def _state_edge(state, u, v, color):
-    """States obtainable by using edge uv (the skip option is not included)."""
-    f, m, z, closed = state
-    if closed:
-        return []
-    fd = dict(f)
-    du, dv = fd[u], fd[v]
-    if du == 2 or dv == 2:
-        return []
-    md = {frozenset(p) for p in m}
-    zd = dict(z)
-    partner = {}
-    for p in md:
-        a, b = tuple(p)
-        partner[a] = b
-        partner[b] = a
-    if du == 0 and dv == 0:
-        fd[u] = fd[v] = 1
-        md.add(frozenset((u, v)))
-        zd[u] = zd[v] = color
-        return [_canon(fd, md, zd, False)]
-    if du == 1 and dv == 0:
-        if zd[u] == color:
-            return []
-        p = partner[u]
-        md.discard(frozenset((u, p)))
-        md.add(frozenset((p, v)))
-        fd[u], fd[v] = 2, 1
-        del zd[u]
-        zd[v] = color
-        return [_canon(fd, md, zd, False)]
-    if du == 0 and dv == 1:
-        if zd[v] == color:
-            return []
-        p = partner[v]
-        md.discard(frozenset((v, p)))
-        md.add(frozenset((p, u)))
-        fd[u], fd[v] = 1, 2
-        del zd[v]
-        zd[u] = color
-        return [_canon(fd, md, zd, False)]
-    # both endpoints have degree 1
-    if zd[u] == color or zd[v] == color:
-        return []
-    pu, pv = partner[u], partner[v]
-    fd[u] = fd[v] = 2
-    if pu == v:
-        # closing a fragment into the Hamiltonian cycle; any further
-        # fragment could never merge with it, so close only when alone
-        if len(md) == 1:
-            return [_canon(fd, set(), {}, True)]
-        return []
-    md.discard(frozenset((u, pu)))
-    md.discard(frozenset((v, pv)))
-    md.add(frozenset((pu, pv)))
-    del zd[u]
-    del zd[v]
-    return [_canon(fd, md, zd, False)]
-
-
-def _walk_path(adj, start):
-    """Follow a path component of the matching union from one of its ends."""
-    cur = start
-    arrive = None
-    seen = [start]
-    while True:
-        step = None
-        for w, side in adj[cur]:
-            if side != arrive:
-                step = (w, side)
-                break
-        if step is None:
-            return cur, seen
-        cur, arrive = step
-        seen.append(cur)
-
-
-def _state_join(s1, s2):
-    """Combine two child states over the same bag; None when incompatible."""
-    f1, m1, z1, c1 = s1
-    f2, m2, z2, c2 = s2
-    if c1 and c2:
-        return None
-    if c1 or c2:
-        closed_state, open_state = (s1, s2) if c1 else (s2, s1)
-        fo, mo, _, _ = open_state
-        if mo or any(d != 0 for _, d in fo):
-            return None
-        return (closed_state[0], (), (), True)
-    f2d = dict(f2)
-    fd = {}
-    for vtx, d in f1:
-        s = d + f2d[vtx]
-        if s > 2:
-            return None
-        fd[vtx] = s
-    z1d, z2d = dict(z1), dict(z2)
-    for vtx in z1d:
-        if vtx in z2d and z1d[vtx] == z2d[vtx]:
-            return None  # same-colored fragment ends meeting at vtx
-    adj = {}
-    for a, b in m1:
-        adj.setdefault(a, []).append((b, 1))
-        adj.setdefault(b, []).append((a, 1))
-    for a, b in m2:
-        adj.setdefault(a, []).append((b, 2))
-        adj.setdefault(b, []).append((a, 2))
-    seen = set()
-    md = set()
-    zd = {}
-    for v0 in sorted(adj):
-        if v0 in seen or len(adj[v0]) != 1:
+def _edge_family(family, bag, u, v, color) -> dict:
+    """Every state without and with edge uv."""
+    pos = {w: i for i, w in enumerate(bag)}
+    k = len(bag)
+    at_u, at_v = pos[u], pos[v]
+    out = {key: set(group) for key, group in family.items()}
+    for (deg, closed), group in family.items():
+        if closed or deg[at_u] == 2 or deg[at_v] == 2:
             continue
-        other, comp = _walk_path(adj, v0)
-        seen.update(comp)
-        md.add(frozenset((v0, other)))
-        for end in (v0, other):
-            zd[end] = z1d[end] if end in z1d and end not in z2d else z2d[end]
-    leftovers = [v for v in adj if v not in seen]
-    if leftovers:
-        # cycle components: fatal unless they form the Hamiltonian cycle
-        if md:
-            return None
-        comp = set()
-        stack = [leftovers[0]]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(w for w, _ in adj[x])
-        if comp != set(leftovers):
-            return None  # two or more disjoint cycles
-        return (tuple(sorted(fd.items())), (), (), True)
-    return _canon(fd, md, zd, False)
-
-
-def _prune_rank(states, field, stats):
-    """Per-(f, closed) representative reduction; checks the size bound."""
-    buckets = {}
-    for st in states:
-        buckets.setdefault((st[0], st[3]), []).append(st)
-    out = set()
-    for (fkey, closed), bucket in buckets.items():
-        z = [vtx for vtx, d in fkey if d == 1]
-        cap = max(1, 1 << max(2 * len(z) - 1, 0))
-        if closed or len(z) == 0:
-            # matching and colors are empty here, so the bucket deduplicates
-            # to a single state
-            if len(bucket) != 1:
-                raise InvariantError("a closed or empty-Z bucket holds several states")
-            out.update(bucket)
-            continue
-        if len(bucket) <= cap:
-            out.update(bucket)
-            continue
-        traces = [ColoredTrace(st[0], st[1], st[2]) for st in sorted(bucket)]
-        kept = reduce_representatives(traces, field)
-        if len(kept) > cap:
-            raise InvariantError(f"{len(kept)} representatives exceed the cap {cap}")
-        out.update((tr.f, tr.matching, tr.zeta, closed) for tr in kept)
-    if stats is not None:
-        stats["max_family"] = max(stats.get("max_family", 0), len(out))
+        # iu, iv: the positions of u and v, the lower degree first
+        iu, iv = (at_u, at_v) if deg[at_u] <= deg[at_v] else (at_v, at_u)
+        d = list(deg)
+        d[iu] += 1
+        d[iv] += 1
+        d = tuple(d)
+        new = set()
+        if deg[iv] == 0:  # a new fragment bag[iu]-bag[iv]
+            for mate, zeta in group:
+                m, z = list(mate), list(zeta)
+                m[iu], m[iv] = bag[iv], bag[iu]
+                z[iu] = z[iv] = color
+                new.add((tuple(m), tuple(z)))
+        elif deg[iu] == 0:  # the fragment ending at bag[iv] now ends at bag[iu]
+            for mate, zeta in group:
+                if zeta[iv] == color:
+                    continue
+                m, z = list(mate), list(zeta)
+                m[iu], m[iv], m[pos[mate[iv]]] = mate[iv], -1, bag[iu]
+                z[iu], z[iv] = color, 0
+                new.add((tuple(m), tuple(z)))
+        else:
+            for mate, zeta in group:
+                if zeta[iu] == color or zeta[iv] == color:
+                    continue
+                pu, pv = mate[iu], mate[iv]
+                if pu == bag[iv]:
+                    # closing a fragment into the Hamiltonian cycle; any
+                    # further fragment could never merge with it, so close
+                    # only when alone
+                    if deg.count(1) == 2:
+                        out[d, True] = {((-1,) * k, (0,) * k)}
+                    continue
+                m, z = list(mate), list(zeta)
+                m[iu] = m[iv] = -1
+                m[pos[pu]], m[pos[pv]] = pv, pu
+                z[iu] = z[iv] = 0
+                new.add((tuple(m), tuple(z)))
+        if new:
+            out.setdefault((d, False), set()).update(new)
     return out
 
 
+def _join_family(left, right, bag) -> dict:
+    """Combine every pair of child states over the same bag."""
+    pos = {w: i for i, w in enumerate(bag)}
+    k = len(bag)
+    out = {}
+    for (d1, c1), g1 in left.items():
+        for (d2, c2), g2 in right.items():
+            if c1 or c2:
+                # a closed side combines only with the empty partial solution
+                if not (c1 and c2) and not any(d2 if c1 else d1):
+                    key, group = ((d1, c1), g1) if c1 else ((d2, c2), g2)
+                    out.setdefault(key, set()).update(group)
+                continue
+            deg = tuple(a + b for a, b in zip(d1, d2))
+            if max(deg, default=0) > 2:
+                continue
+            joints = [i for i in range(k) if d1[i] == d2[i] == 1]
+            ends = [i for i in range(k) if deg[i] == 1]
+            new = set()
+            for m1, z1 in g1:
+                for m2, z2 in g2:
+                    # fragment ends meeting at a vertex must differ in color
+                    if any(z1[i] == z2[i] for i in joints):
+                        continue
+                    mate, zeta = [-1] * k, [0] * k
+                    inner = 0  # joints passed while walking the paths
+                    for i in ends:
+                        if mate[i] != -1:
+                            continue
+                        mates = (m1, m2) if d1[i] == 1 else (m2, m1)
+                        j = pos[mates[0][i]]
+                        while deg[j] == 2:  # a joint: go on along the other side
+                            inner += 1
+                            mates = mates[::-1]
+                            j = pos[mates[0][j]]
+                        mate[i], mate[j] = bag[j], bag[i]
+                        zeta[i], zeta[j] = z1[i] or z2[i], z1[j] or z2[j]
+                    if inner == len(joints):
+                        new.add((tuple(mate), tuple(zeta)))
+                    elif not ends:
+                        # the joints lie on cycles: the Hamiltonian cycle
+                        # when they form one
+                        i, length = joints[0], 0
+                        while True:
+                            i = pos[m2[pos[m1[i]]]]
+                            length += 2
+                            if i == joints[0]:
+                                break
+                        if length == len(joints):
+                            out[deg, True] = {((-1,) * k, (0,) * k)}
+            if new:
+                out.setdefault((deg, False), set()).update(new)
+    return out
+
+
+def _prune_rank(family, bag, field) -> dict:
+    """Reduce each (deg, closed) group over its cap; checks the size bound."""
+    for (deg, closed), group in list(family.items()):
+        t = deg.count(1)
+        if closed or not t:
+            # mate and zeta are empty here, so the group holds one state
+            if len(group) != 1:
+                raise InvariantError("a closed or empty-Z group holds several states")
+            continue
+        cap = 1 << (2 * t - 1)
+        if len(group) <= cap:
+            continue
+        states = sorted(group)
+        f = tuple(zip(bag, deg))
+        # t >= 2 fragment ends, so pick returns tuples
+        pick = itemgetter(*(i for i, d in enumerate(deg) if d == 1))
+        ends = pick(bag)
+        matchings = {}  # mate at the ends -> matching, shared by the traces
+        traces = []
+        for mate, zeta in states:
+            at_ends = pick(mate)
+            if at_ends not in matchings:
+                matchings[at_ends] = tuple((a, b) for a, b in zip(ends, at_ends) if a < b)
+            traces.append(ColoredTrace(f, matchings[at_ends], tuple(zip(ends, pick(zeta)))))
+        kept = reduce_representatives(traces, field)
+        if len(kept) > cap:
+            raise InvariantError(f"{len(kept)} representatives exceed the cap {cap}")
+        keep = set(map(id, kept))
+        family[deg, closed] = {st for st, tr in zip(states, traces) if id(tr) in keep}
+    return family
+
+
 def _run_dp(g, edge_color, nice, prune, deadline, stats):
-    """Bottom-up trace DP over a nice tree; True iff a closed state survives."""
+    """Bottom-up trace DP over a nice tree; True iff a closed state survives.
+
+    prune(family, bag), when given, runs after edge and join nodes, the only
+    nodes whose groups can outgrow it: intro is injective on states and
+    forget is injective on the states it keeps.
+    """
     start_time = time.monotonic()
     memo = {}
     uses = [0] * len(nice)
@@ -605,45 +651,32 @@ def _run_dp(g, edge_color, nice, prune, deadline, stats):
     for idx, node in enumerate(nice):
         if deadline is not None and time.monotonic() - start_time > deadline:
             raise PchcTimeout(f"exceeded {deadline}s at node {idx}")
-        if node.kind == "leaf":
-            states = {((), (), (), False)}
-        elif node.kind == "intro":
-            (v,) = node.data
-            states = {_state_intro(st, v) for st in memo[node.children[0]]}
-        elif node.kind == "forget":
-            (v,) = node.data
-            states = set()
-            for st in memo[node.children[0]]:
-                ns = _state_forget(st, v)
-                if ns is not None:
-                    states.add(ns)
-        elif node.kind == "edge":
+        kind = node.kind
+        if kind == "leaf":
+            family = {((), False): {((), ())}}
+        elif kind == "intro":
+            family = _intro_family(memo[node.children[0]], node.bag.index(node.data[0]))
+        elif kind == "forget":
+            child = node.children[0]
+            family = _forget_family(memo[child], nice[child].bag.index(node.data[0]))
+        elif kind == "edge":
             u, v, e = node.data
-            states = set(memo[node.children[0]])
-            for st in memo[node.children[0]]:
-                states.update(_state_edge(st, u, v, edge_color[e]))
-        elif node.kind == "join":
-            left = memo[node.children[0]]
-            right = memo[node.children[1]]
-            states = set()
-            for s1 in left:
-                for s2 in right:
-                    ns = _state_join(s1, s2)
-                    if ns is not None:
-                        states.add(ns)
+            family = _edge_family(memo[node.children[0]], node.bag, u, v, edge_color[e])
+        elif kind == "join":
+            family = _join_family(memo[node.children[0]], memo[node.children[1]], node.bag)
         else:  # pragma: no cover
-            raise InvariantError(f"unknown nice-tree node kind {node.kind!r}")
-        if prune is not None:
-            states = prune(states)
-        elif stats is not None:
-            stats["max_family"] = max(stats.get("max_family", 0), len(states))
-        memo[idx] = states
+            raise InvariantError(f"unknown nice-tree node kind {kind!r}")
+        if prune is not None and kind in ("edge", "join"):
+            family = prune(family, node.bag)
+        if stats is not None:
+            size = sum(map(len, family.values()))
+            stats["max_family"] = max(stats.get("max_family", 0), size)
+        memo[idx] = family
         for c in node.children:
             uses[c] -= 1
             if uses[c] == 0:
                 del memo[c]
-    final = memo[len(nice) - 1]
-    return ((), (), (), True) in final
+    return ((), True) in memo[len(nice) - 1]
 
 
 def _check_inputs(g: Graph, coloring: EdgeColoring, dec: DecompositionFile):
@@ -679,8 +712,9 @@ def rank_based_pchc(
     """Properly colored Hamiltonian cycle with representative-set pruning.
 
     Colors are embedded into nonzero elements of GF(2^a) with 2^a greater
-    than the number of colors; after every node each family sharing a
-    degree map is reduced to at most 2^(2|Z|-1) traces.
+    than the number of colors; after every edge and join node each family
+    sharing a degree tuple is reduced to at most C(|Z|-1, |Z|/2) * 2^|Z|
+    traces (see `reduce_representatives`).
     """
     _check_inputs(g, coloring, dec)
     if g.n < 3:
@@ -689,5 +723,5 @@ def rank_based_pchc(
     if stats is not None:
         stats["field_a"] = field.a
     nice = build_nice_tree(g, dec)
-    prune = lambda states: _prune_rank(states, field, stats)
+    prune = lambda family, bag: _prune_rank(family, bag, field)
     return _run_dp(g, coloring.colors, nice, prune, None, stats)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -12,8 +13,8 @@ from transita.pchc import (
     IRREDUCIBLE,
     Trace,
     build_nice_tree,
+    cut_basis,
     cut_row,
-    e_row,
     field_for_colors,
     fit_colored,
     fit_traces,
@@ -26,6 +27,8 @@ from transita.pchc import (
     _single_cycle,
 )
 from transita.treecut import single_bag_treecut
+from test_acceptance import _triple_wheel
+from hypothesis import given, settings, strategies as st
 
 
 def perfect_matchings(z):
@@ -38,6 +41,49 @@ def perfect_matchings(z):
         rest = z[1:i] + z[i + 1 :]
         for m in perfect_matchings(rest):
             yield ((a, z[i]),) + m
+
+
+def e_row(trace: ColoredTrace, z_order, field) -> list:
+    """Tensor of the cut row and the pi row, width 2^(2|Z|-1)."""
+    cr = cut_row(trace.matching, z_order)
+    pr = pi_row(dict(trace.zeta), z_order, field)
+    return [field.mul(c, p) if c else 0 for c in cr for p in pr]
+
+
+def full_width_reduce(traces, field) -> list:
+    """Earliest-first elimination on the full E rows: the reference for
+    reduce_representatives, which eliminates on the cut-basis columns."""
+    if not traces:
+        return []
+    z_order = sorted(v for v, d in traces[0].f if d == 1)
+    basis = []  # rows in echelon form: (pivot index, normalized row)
+    kept = []
+    for tr in traces:
+        row = e_row(tr, z_order, field)
+        for pivot, brow in basis:
+            c = row[pivot]
+            if c:
+                row = [x ^ field.mul(c, y) for x, y in zip(row, brow)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        inv = field.inv(row[pivot])
+        basis.append((pivot, [field.mul(inv, x) for x in row]))
+        kept.append(tr)
+    return kept
+
+
+def gf2_rank(rows) -> int:
+    lead = {}
+    for row in rows:
+        x = sum(bit << i for i, bit in enumerate(row))
+        while x:
+            h = x.bit_length() - 1
+            if h not in lead:
+                lead[h] = x
+                break
+            x ^= lead[h]
+    return len(lead)
 
 
 def test_irreducible_polynomials_are_irreducible():
@@ -382,3 +428,138 @@ def test_nice_tree_places_each_edge_at_its_first_covering_bag():
         ]
         nodes = build_nice_tree(g, dec)
         assert [(nd.data[2], nd.bag) for nd in nodes if nd.kind == "edge"] == expected
+
+
+def test_cut_rows_have_rank_c_t_minus_1_choose_half():
+    # the cut rows of all perfect matchings on t points span a space of
+    # dimension C(t-1, t/2), well below the 2^(t-1) columns and above the
+    # rank 2^(t/2-1) of the fit matrix they factor; cut_basis picks that
+    # many columns, the first ones that are independent
+    for t, rank in ((2, 1), (4, 3), (6, 10), (8, 35)):
+        assert math.comb(t - 1, t // 2) == rank
+        rows = [cut_row(m, range(t)) for m in perfect_matchings(range(t))]
+        assert gf2_rank(rows) == rank
+        basis = cut_basis(t)
+        assert len(basis) == rank
+        assert list(basis) == sorted(basis)
+        assert gf2_rank([[row[c] for c in basis] for row in rows]) == rank
+        for c in range(1 << (t - 1)):
+            prefix = [c2 for c2 in basis if c2 < c]
+            if c not in basis:  # a skipped column depends on earlier picks
+                sub = [[row[x] for x in prefix + [c]] for row in rows]
+                assert gf2_rank(sub) == len(prefix)
+
+
+def random_family(rng, z, size, colors):
+    ms = list(perfect_matchings(z))
+    f = tuple((v, 1) for v in z)
+    fam = {
+        ColoredTrace(
+            f,
+            tuple(tuple(sorted(p)) for p in rng.choice(ms)),
+            tuple((v, rng.randint(1, colors)) for v in z),
+        )
+        for _ in range(size)
+    }
+    return sorted(fam, key=lambda t: (t.matching, t.zeta))
+
+
+def test_reduce_representatives_matches_the_full_width_elimination():
+    rng = random.Random(9)
+    cases = []
+    for a in (2, 3, 9):
+        F = FieldGF2a(a)
+        colors = F.size - 1
+        # |Z| = 2 (cap 8) and 4 (cap 128) with families over the cap
+        cases += [(F, 2, rng.randint(1, 40), colors) for _ in range(30)]
+        cases += [(F, 4, rng.choice([20, 90, 200, 300]), colors) for _ in range(6)]
+        cases += [(F, 6, rng.randint(5, 25), colors) for _ in range(2)]
+        # few colors: many dependent rows
+        cases += [(F, 4, 200, min(colors, 2))]
+    over_cap = 0
+    for F, sz, size, colors in cases:
+        fam = random_family(rng, list(range(0, 2 * sz, 2)), size, colors)
+        over_cap += len(fam) > 1 << (2 * sz - 1)
+        assert reduce_representatives(fam, F) == full_width_reduce(fam, F)
+    assert over_cap >= 10
+
+
+def test_triple_wheel_families_are_pinned():
+    # the largest family after any node of the rank engine on criterion 5's
+    # width-4 wheels, as the dict-state DP with full-width elimination kept
+    for l, family in ((5, 614), (50, 910), (500, 896)):
+        g, col, dec = _triple_wheel(40, l, 1)
+        stats = {}
+        assert rank_based_pchc(g, col, dec, stats=stats)
+        assert stats["max_family"] == family
+
+
+def elimination_decomposition(g, order, root):
+    """Tree decomposition from an elimination order: vertex order[i]'s bag
+    is it and its later neighbours in the filled graph, hung below the bag
+    of the first of those eliminated.  Any order is valid, and a bag with
+    several children gives the nice tree join nodes."""
+    at = {v: i for i, v in enumerate(order)}
+    nbrs = {v: {w for w, _ in g.adj(v)} for v in range(g.n)}
+    bags, edges = [], []
+    for i, v in enumerate(order):
+        later = {w for w in nbrs[v] if at[w] > i}
+        for w in later:
+            nbrs[w] |= later - {w}
+        bags.append(tuple(sorted({v} | later)))
+        if later:
+            edges.append((i, min(at[w] for w in later)))
+        elif i + 1 < g.n:
+            edges.append((i, i + 1))
+    return DecompositionFile(root, tuple(edges), tuple(bags))
+
+
+def test_families_at_join_nodes_are_pinned():
+    # summed largest families of both engines on 40 seeded graphs whose
+    # decompositions have 53 join nodes between them, as the dict-state DP
+    # with full-width elimination kept them; a join that loses states can
+    # still answer right, so the answers alone would not show it
+    rng = random.Random(12)
+    naive_total = rank_total = yes = joins = 0
+    for _ in range(40):
+        n = rng.randint(6, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+        l = rng.randint(2, 6)
+        col = EdgeColoring(tuple(rng.randint(1, l) for _ in range(g.m)), l)
+        order = list(range(n))
+        rng.shuffle(order)
+        dec = elimination_decomposition(g, order, rng.randrange(n))
+        joins += sum(nd.kind == "join" for nd in build_nice_tree(g, dec))
+        naive_stats, rank_stats = {}, {}
+        answer = naive_pchc(g, col, dec, stats=naive_stats)
+        assert rank_based_pchc(g, col, dec, stats=rank_stats) == answer
+        yes += answer
+        naive_total += naive_stats["max_family"]
+        rank_total += rank_stats["max_family"]
+    assert (joins, yes, naive_total, rank_total) == (53, 17, 25641, 25566)
+
+
+@st.composite
+def colored_graph_and_decomposition(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    g = Graph(n, edges)
+    l = draw(st.integers(1, 4))
+    col = EdgeColoring(tuple(draw(st.integers(1, l)) for _ in edges), l)
+    if draw(st.booleans()):
+        dec = min_degree_decomposition(g)
+    else:
+        order = draw(st.permutations(range(n)))
+        dec = elimination_decomposition(g, order, draw(st.integers(0, n - 1)))
+    return g, col, dec
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(colored_graph_and_decomposition())
+def test_rank_and_naive_engines_agree_with_brute_force(case):
+    g, col, dec = case
+    assert validate_tree_decomposition(g, dec) == []
+    expected = brute_pchc(g, col)
+    assert naive_pchc(g, col, dec) == expected
+    assert rank_based_pchc(g, col, dec) == expected
