@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Optional, Set
 
 from .core import (
@@ -49,15 +48,16 @@ def _kahn(succ: dict, error: str = "directed cycle present") -> list:
     return order
 
 
-def _level_search(start, goal, successors):
+def _level_sweep(starts, successors, goal=None) -> dict:
     """Level-order search in which each node keeps the parent that discovered
-    it first; successors(node) yields (child, label) pairs.  Returns the
-    labels along the path from start to goal, or None when goal is
-    unreachable."""
-    if start == goal:
-        return []
-    parent = {start: None}
-    frontier = [start]
+    it first; successors(node) yields (child, label) pairs.
+
+    Returns the parent map in discovery order: node -> (parent, label), or
+    None for a start node.  The search stops as soon as goal (never a start
+    node) is discovered, and otherwise sweeps everything reachable.
+    """
+    parent = dict.fromkeys(starts)
+    frontier = list(parent)
     while frontier:
         nxt = []
         for node in frontier:
@@ -66,14 +66,24 @@ def _level_search(start, goal, successors):
                     continue
                 parent[child] = (node, label)
                 if child == goal:
-                    labels = []
-                    while parent[child] is not None:
-                        child, label = parent[child]
-                        labels.append(label)
-                    return labels[::-1]
+                    return parent
                 nxt.append(child)
         frontier = nxt
-    return None
+    return parent
+
+
+def _chain(parent, node) -> list:
+    """The nodes on the parent chain from a start node to node."""
+    nodes = [node]
+    while parent[node] is not None:
+        node = parent[node][0]
+        nodes.append(node)
+    return nodes[::-1]
+
+
+def _labels(parent, node) -> list:
+    """The labels along the parent chain from a start node to node."""
+    return [parent[n][1] for n in _chain(parent, node)[1:]]
 
 
 class DArcGraph:
@@ -227,47 +237,35 @@ def _add_sentinels(dg: DArcGraph, s1, t1, s2, t2, tag) -> dict:
 # Compatible path problems on directed acyclic graphs.
 
 
-def dag_compatible_path_raw(dg: DArcGraph, s, tgt, witness: bool = False):
-    """Compatible s-tgt path in an acyclic digraph via its transition-filtered
-    line digraph; any compatible walk found is automatically a path."""
-    dg.topo_order()  # raises on cycles
-    if s == tgt:
-        return (True, ()) if witness else True
-    # its own loop, not _level_search: it starts from several arcs and stops
-    # at any arc into tgt, and written with callbacks for those, this
-    # innermost search of vertex mode ran measurably slower
-    parent = dict.fromkeys(sorted(dg.out.get(s, ()), key=repr))
-    frontier = list(parent)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            if dg.head(a) == tgt:
-                if not witness:
-                    return True
-                seq = []
-                while a is not None:
-                    seq.append(a)
-                    a = parent[a]
-                return True, tuple(reversed(seq))
-            for b in sorted(dg.out[dg.head(a)], key=repr):
-                if b not in parent and dg.permits(a, b):
-                    parent[b] = a
-                    nxt.append(b)
-        frontier = nxt
-    return (False, None) if witness else False
+def _line_digraph(dg: DArcGraph) -> dict:
+    """The transition-filtered line digraph: each arc mapped to the arcs it
+    may continue on, in out-list order."""
+    return {a: [b for b in dg.out[dg.head(a)] if dg.permits(a, b)] for a in dg.arcs}
+
+
+def dag_compatible_path_raw(line: dict, starts) -> dict:
+    """Level-order sweep of a line digraph (see _line_digraph) from the arcs
+    starts; returns the _level_sweep parent map over arcs.
+
+    In an acyclic digraph the parent chain of every arc reached is a
+    compatible path, as no walk there repeats a vertex.
+    """
+    return _level_sweep(starts, lambda a: zip(line[a], line[a]))
 
 
 def dag_compatible_path(g: DiGraph, t: TransitionSystem, s: int, tgt: int, witness=False):
-    """Public wrapper over core types; errors on cyclic input."""
+    """Compatible s-tgt path in an acyclic digraph; errors on cyclic input."""
     dg = DArcGraph.from_core(g, t)
-    res = dag_compatible_path_raw(dg, s, tgt, witness=True)
-    ok, seq = res
+    dg.topo_order()  # raises on cycles
+    parent = dag_compatible_path_raw(_line_digraph(dg), dg.out.get(s, ()))
+    end = next((a for a in parent if dg.head(a) == tgt), None)
+    ok = s == tgt or end is not None
     if not witness:
         return ok
     if not ok:
         return False, None
-    verts = [s] + [g.head(a) for a in seq]
-    walk = Walk(tuple(verts), tuple(seq))
+    seq = () if s == tgt else tuple(_chain(parent, end))
+    walk = Walk((s,) + tuple(g.head(a) for a in seq), seq)
     if not (walk.is_path() and is_compatible_walk(g, t, walk)):
         raise InvariantError("DAG witness is not a compatible path")
     return True, walk
@@ -283,58 +281,57 @@ def _levels(dg: DArcGraph) -> dict:
     return lvl
 
 
-def _dag_two_disjoint(dg0: DArcGraph, s1, t1, s2, t2, mode: str, witness: bool):
-    """Perl-Shiloach style search over arc pairs ordered by longest-path levels.
+def _dag_two_disjoint(dg: DArcGraph, line, lvl, start, vertex_mode, goal=None) -> dict:
+    """Perl-Shiloach style sweep over arc pairs of an acyclic digraph.
 
     A product node (e1, e2) holds the last arcs of both partial paths; the
-    side whose head can still reach furthest is extended first.  Once a path
-    sits on its closing sentinel arc the other side extends freely, which is
-    exactly the level comparison against a level-0 sentinel head.
+    side whose head can still reach furthest by lvl (any labelling that
+    falls strictly along every arc, such as _levels) is extended first.  A
+    side whose head is a sink has level 0, so the other side then extends
+    freely.  line is the digraph's _line_digraph.  Returns the _level_sweep
+    parent map from start, with labels (side, appended arc); a start pair
+    that already shares an arc, or a head in vertex mode, reaches nothing.
     """
-    vertex_mode = mode == "vertex"
-    if vertex_mode and {s1, t1} & {s2, t2}:
-        return (False, None) if witness else False
-    dg = dg0.restriction(dg0.arcs)  # private copy
-    sent_arc = _add_sentinels(dg, s1, t1, s2, t2, "darc")
-    lvl = _levels(dg)
+    head, tail = dg.head, dg.tail
+    e1, e2 = start
+    if e1 == e2 or (vertex_mode and head(e1) == head(e2)):
+        return {}
 
     def successors(node):
         e1, e2 = node
-        h1, h2 = dg.head(e1), dg.head(e2)
+        h1, h2 = head(e1), head(e2)
         out = []
-        if lvl[h2] >= lvl[h1] and e2 != sent_arc["B2"]:
-            for e2n in dg.out[h2]:
-                if e2n == e1 or not dg.permits(e2, e2n):
-                    continue
-                if vertex_mode and dg.head(e2n) in (dg.tail(e1), h1):
-                    continue
-                out.append(((e1, e2n), (2, e2n)))
-        if lvl[h1] >= lvl[h2] and e1 != sent_arc["B1"]:
-            for e1n in dg.out[h1]:
-                if e1n == e2 or not dg.permits(e1, e1n):
-                    continue
-                if vertex_mode and dg.head(e1n) in (dg.tail(e2), h2):
-                    continue
-                out.append(((e1n, e2), (1, e1n)))
+        if lvl[h2] >= lvl[h1]:
+            for e2n in line[e2]:
+                if e2n != e1 and not (vertex_mode and head(e2n) in (tail(e1), h1)):
+                    out.append(((e1, e2n), (2, e2n)))
+        if lvl[h1] >= lvl[h2]:
+            for e1n in line[e1]:
+                if e1n != e2 and not (vertex_mode and head(e1n) in (tail(e2), h2)):
+                    out.append(((e1n, e2), (1, e1n)))
         return out
 
-    steps = _level_search(
-        (sent_arc["A1"], sent_arc["A2"]), (sent_arc["B1"], sent_arc["B2"]), successors
-    )
-    if steps is None:
-        return (False, None) if witness else False
-    if not witness:
-        return True
-    strip = set(sent_arc.values())
-    return True, tuple(
-        tuple(a for side, a in steps if side == i and a not in strip) for i in (1, 2)
-    )
+    return _level_sweep([start], successors, goal)
 
 
 def dag_two_disjoint(g: DiGraph, t: TransitionSystem, s1, t1, s2, t2, mode, witness=False):
     """Two compatible s_i-t_i paths in an acyclic digraph, edge-disjoint or
     vertex-disjoint as mode ("edge" or "vertex") says; errors on cyclic input."""
-    return _dag_two_disjoint(DArcGraph.from_core(g, t), s1, t1, s2, t2, mode, witness)
+    if mode == "vertex" and {s1, t1} & {s2, t2}:
+        return (False, None) if witness else False
+    dg = DArcGraph.from_core(g, t)
+    sent = _add_sentinels(dg, s1, t1, s2, t2, "darc")
+    start, goal = (sent["A1"], sent["A2"]), (sent["B1"], sent["B2"])
+    parent = _dag_two_disjoint(dg, _line_digraph(dg), _levels(dg), start, mode == "vertex", goal)
+    if goal not in parent:
+        return (False, None) if witness else False
+    if not witness:
+        return True
+    steps = _labels(parent, goal)
+    strip = set(sent.values())
+    return True, tuple(
+        tuple(a for side, a in steps if side == i and a not in strip) for i in (1, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +390,9 @@ class ContractedStar:
         u, v, _ = self.dg.arcs[a]
         return self.cls[u] if a in self.rev else self.cls[v]
 
-    def blob_arcs(self, rep) -> list:
-        ms = self.members[rep]
-        return [
-            a
-            for a, (u, v, _) in sorted(self.dg.arcs.items(), key=lambda kv: repr(kv[0]))
-            if u in ms and v in ms
-        ]
 
-
-def _product_path(star: ContractedStar, start, goal, arc_ok):
-    """BFS over the pruned product; returns the step list or None."""
+def _product_path(star: ContractedStar, start, goal, arc_ok) -> dict:
+    """Level-order search over the pruned product; returns its parent map."""
     out1, out2 = {}, {}
     for a in star.e1_star:
         out1.setdefault(star.star_tail(a), []).append(a)
@@ -428,51 +417,69 @@ def _product_path(star: ContractedStar, start, goal, arc_ok):
                         res.append(((e1n, e2n), ("iii", e1, e1n, e2, e2n)))
         return res
 
-    return _level_search(start, goal, successors)
+    return _level_sweep([start], successors, goal)
 
 
-def _inner_graph(dg: DArcGraph, star, rep, routes):
-    """Blob subgraph plus boundary arcs re-anchored on fresh outside copies.
+class _BlobRouter:
+    """Compatible routes through one contracted blob, in original orientation.
 
-    routes lists (entry arc, exit arc) pairs; returns the graph and the
-    fresh (source, target) labels of each route, flattened.  Boundary arcs
-    may share outside endpoints, which can close spurious cycles through
-    the blob; fresh copies keep the graph acyclic without changing which
-    boundary-to-boundary routings exist.  Transition checks are arc-id
-    based and unaffected by the relabeling.
+    The blob's arcs and its boundary arcs form one graph, built once.  Each
+    boundary arc sits on its own fresh outside end: boundary arcs may share
+    outside endpoints, which could close spurious cycles through the blob,
+    and with fresh ends every entry arc starts at a source and every exit
+    arc ends in a sink, so a route can neither leave and re-enter nor pass
+    through another route's ends.  Transition checks are arc-id based and
+    unaffected by the relabeling.  The routes from one entry arc, and the
+    disjoint route pairs from one entry pair, come from one sweep each,
+    made on first use and kept with their parents for witnesses.
     """
-    gs = DArcGraph()
-    for a in star.blob_arcs(rep):
-        u, v, w = dg.arcs[a]
-        gs.add_vertex(u)
-        gs.add_vertex(v)
-        gs.add_arc(a, u, v, w)
-    ends = []
-    for a_in, a_out in routes:
-        for a, entry in ((a_in, True), (a_out, False)):
-            u, v, w = dg.arcs[a]
-            lbl = ("bnd", len(ends))
-            gs.add_vertex(lbl)
-            if entry:
-                gs.add_vertex(v)
-                gs.add_arc(a, lbl, v, w)
-            else:
+
+    def __init__(self, sdg: DArcGraph, members, vertex_mode: bool, stats: dict):
+        gs = DArcGraph()
+        for a, (u, v, w) in sdg.arcs.items():
+            if u in members or v in members:
+                u = u if u in members else ("bnd", a)
+                v = v if v in members else ("bnd", a)
                 gs.add_vertex(u)
-                gs.add_arc(a, u, lbl, w)
-            ends.append(lbl)
-    keep = set(gs.arcs)
-    gs.trans = {p for p in dg.trans if p <= keep}
-    return gs, ends
+                gs.add_vertex(v)
+                gs.add_arc(a, u, v, w)
+        keep = set(gs.arcs)
+        gs.trans = {p for p in sdg.trans if p <= keep}
+        self.dg = gs
+        self.line = _line_digraph(gs)
+        self.lvl = _levels(gs)
+        self.vertex_mode = vertex_mode
+        self.stats = stats
+        self.singles = {}  # entry arc -> parent map of its line sweep
+        self.pairs = {}  # entry pair -> parent map of its product sweep
+        stats["blobs"] += 1
 
+    def single(self, a_in) -> dict:
+        """The arcs reachable from entry arc a_in, each with its parent."""
+        if a_in not in self.singles:
+            self.stats["entry_sweeps"] += 1
+            self.singles[a_in] = dag_compatible_path_raw(self.line, [a_in])
+        return self.singles[a_in]
 
-def _blob_routing(dg: DArcGraph, star, rep, routes, mode, witness=False):
-    """Compatible routes through blob rep, one per (entry arc, exit arc) pair
-    in routes, disjoint in the given mode when there are two.  Each witness
-    route includes its entry and exit arcs."""
-    gs, ends = _inner_graph(dg, star, rep, routes)
-    if len(routes) == 1:
-        return dag_compatible_path_raw(gs, *ends, witness=witness)
-    return _dag_two_disjoint(gs, *ends, mode, witness)
+    def pair(self, e1, e2) -> dict:
+        """The product nodes reachable from entry pair (e1, e2), each with its
+        parent; exit pair (x1, x2) is among them when disjoint compatible
+        routes e1 to x1 and e2 to x2 exist."""
+        if (e1, e2) not in self.pairs:
+            self.stats["pair_sweeps"] += 1
+            self.pairs[e1, e2] = _dag_two_disjoint(
+                self.dg, self.line, self.lvl, (e1, e2), self.vertex_mode
+            )
+        return self.pairs[e1, e2]
+
+    def interior(self, a_in, a_out) -> list:
+        """The arcs strictly inside the blob on the found route."""
+        return _chain(self.single(a_in), a_out)[1:-1]
+
+    def interiors(self, e1a, e1n, e2n, e2a) -> tuple:
+        """The arcs strictly inside the blob on each of the found two routes."""
+        steps = _labels(self.pair(e1a, e2n), (e1n, e2a))
+        return tuple([a for side, a in steps if side == i][:-1] for i in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +513,32 @@ def _validated_result(g, t, s_pairs, arcs1, arcs2, mode):
     return DspResult(True, tuple(walks))
 
 
+# counters that edge_disjoint_2dspp and vertex_disjoint_2dspp add to stats
+STAT_KEYS = ("blobs", "entry_sweeps", "pair_sweeps", "product_nodes")
+
+
 def edge_disjoint_2dspp(
-    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, witness: bool = True
+    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, witness: bool = True,
+    stats: dict = None,
 ) -> DspResult:
     """Two edge-disjoint shortest compatible paths, in polynomial time.
 
     Requires every directed cycle to have positive length.  A yes answer
-    carries two re-validated witness paths.
+    carries two re-validated witness paths.  When given, stats gains the
+    STAT_KEYS counts: blobs routed through, line sweeps from entry arcs,
+    product sweeps from entry pairs, and nodes discovered by the product
+    search over the contracted star.
     """
-    return _two_dspp(g, t, s1, t1, s2, t2, "edge", witness)
+    return _two_dspp(g, t, s1, t1, s2, t2, "edge", witness, stats)
 
 
 def vertex_disjoint_2dspp(
-    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, witness: bool = True
+    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, witness: bool = True,
+    stats: dict = None,
 ) -> DspResult:
-    """Two vertex-disjoint shortest compatible paths, in polynomial time."""
-    return _two_dspp(g, t, s1, t1, s2, t2, "vertex", witness)
+    """Two vertex-disjoint shortest compatible paths, in polynomial time;
+    stats as for edge_disjoint_2dspp."""
+    return _two_dspp(g, t, s1, t1, s2, t2, "vertex", witness, stats)
 
 
 def _tight_pairs(dg: DArcGraph, ids) -> tuple:
@@ -529,10 +546,13 @@ def _tight_pairs(dg: DArcGraph, ids) -> tuple:
     return tuple(_tight_reaching(dg, ids["A" + i], ids["B" + i])[0] for i in "12")
 
 
-def _two_dspp(g, t, s1, t1, s2, t2, mode, witness):
+def _two_dspp(g, t, s1, t1, s2, t2, mode, witness, stats):
     """The 2-DSPP pipeline; vertex mode runs it on the split graph."""
     if s1 == t1 or s2 == t2:
         raise ValueError("terminal pairs must have distinct endpoints")
+    stats = {} if stats is None else stats
+    for key in STAT_KEYS:
+        stats.setdefault(key, 0)
     check_positive_cycles(g)
     if mode == "vertex" and {s1, t1} & {s2, t2}:
         return DspResult(False, diagnostic="terminal pairs share a vertex")
@@ -555,13 +575,18 @@ def _two_dspp(g, t, s1, t1, s2, t2, mode, witness):
                 v = min(split, key=repr)
                 raise InvariantError(f"parallel arcs at {v!r} split across E_i'")
     star = ContractedStar(dg, e1, e2)
+    routers = {}
 
-    @lru_cache(maxsize=None)
-    def permits_double(a_in, rep, a_out):
+    def router(v) -> _BlobRouter:
+        if v not in routers:
+            routers[v] = _BlobRouter(star.dg, star.members[v], mode == "vertex", stats)
+        return routers[v]
+
+    def permits_double(a_in, v, a_out):
         """T_{G''} membership: entry arc, blob, exit arc (original orientations)."""
-        if rep not in star.v0:
+        if v not in star.v0:
             return dg.permits(a_in, a_out)
-        return _blob_routing(dg, star, rep, [(a_in, a_out)], mode)
+        return a_out in router(v).single(a_in)
 
     def arc_ok(step):
         kind = step[0]
@@ -580,50 +605,45 @@ def _two_dspp(g, t, s1, t1, s2, t2, mode, witness):
         # a disjoint routing through the blob implies both single routes
         if not (permits_double(e1a, v, e1n) and permits_double(e2n, v, e2a)):
             return False
-        return v not in star.v0 or _blob_routing(dg, star, v, [(e1a, e1n), (e2n, e2a)], mode)
+        return v not in star.v0 or (e1n, e2a) in router(v).pair(e1a, e2n)
 
-    start = (a_ids["A1"], a_ids["B2"])
-    steps = _product_path(star, start, (a_ids["B1"], a_ids["A2"]), arc_ok)
-    if steps is None:
+    start, goal = (a_ids["A1"], a_ids["B2"]), (a_ids["B1"], a_ids["A2"])
+    parent = _product_path(star, start, goal, arc_ok)
+    stats["product_nodes"] += len(parent)
+    if goal not in parent:
         return DspResult(False)
     if not witness:
         return DspResult(True)
     # working arcs of the input keep their int ids; sentinel and parallel
     # arcs have tuple ids
     arcs1, arcs2 = (
-        [a for a in p if isinstance(a, int)] for p in _reconstruct(dg, star, steps, start, mode)
+        [a for a in p if isinstance(a, int)]
+        for p in _reconstruct(star, routers, _labels(parent, goal), start)
     )
     return _validated_result(g, t, ((s1, t1), (s2, t2)), arcs1, arcs2, mode)
 
 
-def _reconstruct(dg, star, steps, start, mode):
-    """Splice product steps into two original-orientation arc sequences."""
-
-    def interiors(v, routes):
-        """The arcs strictly inside blob v of each rebuilt route."""
-        if v not in star.v0:
-            return [[] for _ in routes]
-        ok, found = _blob_routing(dg, star, v, routes, mode, witness=True)
-        if not ok:
-            what = "compatible path" if len(routes) == 1 else "disjoint routing"
-            raise InvariantError(f"no {what} through blob {v!r} on rebuild")
-        return [list(q[1:-1]) for q in ([found] if len(routes) == 1 else found)]
-
+def _reconstruct(star, routers, steps, start):
+    """Splice product steps into two original-orientation arc sequences,
+    reading blob interiors from the routers the search used."""
     p1 = [start[0]]
     p2_chunks = [[start[1]]]
     for step in steps:
         kind = step[0]
         if kind == "i":
             _, e1a, e2a, e2n = step
-            (q2,) = interiors(star.star_head(e2a), [(e2n, e2a)])
+            v = star.star_head(e2a)
+            q2 = routers[v].interior(e2n, e2a) if v in star.v0 else []
             p2_chunks.append([e2n] + q2)
         elif kind == "ii":
             _, e1a, e1n, e2a = step
-            (q1,) = interiors(star.star_head(e1a), [(e1a, e1n)])
+            v = star.star_head(e1a)
+            q1 = routers[v].interior(e1a, e1n) if v in star.v0 else []
             p1 += q1 + [e1n]
         else:
             _, e1a, e1n, e2a, e2n = step
-            q1, q2 = interiors(star.star_head(e1a), [(e1a, e1n), (e2n, e2a)])
+            v = star.star_head(e1a)
+            q1, q2 = routers[v].interiors(e1a, e1n, e2n, e2a) if v in star.v0 else ([], [])
             p1 += q1 + [e1n]
             p2_chunks.append([e2n] + q2)
     return p1, [a for chunk in reversed(p2_chunks) for a in chunk]

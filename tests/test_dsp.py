@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from transita.core import DiGraph, TransitionSystem, Walk, all_transitions, is_compatible_walk
+from transita.core import (
+    DiGraph, TransitionSystem, Walk, all_transitions, dijkstra, is_compatible_walk,
+)
 from transita.dsp import (
     AcyclicityError,
     PositivityError,
@@ -205,8 +207,6 @@ def test_2dspp_witnesses_are_validated_shortest_paths():
                 assert not set(w1.edge_ids) & set(w2.edge_ids)
             else:
                 assert not set(w1.vertices) & set(w2.vertices)
-            from transita.core import dijkstra
-
             assert sum(g.weight(a) for a in w1.edge_ids) == dijkstra(g, s1)[t1]
             assert sum(g.weight(a) for a in w2.edge_ids) == dijkstra(g, s2)[t2]
             found += 1
@@ -252,3 +252,178 @@ def test_vertex_witnesses_on_random_grid_digraphs():
                 w1, w2 = res.paths
                 assert (w1.vertices[0], w1.vertices[-1]) == (s1, t1)
                 assert (w2.vertices[0], w2.vertices[-1]) == (s2, t2)
+
+
+def grid_digraph(rng, rows, cols, back_arcs, keep=0.85):
+    """Unit-weight grid digraph with arcs right and down, some reversed arcs
+    when back_arcs, and each non-U-turn transition kept with probability
+    keep."""
+    vid = lambda r, c: r * cols + c
+    arcs = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                arcs.append((vid(r, c), vid(r, c + 1)))
+            if r + 1 < rows:
+                arcs.append((vid(r, c), vid(r + 1, c)))
+    if back_arcs:
+        arcs += [(v, u) for u, v in arcs if rng.random() < 0.3]
+    g = DiGraph(rows * cols, arcs, (1,) * len(arcs))
+    pairs = [
+        (a, b)
+        for a, (u, v) in enumerate(arcs)
+        for b, (x, y) in enumerate(arcs)
+        if v == x and y != u and rng.random() < keep
+    ]
+    return g, TransitionSystem(pairs)
+
+
+def check_witnesses(g, t, pairs, paths, mode):
+    """Each witness is a compatible shortest path between its terminals, and
+    the two are disjoint in the mode; checked without the solver's code."""
+    for (s, tgt), w in zip(pairs, paths):
+        assert (w.vertices[0], w.vertices[-1]) == (s, tgt)
+        assert w.is_path() and is_compatible_walk(g, t, w)
+        assert sum(g.weight(a) for a in w.edge_ids) == dijkstra(g, s)[tgt]
+    w1, w2 = paths
+    if mode == "edge":
+        assert not set(w1.edge_ids) & set(w2.edge_ids)
+    else:
+        assert not set(w1.vertices) & set(w2.vertices)
+
+
+def test_2dspp_matches_oracle_on_grids_of_benchmark_size():
+    # the grid sizes and transition density of the benchmark's CLI queries,
+    # with its two terminal layouts (the pairs must cross, so vertex mode
+    # says no), a layout with the pairs side by side, and random terminals
+    rng = random.Random(5)
+    yes = 0
+    for i in range(150):
+        rows, cols = rng.randint(3, 5), rng.randint(3, 5)
+        g, t = grid_digraph(rng, rows, cols, back_arcs=i % 2 == 1)
+        vid = lambda r, c: r * cols + c
+        layouts = (
+            (vid(0, 0), vid(rows - 1, cols - 2), vid(1, 0), vid(rows - 1, cols - 1)),
+            (vid(0, 1), vid(rows - 1, cols - 2), vid(1, 0), vid(rows - 2, cols - 1)),
+            (vid(0, 1), vid(rows - 2, cols - 1), vid(1, 0), vid(rows - 1, cols - 2)),
+        )
+        ends = layouts[i % 4] if i % 4 < 3 else tuple(rng.sample(range(g.n), 4))
+        pairs = [ends[:2], ends[2:]]
+        for fn, mode in ((edge_disjoint_2dspp, "edge"), (vertex_disjoint_2dspp, "vertex")):
+            res = fn(g, t, *ends)
+            assert res.yes == brute_2dspp(g, t, pairs, mode, size_guard=False)
+            if res.yes:
+                check_witnesses(g, t, pairs, res.paths, mode)
+                yes += 1
+    assert yes >= 60
+
+
+def test_2dspp_counters_on_a_12_by_12_grid(monkeypatch):
+    # every transition permitted; pair 1 runs from (0,1) to row 11, pair 2
+    # from (1,0) to column 11, and their shortest paths overlap in one blob.
+    # Ending at (11,10) and (10,11) the pairs must cross: at a vertex
+    # without a shared arc (edge mode yes), never vertex-disjointly.
+    # Ending at (10,11) and (11,10) they run side by side.
+    from transita import dsp
+
+    seen = []
+
+    class Spy(dsp._BlobRouter):
+        def __init__(self, sdg, members, vertex_mode, stats):
+            super().__init__(sdg, members, vertex_mode, stats)
+            self.entries, self.entry_pairs, self.asked = set(), set(), 0
+            seen.append((frozenset(members), self))
+
+        def single(self, a_in):
+            self.entries.add(a_in)
+            self.asked += 1
+            return super().single(a_in)
+
+        def pair(self, e1, e2):
+            self.entry_pairs.add((e1, e2))
+            self.asked += 1
+            return super().pair(e1, e2)
+
+    monkeypatch.setattr(dsp, "_BlobRouter", Spy)
+    g, t = grid_digraph(random.Random(0), 12, 12, back_arcs=False, keep=1.0)
+    vid = lambda r, c: 12 * r + c
+    cases = (
+        ((vid(0, 1), vid(11, 10), vid(1, 0), vid(10, 11)), {"edge": True, "vertex": False}),
+        ((vid(0, 1), vid(10, 11), vid(1, 0), vid(11, 10)), {"edge": True, "vertex": True}),
+    )
+    for ends, expect in cases:
+        for fn, mode in ((edge_disjoint_2dspp, "edge"), (vertex_disjoint_2dspp, "vertex")):
+            seen.clear()
+            stats = {}
+            res = fn(g, t, *ends, stats=stats)
+            assert res.yes == expect[mode]
+            if res.yes:
+                check_witnesses(g, t, [ends[:2], ends[2:]], res.paths, mode)
+            assert stats["blobs"] == len({members for members, _ in seen}) == 1
+            assert stats["entry_sweeps"] <= sum(len(r.entries) for _, r in seen)
+            assert stats["pair_sweeps"] <= sum(len(r.entry_pairs) for _, r in seen)
+            assert 0 < stats["entry_sweeps"] + stats["pair_sweeps"] < sum(r.asked for _, r in seen)
+            assert stats["product_nodes"] > 0
+
+
+def test_router_matches_per_route_search_on_the_reanchored_subgraph():
+    # the router answers every route of a blob from one graph that carries
+    # all boundary arcs; each answer must equal a search on the blob with
+    # only that route's boundary arcs, each on a fresh outside end
+    from transita.dsp import STAT_KEYS, DArcGraph, _BlobRouter
+
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(120):
+        n = rng.randint(5, 9)
+        arcs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+        g = DiGraph(n, arcs)
+        t = random_transitions(rng, g, 0.75)
+        members = set(rng.sample(range(n), rng.randint(2, n - 2)))
+        inner = [a for a, (u, v) in enumerate(arcs) if u in members and v in members]
+        entries = [a for a, (u, v) in enumerate(arcs) if u not in members and v in members]
+        exits = [a for a, (u, v) in enumerate(arcs) if u in members and v not in members]
+
+        def reanchored(routes):
+            """The blob plus each route's entry and exit arc on fresh ends;
+            returns the graph, its transitions and the route ends."""
+            ids = {v: i for i, v in enumerate(sorted(members))}
+            sub, ends = [], []
+            for a in inner:
+                sub.append((a, (ids[arcs[a][0]], ids[arcs[a][1]])))
+            for a_in, a_out in routes:
+                s, tgt = len(ids) + len(ends), len(ids) + len(ends) + 1
+                sub.append((a_in, (s, ids[arcs[a_in][1]])))
+                sub.append((a_out, (ids[arcs[a_out][0]], tgt)))
+                ends += [s, tgt]
+            pos = {a: i for i, (a, _) in enumerate(sub)}
+            h = DiGraph(len(ids) + len(ends), [e for _, e in sub])
+            th = TransitionSystem(
+                [(pos[a], pos[b]) for a, b in t.pairs if a in pos and b in pos]
+            )
+            return h, th, ends
+
+        for mode in ("edge", "vertex"):
+            stats = dict.fromkeys(STAT_KEYS, 0)
+            router = _BlobRouter(DArcGraph.from_core(g, t), members, mode == "vertex", stats)
+            for a_in in entries:
+                for a_out in exits:
+                    h, th, ends = reanchored([(a_in, a_out)])
+                    ok = a_out in router.single(a_in)
+                    assert ok == dag_compatible_path(h, th, *ends)
+                    if ok:
+                        route = [a_in] + router.interior(a_in, a_out) + [a_out]
+                        w = Walk((arcs[a_in][0],) + tuple(arcs[a][1] for a in route), tuple(route))
+                        assert w.is_path() and is_compatible_walk(g, t, w)
+                        checked += 1
+            for e1a in entries:
+                for e2n in entries:
+                    for e1n in exits:
+                        for e2a in exits:
+                            if e1a == e2n or e1n == e2a:
+                                continue
+                            h, th, ends = reanchored([(e1a, e1n), (e2n, e2a)])
+                            ok = (e1n, e2a) in router.pair(e1a, e2n)
+                            assert ok == dag_two_disjoint(h, th, *ends, mode)
+                            checked += ok
+    assert checked > 100
