@@ -24,7 +24,9 @@ exactly one report, with ``"answer": null`` and
 
 ``compath`` and ``detour`` reports carry "certified": false when the hash
 family swept was seeded random rather than certified perfect (n > 32), so
-that a "no" is only probable.
+that a "no" is only probable.  A ``detour`` report's "stats" also holds
+the solver's counters ``oriented_calls`` and ``goals`` (see
+``detour.comdetour``).
 
 Exit codes: 0 when the run answers; 1 when it answers "no" under
 ``--strict-exit``; 2 for an error report.  Usage errors found by argparse
@@ -209,12 +211,14 @@ def cmd_detour(args, report) -> None:
     _check_id(tgt, inst.graph.n, "vertex", "--to")
     if args.slack < 0:
         raise CliError("argument", "--slack must be nonnegative")
+    stats = {}
     res = comdetour(
         inst.graph, inst.transitions, s, tgt, args.slack,
-        seed=args.seed, witness=args.witness,
+        seed=args.seed, witness=args.witness, stats=stats,
     )
     report.update(
         answer=res.yes, yes=res.yes, nu=res.nu, dist=res.dist, certified=res.certified,
+        stats=stats,
     )
     if res.diagnostic:
         report["diagnostic"] = res.diagnostic

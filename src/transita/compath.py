@@ -139,22 +139,23 @@ class SlotGraph:
     def __init__(self, g: Graph, t: TransitionSystem):
         self.g = g
         self.t = t
+        edges, pairs = g.edges, t.pairs
         succ = [[] for _ in range(2 * g.m)]
+        pred = [[] for _ in range(2 * g.m)]
+        # Slots are visited in increasing id, so each pred list comes out in
+        # increasing id as well.  The pair test is t.permits(e, f) inlined.
         for e in range(g.m):
             for d in (0, 1):
-                head = g.edges[e][1 - d]
                 sid = 2 * e + d
-                for w, f in g.adj(head):
-                    if f == e or not t.permits(e, f):
+                out = succ[sid]
+                for w, f in g.adj(edges[e][1 - d]):
+                    if f == e or ((e, f) if e < f else (f, e)) not in pairs:
                         continue
-                    fd = 0 if g.edges[f][1] == w else 1
-                    succ[sid].append(2 * f + fd)
-        self.succ = tuple(tuple(s) for s in succ)
-        pred = [[] for _ in range(2 * g.m)]
-        for sid, outs in enumerate(self.succ):
-            for nxt in outs:
-                pred[nxt].append(sid)
-        self.pred = tuple(tuple(p) for p in pred)
+                    nxt = 2 * f + (0 if edges[f][1] == w else 1)
+                    out.append(nxt)
+                    pred[nxt].append(sid)
+        self.succ = tuple(map(tuple, succ))
+        self.pred = tuple(map(tuple, pred))
         self.heads = tuple(g.edges[sid >> 1][1 - (sid & 1)] for sid in range(2 * g.m))
         self.tails = tuple(g.edges[sid >> 1][sid & 1] for sid in range(2 * g.m))
 

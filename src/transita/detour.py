@@ -4,8 +4,14 @@ The solver classifies vertices into BFS layers, seeds a table over
 inter-layer edges near the target with direct ComPath calls, and fills
 earlier layers by joining short ComPath segments with already-computed
 entries across permitted transitions.  The join runs one multi-goal ComPath
-sweep per (x, layer du, start edge): its goals are the edges into every
-vertex u at layer du, so one sweep serves every u of the layer.
+sweep per (x, layer du, start edge), so one sweep serves every vertex u of
+the layer.  Its goals are only the edges (f, u) into layer du that can join:
+some inter-layer edge g2 leaves u upward, is already in the table, and
+t.permits(f, g2).  Each layer's list of such goals is built once, the first
+time a join needs it.  The filter is exact: table entries whose lower end
+lies at layer du are written only by the seeding or by the join at m = du,
+and the join visits m in descending order, so they are final before any
+m < du reads them.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ class LayerStructure:
         return {x}.union(*self.layers[int(self.dist[x]) + 1:hi + 1])
 
 
+# counters that comdetour adds to stats
+STAT_KEYS = ("oriented_calls", "goals")
+
+
 @dataclass(frozen=True)
 class DetourResult:
     yes: bool
@@ -70,33 +80,46 @@ def comdetour(
     k: int,
     seed: int = 0,
     witness: bool = False,
+    stats: Optional[dict] = None,
 ) -> DetourResult:
     """Decide whether a compatible s-tgt path of length <= dist(s,tgt)+k exists.
 
     Returns the achieved shortest such length nu when one exists, and a
-    reconstructed witness path on request.
+    reconstructed witness path on request.  When given, stats gains
+    STAT_KEYS: the oriented ComPath calls made and the total length of the
+    goal lists passed to them.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    stats = {} if stats is None else stats
+    for key in STAT_KEYS:
+        stats.setdefault(key, 0)
     if s == tgt:
         return DetourResult(True, 0, 0, Walk((s,), ()) if witness else None)
     ls = LayerStructure.build(g, s)
     if ls.dist[tgt] == INF:
         return DetourResult(False, None, None, diagnostic="target unreachable from source")
     d = int(ls.dist[tgt])
+    sg = SlotGraph(g, t)
+
+    def sweep(start, goals, bound, region):
+        stats["oriented_calls"] += 1
+        stats["goals"] += len(goals)
+        res = oriented_compath(
+            g, t, start, goals, bound, fam,
+            allowed_vertices=region, slot_graph=sg, witness=witness,
+        )
+        return res if witness else (res, [None] * len(goals))
 
     if d <= k:
-        from .compath import compath  # delegation per the small-distance case
-
+        # small distance: one plain ComPath call within the bound d + k
         fam = family_for_bound(g.n, d + k, seed)
-        res = compath(g, t, s, tgt, d + k, witness=witness, family=fam)
-        ln, w = res if witness else (res, None)
+        (ln,), (w,) = sweep(("v", s), [("v", tgt)], d + k, None)
         if ln is None:
             return DetourResult(False, None, d, certified=fam.certified)
         return DetourResult(True, ln, d, w, certified=fam.certified)
 
     hi = d + k
-    sg = SlotGraph(g, t)
     # Both the seeding calls and the join segments need length bound 2k+1:
     # an x..u prefix spans up to k+1 layers plus k slack, and a join with a
     # bound of 2k would already fail to find the single-edge prefix at k=0.
@@ -116,51 +139,45 @@ def comdetour(
         x = ls.low(g, e)
         if ls.dist[x] < d - k - 1:
             continue
-        region = ls.region(x, hi)
-        res = oriented_compath(
-            g, t, ("e", e, x), [("v", tgt)], 2 * k + 1, fam,
-            allowed_vertices=region, slot_graph=sg, witness=witness,
-        )
-        res, ws = res if witness else (res, [None])
-        ln = res[0]
+        (ln,), (w,) = sweep(("e", e, x), [("v", tgt)], 2 * k + 1, ls.region(x, hi))
         if ln is not None and ls.dist[x] + ln <= hi:
             table[e] = ln
             if witness:
-                pieces[e] = ("seed", ws[0])
+                pieces[e] = ("seed", w)
 
-    incident_inter = {}
+    up = {}  # u -> the inter-layer edges whose lower end is u
     for e in inter:
-        for v in g.endpoints(e):
-            incident_inter.setdefault(v, []).append(e)
+        up.setdefault(ls.low(g, e), []).append(e)
 
     # Fill earlier layers.  One sweep per (x, du, start edge) reaches the
-    # edges into every u at layer du inside G_(x, du]; goals carry their
-    # (f, u), and a hit joins across a permitted transition at u onto a
-    # higher inter-layer edge g2 already in the table.  An entry written at
-    # layer m is read only by joins from lower layers.
+    # joinable edges into layer du inside G_(x, du].  joins[du] lists each
+    # edge (f, u) into layer du, its far end w, and the entries g2 in
+    # up[u] that are already in the table and that f may turn onto; edges
+    # with no such g2 cannot join and are never asked for.  The list is
+    # built once, when layer du is first needed: by then no later join
+    # writes an entry whose lower end is at layer du (module docstring).
+    joins = {}
     for m in range(d - k - 1, -1, -1):
         for x in ls.layers[m]:
             for du in range(m + 1, m + k + 2):
+                if du not in joins:
+                    joins[du] = []
+                    for u in ls.layers[du]:
+                        for w, f in g.adj(u):
+                            g2s = [g2 for g2 in up.get(u, ()) if g2 in table and t.permits(f, g2)]
+                            if g2s:
+                                joins[du].append((f, u, w, g2s))
                 region = ls.region(x, du)
-                goals = [
-                    ("e", f, u) for u in ls.layers[du] for w, f in g.adj(u) if w in region
-                ]
-                if not goals:
+                entries = [j for j in joins[du] if j[2] in region]
+                if not entries:
                     continue
+                goals = [("e", f, u) for f, u, _, _ in entries]
                 for e in [e for w, e in g.adj(x) if w in region]:
-                    res = oriented_compath(
-                        g, t, ("e", e, x), goals, 2 * k + 1, fam,
-                        allowed_vertices=region, slot_graph=sg, witness=witness,
-                    )
-                    res, ws = res if witness else (res, [None] * len(goals))
-                    for (_, f, u), r, w in zip(goals, res, ws):
+                    res, ws = sweep(("e", e, x), goals, 2 * k + 1, region)
+                    for (_, _, _, g2s), r, w in zip(entries, res, ws):
                         if r is None:
                             continue
-                        for g2 in incident_inter.get(u, ()):
-                            if ls.low(g, g2) != u or g2 not in table:
-                                continue
-                            if not t.permits(f, g2):
-                                continue
+                        for g2 in g2s:
                             p = table[g2]
                             if m + r + p <= hi and table.get(e, INF) > r + p:
                                 table[e] = r + p

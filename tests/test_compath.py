@@ -79,6 +79,40 @@ def test_slot_graph_heads_and_tails():
             assert (sg.heads[sid], sg.tails[sid]) == (head, tail)
 
 
+def _reference_slot_graph(g, t):
+    # slot 2e+d has head edges[e][1-d]; successors in adjacency order at the
+    # head, predecessors in increasing slot id
+    slots = range(2 * g.m)
+    heads = tuple(g.edges[sid // 2][1 - sid % 2] for sid in slots)
+    tails = tuple(g.edges[sid // 2][sid % 2] for sid in slots)
+    succ = tuple(
+        tuple(
+            2 * f + (0 if g.edges[f][1] == w else 1)
+            for w, f in g.adj(heads[sid])
+            if f != sid // 2 and t.permits(sid // 2, f)
+        )
+        for sid in slots
+    )
+    pred = tuple(tuple(sid for sid in slots if nxt in succ[sid]) for nxt in slots)
+    return succ, pred, heads, tails
+
+
+def test_slot_graph_matches_a_reference_built_with_permits():
+    rng = random.Random(2009)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(2, 14)
+        cases.append(gen_random_ftg(n, rng.uniform(0.1, 0.6), rng.uniform(0.2, 1.0),
+                                    rng.randrange(10**6)))
+    g, _ = gen_random_ftg(12, 0.4, 0.5, 17)
+    cases += [(g, all_transitions(g)), (g, TransitionSystem())]
+    for g, t in cases:
+        sg = SlotGraph(g, t)
+        assert (sg.succ, sg.pred, sg.heads, sg.tails) == _reference_slot_graph(g, t)
+    assert any(SlotGraph(g, all_transitions(g)).succ)
+    assert not any(SlotGraph(g, TransitionSystem()).succ)
+
+
 def test_family_random_mode_size():
     # above n = 32 the family is seeded random and says so
     fam = family_for_bound(40, 3, seed=1)

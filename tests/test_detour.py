@@ -214,3 +214,57 @@ def test_comdetour_witness_and_plain_runs_agree_with_the_oracle():
                 assert (w.vertices[0], w.vertices[-1]) == (s, tgt)
                 checked += 1
     assert checked > 20
+
+
+def test_join_asks_only_for_goals_that_can_join(monkeypatch):
+    # every join goal ("e", f, u) must be able to continue: some inter-layer
+    # edge g2 leaves u upward and f may turn onto it; answers stay exact
+    calls = []
+    real = transita.detour.oriented_compath
+
+    def recorded(g_, t_, start, goals, *args, **kwargs):
+        calls.append(tuple(goals))
+        return real(g_, t_, start, goals, *args, **kwargs)
+
+    monkeypatch.setattr(transita.detour, "oriented_compath", recorded)
+    rng = random.Random(1105)
+    joined = 0
+    for _ in range(25):
+        n = rng.randint(8, 16)
+        g, t = gen_random_ftg(n, 0.3, 0.7, rng.randrange(10**6))
+        dist = bfs_dist(g, 0)
+        tgt = max(range(n), key=lambda v: (dist[v] != INF, dist[v]))
+        for k in range(4):
+            calls.clear()
+            res = comdetour(g, t, 0, tgt, k, seed=6)
+            ref = brute_compatible_path(g, t, 0, tgt, int(dist[tgt]) + k, size_guard=False)
+            assert res.yes == (ref is not None) and res.nu == ref
+            for goals in calls:
+                for _, f, u in (goal for goal in goals if goal[0] == "e"):
+                    assert any(
+                        dist[w] == dist[u] + 1 and t.permits(f, g2) for w, g2 in g.adj(u)
+                    ), (f, u)
+                    joined += 1
+    assert joined > 100
+
+
+def test_comdetour_counts_its_calls_and_goals(monkeypatch):
+    g, t = gen_random_ftg(18, 0.25, 0.75, 31)
+    dist = bfs_dist(g, 0)
+    tgt = max(range(g.n), key=lambda v: (dist[v] != INF, dist[v]))
+    seen = [0, 0]
+    real = transita.detour.oriented_compath
+
+    def counted(g_, t_, start, goals, *args, **kwargs):
+        seen[0] += 1
+        seen[1] += len(goals)
+        return real(g_, t_, start, goals, *args, **kwargs)
+
+    monkeypatch.setattr(transita.detour, "oriented_compath", counted)
+    for witness in (False, True):
+        seen[:] = [0, 0]
+        stats = {}
+        assert comdetour(g, t, 0, tgt, 2, seed=2, witness=witness, stats=stats).yes
+        assert stats == {"oriented_calls": seen[0], "goals": seen[1]}
+        # asking for every edge into each layer made 52 calls with 356 goals
+        assert stats == {"oriented_calls": 44, "goals": 66}

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -101,6 +102,18 @@ def test_reports_are_deterministic_modulo_timing(instance_file):
     r2["stats"].pop("elapsed_ms")
     assert r1 == r2
     assert r1["seed"] == 9
+
+
+def test_detour_report_carries_solver_counters(instance_file):
+    # two runs print the same bytes once the elapsed time is blanked
+    argv = ["detour", "--instance", instance_file, "--from", "0", "--to", "5",
+            "--slack", "1", "--seed", "4"]
+    outs = [re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', run_cli(argv)[1])
+            for _ in range(2)]
+    assert outs[0] == outs[1]
+    stats = json.loads(outs[0])["stats"]
+    assert set(stats) == {"elapsed_ms", "oriented_calls", "goals"}
+    assert stats["oriented_calls"] > 0 and stats["goals"] >= stats["oriented_calls"]
 
 
 def test_gen_roundtrip_through_cli(tmp_path):
