@@ -504,3 +504,79 @@ def test_unmatched_terminal_counts():
     )
     assert unmatched_terminals(dec, 1, [(0, 3)]) == [0]
     assert unmatched_terminals(dec, 1, [(0, 1)]) == []
+
+
+def _twin_instance(rng):
+    """A thin child holding both terminals of two pairs, with two exits.
+
+    The child bag {0,1,2,3} is the 4-cycle 0-2-1-3 with exits 2-4 and 3-5;
+    the pairs cross from 0 and 1 into the root bag {4,5,6,7}.
+    """
+    edges = [(0, 2), (1, 2), (1, 3), (0, 3), (2, 4), (3, 5)]
+    edges += [e for e in ((0, 1), (2, 3)) if rng.random() < 0.3]
+    edges += [e for e in ((4, 6), (4, 7), (5, 6), (5, 7), (6, 7), (4, 5)) if rng.random() < 0.5]
+    g = Graph(8, sorted(edges))
+    keep = rng.uniform(0.7, 1.0)
+    t = TransitionSystem([q for q in sorted(all_transitions(g).pairs) if rng.random() < keep])
+    pairs = rng.choice(([(0, 6), (1, 7)], [(0, 7), (1, 6)]))
+    return g, t, pairs, DecompositionFile(0, ((0, 1),), ((4, 5, 6, 7), (0, 1, 2, 3)))
+
+
+def _rooted_instance(rng):
+    """A random rooted decomposition of width at most three, any depth."""
+    while True:
+        n = rng.randint(4, 8)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35])
+        nodes = rng.randint(2, n)
+        bags = [[] for _ in range(nodes)]
+        for v in range(n):
+            bags[rng.randrange(nodes)].append(v)
+        dec = DecompositionFile(
+            0, tuple((rng.randrange(i), i) for i in range(1, nodes)), tuple(map(tuple, bags))
+        )
+        if evaluate_width(g, dec)[0] <= 3:
+            break
+    t = TransitionSystem([q for q in sorted(all_transitions(g).pairs) if rng.random() < 0.75])
+    ends = rng.sample(range(n), n)
+    k = rng.randint(1, min(2, n // 2))
+    return g, t, [(ends[2 * i], ends[2 * i + 1]) for i in range(k)], dec
+
+
+# Summed valid-record counts per instance, in draw order.
+TWIN_RECORDS = [
+    3, 1, 3, 2, 2, 2, 2, 1, 3, 3, 2, 2, 3, 1, 1, 2, 1, 2, 0, 1, 2, 2, 1, 2, 1, 2, 2,
+    3, 2, 3, 2, 1, 2, 2, 2, 2, 2, 1, 2, 1, 2, 2, 0, 2, 2, 2, 3, 2, 2, 3, 3, 1, 3, 1,
+    2, 3, 2, 2, 2, 3,
+]
+ROOTED_RECORDS = [
+    0, 3, 7, 3, 0, 0, 10, 1, 0, 0, 0, 3, 2, 2, 1, 0, 3, 0, 4, 1, 5, 1, 2, 0, 1, 3,
+    4, 4, 0, 8, 3, 6, 6, 1, 1, 2, 2, 0, 3, 3, 2, 2, 0, 2, 2, 0, 4, 3, 0, 0, 0, 2, 0,
+    0, 3, 6, 0, 3, 0, 0, 0, 8, 6, 0, 3, 0, 2, 5, 0, 8, 5, 0, 4, 4, 1, 0, 0, 0, 4, 3,
+    4, 3, 0, 3, 2, 2, 0, 0, 6, 2, 0, 6, 0, 5, 4, 2, 0, 3, 1, 0, 1, 2, 9, 0, 5, 0, 0,
+    0, 3, 6, 1, 3, 0, 1, 2, 1, 0, 1, 0, 0, 10, 0, 4, 0, 0, 0, 5, 2, 1, 0, 0, 7, 2,
+    0, 4, 0, 0, 0, 0, 3, 0, 0, 4, 6, 0, 0, 3, 2, 5, 0, 0, 8, 6, 0, 0, 0, 2, 0, 5, 8,
+    10, 5, 0, 1, 0, 2, 1, 2, 0, 3, 0, 3, 0, 0, 0, 2, 2, 3, 0, 0, 2, 0, 3, 0, 1, 0,
+    3, 0, 0, 0, 6, 1, 1, 3, 6, 1, 2, 2, 3, 0, 0, 0, 3, 5, 0, 1, 6, 0, 9, 4, 0, 3, 6,
+    0, 3, 0, 2, 4, 1, 0, 5, 1, 0, 0, 0, 0, 4, 0, 3, 2, 0, 0, 5, 0, 0, 4, 1, 0, 3, 2,
+    0, 2, 0, 1, 0, 2, 4, 5, 0, 4, 0, 0, 0, 0, 4, 3, 0, 0, 0, 4, 7, 0, 0, 3, 2, 2, 2,
+    0, 1, 0, 0, 0, 1, 0, 0, 2, 2, 0, 5, 5, 0, 4, 5, 0, 0, 2, 2, 2, 0, 0, 0, 2, 6, 1,
+    0, 5, 0, 1, 6, 3,
+]
+
+
+@pytest.mark.parametrize(
+    "make, seed, pinned",
+    [(_twin_instance, 12, TWIN_RECORDS), (_rooted_instance, 7, ROOTED_RECORDS)],
+    ids=["twin", "rooted"],
+)
+def test_thin_child_reductions_match_oracle(make, seed, pinned):
+    # the twin family reaches the two-terminal twin gadget, the rooted one
+    # (trees deeper than the two levels of the search) the II reduction
+    rng = random.Random(seed)
+    counts = []
+    for _ in pinned:
+        g, t, pairs, dec = make(rng)
+        yes, info = comvdp(g, t, pairs, dec, return_tables=True)
+        assert yes == brute_disjoint_paths(g, t, pairs, "vertex")
+        counts.append(sum(map(len, info["tables"].values())))
+    assert counts == pinned
