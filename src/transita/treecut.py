@@ -1,19 +1,25 @@
 """Compatible vertex-disjoint paths parameterized by treecut-width.
 
 The solver runs leaf-to-root over a nice treecut decomposition.  At each
-node it enumerates records (how solution paths may cross the node's cut),
-builds the corresponding instance by terminating cut-edge groups into
-low-degree gateway vertices, shrinks thin children by a reduction rule,
-replaces bold children by simplification gadgets driven by their own valid
-records, and decides the residual bounded-size instance exhaustively.
+node it enumerates records (how solution paths may cross the node's cut)
+and decides each one on a bounded-size instance.  One routine,
+_apply_record, applies a record to either side of a cut, terminating
+cut-edge groups into low-degree gateway vertices: dropping Z_t gives the
+corresponding instance of a record at t, and dropping Y_s (with internal and
+foreign edges swapped) simplifies a child s by one of its own valid records.
+Thin children are simplified by the first candidate record that is valid,
+with two gadgets for a choice of exits; bold children try every
+combination of their valid records.  The residual instance is decided
+exhaustively.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import Graph, InvariantError, TransitionSystem, components
 from .io import DecompositionFile, postorder
@@ -214,22 +220,6 @@ def terminate(lg: LGraph, inside: Set, groups: Sequence[Sequence[Tuple]], labels
     return out, list(labels)
 
 
-def terminate_core(g: Graph, t: TransitionSystem, inner: Iterable[int], groups_edges):
-    """Public wrapper of terminate over core types and edge ids."""
-    inside = set(inner)
-    lg = LGraph.from_core(g, t)
-    groups = []
-    for grp in groups_edges:
-        pairs = []
-        for e in grp:
-            u, v = g.endpoints(e)
-            if (u in inside) == (v in inside):
-                raise TerminationError(f"edge {e} does not cross the cut")
-            pairs.append((u, v) if u in inside else (v, u))
-        groups.append(pairs)
-    return terminate(lg, inside, groups)
-
-
 # ---------------------------------------------------------------------------
 # Treecut decompositions: derived sets, width, niceness.
 
@@ -369,17 +359,13 @@ class NicenessError(InvariantError):
     """make_nice produced a decomposition that breaks its guarantees."""
 
 
-def make_nice(g: Graph, dec: DecompositionFile) -> DecompositionFile:
+def make_nice(g: Graph, dec: DecompositionFile) -> Tuple[TreecutDecomposition, int]:
     """Reattach violating thin nodes below the sibling subtree they touch.
 
-    The output is nice with width and node count not exceeding the input's;
-    both facts are checked, raising NicenessError, rather than assumed.
+    Returns the nice decomposition and its width.  Its width and node count
+    do not exceed the input's; both facts are checked, raising NicenessError,
+    rather than assumed.
     """
-    return _make_nice(g, dec)[0].to_file()
-
-
-def _make_nice(g: Graph, dec: DecompositionFile) -> Tuple[TreecutDecomposition, int]:
-    """make_nice's decomposition, unconverted, with its checked width."""
     tc = TreecutDecomposition(g, dec)
     width_before = tc.width()
     nodes = sorted(tc.bags)
@@ -490,13 +476,6 @@ class Record:
     def label(self, e: int) -> str:
         return dict(self.sigma)[e]
 
-    def edges_with(self, lbl: str) -> list:
-        return [e for e, l in self.sigma if l == lbl]
-
-    @property
-    def empty(self) -> bool:
-        return not self.sigma
-
 
 EMPTY_RECORD = Record((), frozenset(), frozenset(), ())
 
@@ -577,8 +556,6 @@ def enumerate_records(
                     lam = tuple(sorted(zip(uts, perm)))
                     out.append(Record(sigma, frozenset(im), frozenset(fm), lam))
     if width is not None:
-        import math
-
         bound = 4**width * math.factorial(width) ** 3
         if len(out) > bound:
             raise InvariantError(f"{len(out)} records exceed the bound {bound}")
@@ -655,6 +632,53 @@ def _input_lgraph(g: Graph, tsys: TransitionSystem) -> LGraph:
     return LGraph.from_core(g, tsys)
 
 
+def _kept_end(ws: WorkState, e: int, dropped):
+    """The current end of edge e that is not in dropped."""
+    u, v = ws.realized[e]
+    return v if u in dropped else u
+
+
+def _apply_record(
+    ws: WorkState, dec: TreecutDecomposition, t, rec: Record, keep_y: bool, tag
+) -> bool:
+    """Replace one side of node t's cut by gateways, as rec says, in place.
+
+    With keep_y, Z_t is dropped (the corresponding instance): each I-pair
+    becomes one pair gateway, each F and L edge a single gateway, each
+    F-pair a terminal pair of gateways, and each unmatched terminal a is
+    paired with the gateway of its lambda edge.  Otherwise Y_t is dropped
+    (simplifying a child) with I and F swapped, and a's partner outside Y_t
+    takes the place of a.  Returns False, before any change, when rec uses a
+    deleted edge, a pair group's two kept-side ends coincide, or a
+    terminal's partner is gone.
+    """
+    drop = (dec.z_set(t) if keep_y else dec.y_set(t)) & set(ws.lg.adj)
+    if keep_y:
+        gated, paired, single = rec.ipairs, rec.fpairs, F
+    else:
+        gated, paired, single = rec.fpairs, rec.ipairs, I
+    if any(ws.realized[e] is None for e, lbl in rec.sigma if lbl != U):
+        return False
+    groups = [sorted(pg) for pg in sorted(gated, key=sorted)]
+    if any(_kept_end(ws, e1, drop) == _kept_end(ws, e2, drop) for e1, e2 in groups):
+        return False  # a path would have to visit that vertex twice
+    ends = {a: a if keep_y else _lookup_partner(ws.pairs, a) for a, _ in rec.lam}
+    if None in ends.values():
+        return False
+    groups += [[e] for e, lbl in rec.sigma if lbl in (single, L)]
+    for e, lbl in rec.sigma:
+        if lbl == U and ws.realized[e] is not None:
+            ws.lg.remove_edge(*ws.realized[e])
+            ws.realized[e] = None
+    labels = _terminate_state(ws, drop, groups, tag)
+    label_of = {e: lbl for grp, lbl in zip(groups, labels) for e in grp}
+    for pg in paired:
+        ws.pairs.add(frozenset(label_of[e] for e in pg))
+    for a, e in rec.lam:
+        ws.pairs.add(frozenset((ends[a], label_of[e])))
+    return True
+
+
 def build_corresponding_state(
     g: Graph, tsys: TransitionSystem, pairs, dec: TreecutDecomposition, t, rec: Record
 ) -> WorkState:
@@ -665,78 +689,15 @@ def build_corresponding_state(
         {e: tuple(g.edges[e]) for e in range(g.m)},
         itertools.count(),
     )
-    y = dec.y_set(t)
-    z = dec.z_set(t)
-    groups = [sorted(pg) for pg in sorted(rec.ipairs, key=sorted)]
-    singles = sorted(rec.edges_with(F) + rec.edges_with(L))
-    groups += [[e] for e in singles]
-    # drop unused cut edges first so they do not survive into the instance
-    for e in rec.edges_with(U):
-        u, v = ws.realized[e]
-        ws.lg.remove_edge(u, v)
-        ws.realized[e] = None
-    labels = _terminate_state(ws, z, groups, "R")
-    label_of = {}
-    for grp, lbl in zip(groups, labels):
-        for e in grp:
-            label_of[e] = lbl
-    # terminal pairs of the corresponding instance
-    new_pairs = {p for p in ws.pairs}  # W[Y_t] survived the drop
-    for fp in rec.fpairs:
-        e1, e2 = sorted(fp)
-        new_pairs.add(frozenset((label_of[e1], label_of[e2])))
-    for a, e in rec.lam:
-        new_pairs.add(frozenset((a, label_of[e])))
-    ws.pairs = new_pairs
+    _apply_record(ws, dec, t, rec, True, "R")
     return ws
 
 
 def build_simplified_state(ws: WorkState, g, dec, t, rec: Record, pairs_orig) -> bool:
-    """Apply the simplification of node t according to rec, in place.
+    """Simplify child t according to rec, in place; False when rec cannot be
+    realized in the current graph (see _apply_record)."""
+    return _apply_record(ws, dec, t, rec, False, f"Q{t}")
 
-    Returns False when the record cannot be realized in the current graph
-    (it uses a deleted edge, or a pair group's current endpoints coincide).
-    """
-    y = dec.y_set(t)
-    cut = dec.cut_edges(t)
-    for e in cut:
-        if ws.realized[e] is None and rec.label(e) != U:
-            return False
-    groups = []
-    for fp in sorted(rec.fpairs, key=sorted):
-        e1, e2 = sorted(fp)
-        ends = []
-        for e in (e1, e2):
-            u, v = ws.realized[e]
-            ends.append(v if u in y else u)  # current outside-of-Y_t endpoint
-        if ends[0] == ends[1]:
-            return False  # a path would have to visit that vertex twice
-        groups.append([e1, e2])
-    singles = sorted(rec.edges_with(I) + rec.edges_with(L))
-    groups += [[e] for e in singles]
-    for e in rec.edges_with(U):
-        cur = ws.realized[e]
-        if cur is not None:
-            ws.lg.remove_edge(*cur)
-            ws.realized[e] = None
-    # unmatched terminals must be rewired before their vertices vanish
-    uts = unmatched_terminals(dec, t, pairs_orig)
-    partner_of = {a: _lookup_partner(ws.pairs, a) for a in uts}
-    labels = _terminate_state(ws, set(y & set(ws.lg.adj)), groups, f"Q{t}")
-    label_of = {}
-    for grp, lbl in zip(groups, labels):
-        for e in grp:
-            label_of[e] = lbl
-    lam = dict(rec.lam)
-    for ip in rec.ipairs:
-        e1, e2 = sorted(ip)
-        ws.pairs.add(frozenset((label_of[e1], label_of[e2])))
-    for a in uts:
-        b = partner_of[a]
-        if b is None:
-            return False
-        ws.pairs.add(frozenset((label_of[lam[a]], b)))
-    return True
 
 # ---------------------------------------------------------------------------
 # SComVDP: vertex-disjoint compatible paths when all but a small core has
@@ -818,30 +779,8 @@ def scomvdp_state(lg: LGraph, pairs: Set[frozenset], core: Set) -> bool:
     return _disjoint_paths_search(lg, sorted(pairs, key=lambda p: sorted(map(repr, p))))
 
 
-def scomvdp(
-    g: Graph,
-    tsys: TransitionSystem,
-    pairs,
-    a_side: Iterable[int],
-    b_side: Iterable[int],
-) -> bool:
-    """Public SComVDP over core types; A, B must partition the vertices."""
-    a_set, b_set = set(a_side), set(b_side)
-    if a_set & b_set or a_set | b_set != set(range(g.n)):
-        raise ValueError("A and B must partition the vertex set")
-    for v in b_set:
-        if g.degree(v) > 2:
-            raise ValueError(f"vertex {v} in B has degree {g.degree(v)}")
-    lg = LGraph.from_core(g, tsys)
-    return scomvdp_state(lg, {frozenset(p) for p in pairs}, a_set)
-
-
 # ---------------------------------------------------------------------------
 # The reduction rule for thin children.
-
-
-class NoInstance(Exception):
-    """The whole ComVDP instance is a no-instance."""
 
 
 def _records_effective(ws: WorkState, cut: Sequence[int], d_records) -> list:
@@ -854,157 +793,77 @@ def _records_effective(ws: WorkState, cut: Sequence[int], d_records) -> list:
     return out
 
 
-def _thin_case_state(ws: WorkState, dec, s, pairs_orig):
-    cut = dec.cut_edges(s)
-    present = [e for e in cut if ws.realized[e] is not None]
-    uts = unmatched_terminals(dec, s, pairs_orig)
-    return cut, present, uts
-
-
-def _outside_end(ws: WorkState, e: int, y: frozenset):
-    u, v = ws.realized[e]
-    return v if u in y else u
-
-
 def reduce_thin_child(ws: WorkState, dec: TreecutDecomposition, s, d_records, pairs_orig) -> bool:
     """Apply the thin-child reduction for child s in place.
 
-    Returns False when the record set rules this record context out (the
-    caller then discards the current record).  Raises NoInstance only via
-    the caller when D(s) itself is empty.
+    The candidate records label deleted cut edges U.  With no unmatched
+    terminal they are all-F, all-U and all-I on the present edges; otherwise
+    each assignment of the terminals to present edges, the rest U.  The
+    first candidate in D(s) that _apply_record can realize simplifies s.
+    Two gadgets stand in when two edges are present and every assignment is
+    in D(s): one terminal may leave by either exit, and two terminals may
+    swap exits (a twin gateway).  Returns False when no candidate applies;
+    the caller then discards the current record.
     """
-    y = dec.y_set(s)
-    cut, present, uts = _thin_case_state(ws, dec, s, pairs_orig)
-    eff = _records_effective(ws, cut, d_records)
-    if not eff:
-        return False
+    cut = dec.cut_edges(s)
+    present = [e for e in cut if ws.realized[e] is not None]
+    uts = unmatched_terminals(dec, s, pairs_orig)
 
-    def has(sig):
-        return any(
-            {e: r.label(e) for e in cut} == sig[0]
-            and r.lam == sig[1]
-            for r in eff
-        )
+    def sigma(lbl, edges):
+        return tuple((e, lbl if e in edges else U) for e in cut)
 
-    def lamt(mapping):
-        return tuple(sorted(mapping.items()))
-
-    drop = set(y) & set(ws.lg.adj)
-
-    if len(present) == 0:
-        if not uts and has(({e: U for e in cut}, ())):
-            _terminate_state(ws, drop, [], f"s{s}")
-            return True
-        return False
-
-    if len(present) == 1:
-        (e,) = present
-        rest = {x: U for x in cut if x != e}
-        if len(uts) == 1:
-            (a,) = uts
-            if has(({e: L, **rest}, lamt({a: e}))):
-                b = _lookup_partner(ws.pairs, a)
-                if b is None:
-                    return False
-                (lbl,) = _terminate_state(ws, drop, [[e]], f"s{s}")
-                ws.pairs = {p for p in ws.pairs if a not in p}
-                ws.pairs.add(frozenset((lbl, b)))
-                return True
+    none = frozenset()
+    if uts:
+        cands = [
+            Record(sigma(L, perm), none, none, tuple(sorted(zip(uts, perm))))
+            for perm in itertools.permutations(present, len(uts))
+        ]
+    else:
+        pair = frozenset([frozenset(present)]) if len(present) == 2 else none
+        cands = [
+            Record(sigma(F, present), none, pair, ()),
+            Record(sigma(U, ()), none, none, ()),
+            Record(sigma(I, present), pair, none, ()),
+        ]
+    valid = [r for r in cands if r in d_records]
+    if len(present) == 2 and uts and len(valid) == len(cands):
+        # every assignment is valid: keep the choice of exit open
+        drop = dec.y_set(s) & set(ws.lg.adj)
+        partners = [_lookup_partner(ws.pairs, a) for a in uts]
+        if None in partners:
             return False
-        if not uts and has(({e: U, **rest}, ())):
-            _terminate_state(ws, drop, [], f"s{s}")
-            return True
-        return False
-
-    ei, ej = present
-    zi = _outside_end(ws, ei, y)
-    zj = _outside_end(ws, ej, y)
-    if len(uts) == 0:
-        if zi != zj and has(({ei: F, ej: F}, ())) and any(
-            r.fpairs == frozenset({frozenset((ei, ej))}) for r in eff
-        ):
-            _terminate_state(ws, drop, [[ei, ej]], f"s{s}")
-            return True
-        if has(({ei: U, ej: U}, ())):
-            _terminate_state(ws, drop, [], f"s{s}")
-            return True
-        if any(r.ipairs == frozenset({frozenset((ei, ej))}) for r in eff):
-            l1, l2 = _terminate_state(ws, drop, [[ei], [ej]], f"s{s}")
-            ws.pairs.add(frozenset((l1, l2)))
-            return True
-        return False
-    if len(uts) == 1:
-        (a,) = uts
-        b = _lookup_partner(ws.pairs, a)
-        if b is None:
-            return False
-        both = has(({ei: L, ej: U}, lamt({a: ei}))) and has(
-            ({ei: U, ej: L}, lamt({a: ej}))
-        )
-        if both:
-            if zi != zj:
-                (lbl,) = _terminate_state(ws, drop, [[ei, ej]], f"s{s}")
-            else:
-                # both exits land on one outside vertex; a single-edge
-                # gateway with the union of the two transition contexts is
-                # equivalent to the pair gateway
-                u_j, o_j = ws.realized[ej]
-                if u_j not in drop:
-                    u_j, o_j = o_j, u_j
-                extra = {
-                    p - {u_j}
-                    for p in ws.lg.trans[zj]
-                    if u_j in p
-                }
-                (lbl,) = _terminate_state(ws, drop, [[ei]], f"s{s}")
-                for rest in extra:
-                    (w,) = rest
-                    if w in ws.lg.adj[zj]:
-                        ws.lg.trans[zj].add(frozenset((w, lbl)))
-            ws.pairs = {p for p in ws.pairs if a not in p}
-            ws.pairs.add(frozenset((lbl, b)))
-            return True
-        for e_l, e_u in ((ei, ej), (ej, ei)):
-            if has(({e_l: L, e_u: U}, lamt({a: e_l}))):
-                (lbl,) = _terminate_state(ws, drop, [[e_l]], f"s{s}")
-                ws.pairs = {p for p in ws.pairs if a not in p}
-                ws.pairs.add(frozenset((lbl, b)))
-                return True
-        return False
-    if len(uts) == 2:
-        a1, a2 = uts
-        b1 = _lookup_partner(ws.pairs, a1)
-        b2 = _lookup_partner(ws.pairs, a2)
-        if b1 is None or b2 is None:
-            return False
-        both = has(({ei: L, ej: L}, lamt({a1: ei, a2: ej}))) and has(
-            ({ei: L, ej: L}, lamt({a1: ej, a2: ei}))
-        )
-        if both and zi != zj:
+        ei, ej = present
+        zi, zj = (_kept_end(ws, e, drop) for e in present)
+        if zi != zj:
             (lbl,) = _terminate_state(ws, drop, [[ei, ej]], f"s{s}")
-            twin = ws.new_label(f"s{s}t")
-            ws.lg.add_vertex(twin)
-            for w in sorted(ws.lg.adj[lbl], key=repr):
-                ws.lg.add_edge(twin, w)
-                for p in list(ws.lg.trans[w]):
-                    if lbl in p:
-                        (x,) = p - {lbl}
-                        if x != twin:
-                            ws.lg.trans[w].add(frozenset((x, twin)))
-            ws.lg.allow_all(twin)
-            ws.pairs = {p for p in ws.pairs if a1 not in p and a2 not in p}
-            ws.pairs.add(frozenset((lbl, b1)))
-            ws.pairs.add(frozenset((twin, b2)))
+            ws.pairs.add(frozenset((lbl, partners[0])))
+            if len(uts) == 2:
+                # the twin copies lbl, so the terminals may swap exits
+                twin = ws.new_label(f"s{s}t")
+                ws.lg.add_vertex(twin)
+                for w in sorted(ws.lg.adj[lbl], key=repr):
+                    ws.lg.add_edge(twin, w)
+                    for p in list(ws.lg.trans[w]):
+                        if lbl in p:
+                            (x,) = p - {lbl}
+                            if x != twin:
+                                ws.lg.trans[w].add(frozenset((x, twin)))
+                ws.lg.allow_all(twin)
+                ws.pairs.add(frozenset((twin, partners[1])))
             return True
-        for la1, la2 in ((ei, ej), (ej, ei)):
-            if has(({la1: L, la2: L}, lamt({a1: la1, a2: la2}))):
-                l1, l2 = _terminate_state(ws, drop, [[la1], [la2]], f"s{s}")
-                ws.pairs = {p for p in ws.pairs if a1 not in p and a2 not in p}
-                ws.pairs.add(frozenset((l1, b1)))
-                ws.pairs.add(frozenset((l2, b2)))
-                return True
-        return False
-    return False
+        if len(uts) == 1:
+            # both exits land on one outside vertex; a single-edge gateway
+            # with the union of the two transition contexts is equivalent to
+            # the pair gateway
+            u_j = next(v for v in ws.realized[ej] if v != zj)
+            extra = {p - {u_j} for p in ws.lg.trans[zj] if u_j in p}
+            (lbl,) = _terminate_state(ws, drop, [[ei]], f"s{s}")
+            for (w,) in extra:
+                if w in ws.lg.adj[zj]:
+                    ws.lg.trans[zj].add(frozenset((w, lbl)))
+            ws.pairs.add(frozenset((lbl, partners[0])))
+            return True
+    return any(_apply_record(ws, dec, s, r, False, f"s{s}") for r in valid)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,8 +892,6 @@ def solve_internal(g, tsys, pairs, dec: TreecutDecomposition, t, d_children, wid
         base = build_corresponding_state(g, tsys, pairs, dec, t, rec)
         ok = True
         for s in thin:
-            if not d_children[s]:
-                raise NoInstance(f"thin child {s} has no valid record")
             if not reduce_thin_child(base, dec, s, d_children[s], pairs):
                 ok = False
                 break
@@ -1042,8 +899,6 @@ def solve_internal(g, tsys, pairs, dec: TreecutDecomposition, t, d_children, wid
             continue
         eff = {}
         for s in bold:
-            if not d_children[s]:
-                raise NoInstance(f"bold child {s} has no valid record")
             eff[s] = _records_effective(base, dec.cut_edges(s), d_children[s])
             if not eff[s]:
                 ok = False
@@ -1087,7 +942,7 @@ def comvdp(g: Graph, tsys: TransitionSystem, pairs, dec: DecompositionFile,
     flat = [v for p in pairs for v in p]
     if len(flat) != len(set(flat)):
         return False, {"reason": "overlapping terminal pairs"}
-    tc, width = _make_nice(g, dec)
+    tc, width = make_nice(g, dec)
     info = {"width": width, "nice": True}
     if return_tables:
         info["decomposition"] = tc
@@ -1096,18 +951,15 @@ def comvdp(g: Graph, tsys: TransitionSystem, pairs, dec: DecompositionFile,
         if len(unmatched_terminals(tc, t, pairs)) > len(tc.cut_edges(t)):
             return False, info  # cut too small for the crossing terminals
     d = {}
-    try:
-        for t in tc.nodes():
-            if not tc.children[t]:
-                d[t] = solve_leaf(g, tsys, pairs, tc, t, width)
-            else:
-                d[t] = solve_internal(g, tsys, pairs, tc, t, d, width)
-            if return_tables:
-                info["tables"][t] = list(d[t])
-            if not d[t]:
-                return False, info
-    except NoInstance:
-        return False, info
+    for t in tc.nodes():
+        if not tc.children[t]:
+            d[t] = solve_leaf(g, tsys, pairs, tc, t, width)
+        else:
+            d[t] = solve_internal(g, tsys, pairs, tc, t, d, width)
+        if return_tables:
+            info["tables"][t] = list(d[t])
+        if not d[t]:
+            return False, info
     return d[tc.root] == [EMPTY_RECORD], info
 
 

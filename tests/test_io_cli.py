@@ -365,3 +365,25 @@ def test_deep_inputs_write_one_report(tmp_path):
     report = json.loads(out)
     assert report["answer"] is True and report["nu"] == 1199
     assert report["witness"] == list(range(1200))
+
+
+@pytest.mark.parametrize("pairs", [["0,8", "4,11"], ["2,8", "5,11"]], ids=["yes", "no"])
+def test_comvdp_runs_the_dp_on_a_given_decomposition(tmp_path, pairs):
+    # four triangles in a tree of links, one bag each: width 3, four nodes
+    from transita.core import Graph, TransitionSystem, all_transitions
+
+    tri = [(3 * i + a, 3 * i + b) for i in range(4) for a, b in ((0, 1), (1, 2), (0, 2))]
+    g = Graph(12, sorted(tri + [(2, 3), (1, 4), (5, 6), (4, 9)]))
+    t = TransitionSystem([q for i, q in enumerate(sorted(all_transitions(g).pairs)) if i % 5])
+    inst, decp = tmp_path / "tri.json", tmp_path / "tri.dec.json"
+    inst.write_bytes(serialize_instance(Instance(g, t)))
+    bags = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(4))
+    decp.write_bytes(serialize_decomposition(DecompositionFile(0, ((0, 1), (1, 2), (1, 3)), bags)))
+    argv = ["comvdp", "--instance", str(inst), "--decomposition", str(decp), "--pairs", *pairs]
+    outs = [re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', run_cli(argv)[1])
+            for _ in range(2)]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    _, oracle_out = run_cli(["oracle", "disjoint", "--instance", str(inst), "--pairs", *pairs])
+    assert report["answer"] == json.loads(oracle_out)["answer"] == (pairs[0] == "0,8")
+    assert report["width"] == 3 and report["nice"] is True

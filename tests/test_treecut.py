@@ -20,10 +20,10 @@ from transita.treecut import (
     exhaustive_treecut_decomposition,
     NicenessError,
     make_nice,
-    scomvdp,
+    scomvdp_state,
     single_bag_treecut,
     suppress_vertex,
-    terminate_core,
+    terminate,
     unmatched_terminals,
 )
 
@@ -105,7 +105,7 @@ def test_make_nice_properties():
             tuple(tuple(b) for b in bags),
         )
         before, was_nice = evaluate_width(g, dec)
-        nice = make_nice(g, dec)
+        nice = make_nice(g, dec)[0].to_file()
         after, is_nice = evaluate_width(g, nice)
         assert is_nice and after <= before
         assert nice.num_nodes == dec.num_nodes
@@ -263,14 +263,21 @@ def test_suppression_preserves_path_existence():
                 assert (before is None) == (after is None)
 
 
+def _terminate_edges(g, t, inner, groups):
+    """terminate over edge ids, each cut edge given as (inside, outside)."""
+    ends = [[g.edges[e] if g.edges[e][0] in inner else g.edges[e][::-1] for e in grp]
+            for grp in groups]
+    return terminate(LGraph.from_core(g, t), set(inner), ends)
+
+
 def test_terminate_examples():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     t = all_transitions(g)
-    lg, labels = terminate_core(g, t, [0, 1, 2], [[3]])
+    lg, labels = _terminate_edges(g, t, [0, 1, 2], [[3]])
     assert lg.degree(labels[0]) == 1
     # pair group: a degree-2 gateway with both transitions permitted
     g5 = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 4)])
-    lg, labels = terminate_core(g5, all_transitions(g5), [0, 1, 2], [[2, 3]])
+    lg, labels = _terminate_edges(g5, all_transitions(g5), [0, 1, 2], [[2, 3]])
     c = labels[0]
     assert set(lg.adj[c]) == {0, 2} and lg.permits(0, c, 2)
     # result is simple, gateways have degree <= 2
@@ -283,9 +290,9 @@ def test_terminate_rejects_bad_families():
     from transita.treecut import TerminationError
 
     with pytest.raises(TerminationError):
-        terminate_core(g, t, [0], [[0, 1]])  # same inside endpoint twice
+        _terminate_edges(g, t, [0], [[0, 1]])  # same inside endpoint twice
     with pytest.raises(TerminationError):
-        terminate_core(g, t, [0, 1], [[0]])  # edge does not cross
+        _terminate_edges(g, t, [0, 1], [[0]])  # edge does not cross
 
 
 def test_terminate_path_crossing_observation():
@@ -317,7 +324,7 @@ def test_terminate_path_crossing_observation():
         if groups is None:
             continue
         try:
-            lg, labels = terminate_core(g, t, inner, groups)
+            lg, labels = _terminate_edges(g, t, inner, groups)
         except Exception:
             continue
         g2, t2, lab = lg.to_core()
@@ -385,8 +392,8 @@ def test_corresponding_instance_shapes():
 def test_scomvdp_examples_and_equivalence():
     g = Graph(3, [(0, 1)])
     t = all_transitions(g)
-    assert scomvdp(g, t, [], {0}, {1, 2})
-    assert not scomvdp(g, t, [(0, 2)], {0}, {1, 2})
+    assert scomvdp_state(LGraph.from_core(g, t), set(), {0})
+    assert not scomvdp_state(LGraph.from_core(g, t), {frozenset((0, 2))}, {0})
     rng = random.Random(31)
     for _ in range(200):
         n = rng.randint(3, 8)
@@ -404,15 +411,15 @@ def test_scomvdp_examples_and_equivalence():
         pairs = []
         while len(avail) >= 2 and len(pairs) < 3 and rng.random() < 0.8:
             pairs.append((avail.pop(), avail.pop()))
-        assert scomvdp(g, t, pairs, a_side, b_side) == brute_disjoint_paths(
-            g, t, pairs, "vertex"
-        )
+        got = scomvdp_state(LGraph.from_core(g, t), set(map(frozenset, pairs)), a_side)
+        assert got == brute_disjoint_paths(g, t, pairs, "vertex")
 
 
 def test_scomvdp_precondition():
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     with pytest.raises(ValueError):
-        scomvdp(g, all_transitions(g), [], {1}, {0, 2, 3})  # degree-3 vertex in B
+        # degree-3 vertex 0 outside the core
+        scomvdp_state(LGraph.from_core(g, all_transitions(g)), set(), {1})
 
 
 def _solvable_instance(rng):
