@@ -277,17 +277,6 @@ class Walk:
         return len(set(self.vertices[:-1])) == len(self.vertices) - 1
 
 
-def walk_from_vertices(g: Graph, vertices: Sequence[int]) -> Walk:
-    """Build a walk in an undirected graph from its vertex sequence."""
-    eids = []
-    for u, v in zip(vertices, vertices[1:]):
-        e = g.edge_id(u, v)
-        if e is None:
-            raise ValueError(f"no edge between {u} and {v}")
-        eids.append(e)
-    return Walk(tuple(vertices), tuple(eids))
-
-
 def validate_walk(g, w: Walk) -> None:
     """Raise ValueError unless w is a structurally valid walk in g."""
     if isinstance(g, Graph):

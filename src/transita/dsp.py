@@ -6,6 +6,10 @@ to both terminals' shortest-path sets are contracted, the second side is
 reversed, and product arcs are pruned by compatibility tests inside the
 contracted blobs.  Every positive answer is backed by two reconstructed,
 independently re-validated witness paths.
+
+_BlobRouter is the one compatible-route search on acyclic graphs: a line
+sweep (dag_compatible_path_raw) for one route through a blob and a
+Perl-Shiloach product sweep (_dag_two_disjoint) for two disjoint routes.
 """
 
 from __future__ import annotations
@@ -23,13 +27,9 @@ class PositivityError(ValueError):
     """The input contains a zero-length directed cycle."""
 
 
-class AcyclicityError(ValueError):
-    """A graph required to be acyclic has a directed cycle."""
-
-
-def _kahn(succ: dict, error: str = "directed cycle present") -> list:
+def _kahn(succ: dict) -> list:
     """Topological order of the digraph given as node -> successor nodes
-    (repeats allowed); raises AcyclicityError(error) on a directed cycle."""
+    (repeats allowed); shorter than succ when there is a directed cycle."""
     indeg = dict.fromkeys(succ, 0)
     for ws in succ.values():
         for w in ws:
@@ -43,8 +43,6 @@ def _kahn(succ: dict, error: str = "directed cycle present") -> list:
             indeg[w] -= 1
             if indeg[w] == 0:
                 stack.append(w)
-    if len(order) != len(succ):
-        raise AcyclicityError(error)
     return order
 
 
@@ -145,9 +143,6 @@ class DArcGraph:
         sub.trans = {p for p in self.trans if p <= keep}
         return sub
 
-    def topo_order(self) -> list:
-        return _kahn({v: [self.head(a) for a in self.out[v]] for v in self.vertices})
-
 
 def _dijkstra_labels(dg: DArcGraph, s) -> dict:
     dist = {v: INF for v in dg.vertices}
@@ -174,21 +169,13 @@ def check_positive_cycles(g: DiGraph) -> None:
     for a, (u, v) in enumerate(g.arcs):
         if g.weight(a) == 0:
             succ[u].append(v)
-    try:
-        _kahn(succ)
-    except AcyclicityError:
-        raise PositivityError("zero-length directed cycle") from None
-
-
-def shortest_edge_sets(g: DiGraph, s: int, t: int):
-    """Arcs lying on some shortest s-t path: tight arcs from which t stays
-    reachable inside the tight subgraph.  Returns (arc id list, dist map)."""
-    dg = DArcGraph.from_core(g, TransitionSystem())
-    arcs, dist = _tight_reaching(dg, s, t)
-    return arcs, dist
+    if len(_kahn(succ)) != g.n:
+        raise PositivityError("zero-length directed cycle")
 
 
 def _tight_reaching(dg: DArcGraph, s, t):
+    """Arcs on some shortest s-t path: tight arcs from which t stays
+    reachable inside the tight subgraph.  Returns (arc id list, dist map)."""
     dist = _dijkstra_labels(dg, s)
     tight = [
         a
@@ -209,9 +196,10 @@ def _tight_reaching(dg: DArcGraph, s, t):
     return sorted((a for a in tight if dg.head(a) in reach), key=repr), dist
 
 
-def _add_sentinels(dg: DArcGraph, s1, t1, s2, t2, tag) -> dict:
-    """Zero-length sentinel arcs (tag, "A_i") into s_i and (tag, "B_i") out
-    of t_i, each with a fresh outer end labelled like the arc itself.
+def _add_sentinels(dg: DArcGraph, s1, t1, s2, t2) -> dict:
+    """Zero-length sentinel arcs ("sa", "A_i") into s_i and ("sa", "B_i") out
+    of t_i, each with a fresh outer end labelled like the arc itself (see
+    SENT_LABELS).
 
     Every continuation out of s_i and into t_i is permitted; the update is a
     union, so transitions of other paths passing through a terminal survive.
@@ -219,7 +207,7 @@ def _add_sentinels(dg: DArcGraph, s1, t1, s2, t2, tag) -> dict:
     """
     ids = {}
     for name, v in (("A1", s1), ("B1", t1), ("A2", s2), ("B2", t2)):
-        aid = ids[name] = (tag, name)
+        aid = ids[name] = ("sa", name)
         dg.add_vertex(aid)
         dg.add_vertex(v)
         if name[0] == "A":
@@ -253,27 +241,11 @@ def dag_compatible_path_raw(line: dict, starts) -> dict:
     return _level_sweep(starts, lambda a: zip(line[a], line[a]))
 
 
-def dag_compatible_path(g: DiGraph, t: TransitionSystem, s: int, tgt: int, witness=False):
-    """Compatible s-tgt path in an acyclic digraph; errors on cyclic input."""
-    dg = DArcGraph.from_core(g, t)
-    dg.topo_order()  # raises on cycles
-    parent = dag_compatible_path_raw(_line_digraph(dg), dg.out.get(s, ()))
-    end = next((a for a in parent if dg.head(a) == tgt), None)
-    ok = s == tgt or end is not None
-    if not witness:
-        return ok
-    if not ok:
-        return False, None
-    seq = () if s == tgt else tuple(_chain(parent, end))
-    walk = Walk((s,) + tuple(g.head(a) for a in seq), seq)
-    if not (walk.is_path() and is_compatible_walk(g, t, walk)):
-        raise InvariantError("DAG witness is not a compatible path")
-    return True, walk
-
-
 def _levels(dg: DArcGraph) -> dict:
     """Length of the longest directed path starting at each vertex."""
-    order = dg.topo_order()
+    order = _kahn({v: [dg.head(a) for a in dg.out[v]] for v in dg.vertices})
+    if len(order) != len(dg.vertices):
+        raise InvariantError("a blob graph has a directed cycle")
     lvl = {v: 0 for v in dg.vertices}
     for v in reversed(order):
         for a in dg.out[v]:
@@ -281,7 +253,7 @@ def _levels(dg: DArcGraph) -> dict:
     return lvl
 
 
-def _dag_two_disjoint(dg: DArcGraph, line, lvl, start, vertex_mode, goal=None) -> dict:
+def _dag_two_disjoint(dg: DArcGraph, line, lvl, start, vertex_mode) -> dict:
     """Perl-Shiloach style sweep over arc pairs of an acyclic digraph.
 
     A product node (e1, e2) holds the last arcs of both partial paths; the
@@ -311,27 +283,7 @@ def _dag_two_disjoint(dg: DArcGraph, line, lvl, start, vertex_mode, goal=None) -
                     out.append(((e1n, e2), (1, e1n)))
         return out
 
-    return _level_sweep([start], successors, goal)
-
-
-def dag_two_disjoint(g: DiGraph, t: TransitionSystem, s1, t1, s2, t2, mode, witness=False):
-    """Two compatible s_i-t_i paths in an acyclic digraph, edge-disjoint or
-    vertex-disjoint as mode ("edge" or "vertex") says; errors on cyclic input."""
-    if mode == "vertex" and {s1, t1} & {s2, t2}:
-        return (False, None) if witness else False
-    dg = DArcGraph.from_core(g, t)
-    sent = _add_sentinels(dg, s1, t1, s2, t2, "darc")
-    start, goal = (sent["A1"], sent["A2"]), (sent["B1"], sent["B2"])
-    parent = _dag_two_disjoint(dg, _line_digraph(dg), _levels(dg), start, mode == "vertex", goal)
-    if goal not in parent:
-        return (False, None) if witness else False
-    if not witness:
-        return True
-    steps = _labels(parent, goal)
-    strip = set(sent.values())
-    return True, tuple(
-        tuple(a for side, a in steps if side == i and a not in strip) for i in (1, 2)
-    )
+    return _level_sweep([start], successors)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +326,11 @@ class ContractedStar:
         for a in self.e1_star + self.e2_star:
             tl, hd = self.star_tail(a), self.star_head(a)
             if tl == hd:
-                raise AcyclicityError("a non-contracted arc closed a loop")
+                raise InvariantError("a non-contracted arc closed a loop")
             succ[tl].add(hd)
-        topo = _kahn(succ, "contracted graph has a directed cycle")
+        topo = _kahn(succ)
+        if len(topo) != len(succ):
+            raise InvariantError("contracted graph has a directed cycle")
         self.reach = {c: {c} for c in self.members}
         for c in reversed(topo):
             for d in succ[c]:
@@ -557,7 +511,7 @@ def _two_dspp(g, t, s1, t1, s2, t2, mode, witness, stats):
     if mode == "vertex" and {s1, t1} & {s2, t2}:
         return DspResult(False, diagnostic="terminal pairs share a vertex")
     dg = DArcGraph.from_core(g, t)
-    a_ids = _add_sentinels(dg, s1, t1, s2, t2, "sa")
+    a_ids = _add_sentinels(dg, s1, t1, s2, t2)
     e1, e2 = _tight_pairs(dg, a_ids)
     if a_ids["A1"] not in e1 or a_ids["A2"] not in e2:
         return DspResult(False, diagnostic="a target is unreachable")
@@ -653,7 +607,7 @@ def _reconstruct(star, routers, steps, start):
 # Vertex-disjoint variant via vertex splitting.
 
 
-# the outer ends of the working graph's sentinel arcs, which _two_dspp tags "sa"
+# the outer ends of the working graph's sentinel arcs (see _add_sentinels)
 SENT_LABELS = {("sa", name) for name in ("A1", "B1", "A2", "B2")}
 
 

@@ -94,6 +94,18 @@ def gen_random_psi(m_h: int, n_g: int, p_edge: float, seed: int) -> PSIInstance:
     return psi
 
 
+def _transition_system(g: Graph, specified: Dict[int, Set[frozenset]]) -> TransitionSystem:
+    """Every pair of edges at a vertex not in specified, and at a vertex in
+    it the pairs whose other ends form one of its permitted neighbor pairs."""
+    pairs = []
+    for v in range(g.n):
+        allowed = specified.get(v)
+        for e, f in itertools.combinations(g.incident(v), 2):
+            if allowed is None or frozenset((g.other_end(e, v), g.other_end(f, v))) in allowed:
+                pairs.append((e, f))
+    return TransitionSystem(pairs)
+
+
 @dataclass
 class ReductionOutput:
     """A forbidden-transition instance built from a PSI instance.
@@ -113,19 +125,7 @@ class ReductionOutput:
     cycle_edge: Optional[int] = None
 
     def transition_system(self) -> TransitionSystem:
-        g = self.graph
-        pairs = []
-        for v in range(g.n):
-            if v in self.specified:
-                allowed = self.specified[v]
-                for e, f in itertools.combinations(g.incident(v), 2):
-                    nb = frozenset((g.other_end(e, v), g.other_end(f, v)))
-                    if nb in allowed:
-                        pairs.append((e, f))
-            else:
-                for e, f in itertools.combinations(g.incident(v), 2):
-                    pairs.append((e, f))
-        return TransitionSystem(pairs)
+        return _transition_system(self.graph, self.specified)
 
     @property
     def modulator(self) -> tuple:
@@ -287,17 +287,7 @@ class HamiltonianReductionOutput:
     bags: tuple  # width-2 path decomposition of the remainder
 
     def transition_system(self) -> TransitionSystem:
-        helper = ReductionOutput(
-            graph=self.graph,
-            s=self.s,
-            t=self.t,
-            specified=self.specified,
-            y_vertices=self.y_vertices,
-            z_vertices=self.z_vertices,
-            path_vertices=(),
-            t1=-1,
-        )
-        return helper.transition_system()
+        return _transition_system(self.graph, self.specified)
 
     @property
     def modulator(self) -> tuple:

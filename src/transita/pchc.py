@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import EdgeColoring, Graph, InvariantError
 from .io import DecompositionFile, postorder
@@ -46,12 +46,12 @@ IRREDUCIBLE = {
 class FieldGF2a:
     """Arithmetic in GF(2^a) via log/antilog tables (a <= 16)."""
 
-    def __init__(self, a: int, irreducible: Optional[int] = None):
+    def __init__(self, a: int):
         if a not in IRREDUCIBLE:
             raise ValueError(f"unsupported field exponent {a}")
         self.a = a
         self.size = 1 << a
-        self.poly = IRREDUCIBLE[a] if irreducible is None else irreducible
+        self.poly = IRREDUCIBLE[a]
         self._exp = [0] * (2 * self.size)
         self._log = [0] * self.size
         x = 1
@@ -106,13 +106,6 @@ class FieldGF2a:
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._exp[(self.size - 1) - self._log[x]]
-
-    def pow(self, x: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if x == 0:
-            return 0
-        return self._exp[(self._log[x] * e) % (self.size - 1)]
 
 
 def field_for_colors(num_colors: int) -> FieldGF2a:

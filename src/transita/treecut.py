@@ -693,12 +693,6 @@ def build_corresponding_state(
     return ws
 
 
-def build_simplified_state(ws: WorkState, g, dec, t, rec: Record, pairs_orig) -> bool:
-    """Simplify child t according to rec, in place; False when rec cannot be
-    realized in the current graph (see _apply_record)."""
-    return _apply_record(ws, dec, t, rec, False, f"Q{t}")
-
-
 # ---------------------------------------------------------------------------
 # SComVDP: vertex-disjoint compatible paths when all but a small core has
 # degree at most two.
@@ -912,7 +906,7 @@ def solve_internal(g, tsys, pairs, dec: TreecutDecomposition, t, d_children, wid
             )
             good = True
             for s, rec_s in zip(bold, combo):
-                if not build_simplified_state(ws, g, dec, s, rec_s, pairs):
+                if not _apply_record(ws, dec, s, rec_s, False, f"Q{s}"):
                     good = False
                     break
             if not good:

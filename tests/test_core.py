@@ -17,7 +17,6 @@ from transita.core import (
     is_compatible_walk,
     proper_coloring_transitions,
     validate_transition_system,
-    walk_from_vertices,
     INF,
 )
 from transita.genred import gen_random_ftg
@@ -57,7 +56,7 @@ def test_compatible_walk_examples():
     g = Graph(3, [(0, 1), (1, 2)])
     single = Walk((0, 1), (0,))
     assert is_compatible_walk(g, TransitionSystem(), single)
-    w = walk_from_vertices(g, [0, 1, 2])
+    w = Walk((0, 1, 2), (g.edge_id(0, 1), g.edge_id(1, 2)))
     assert not is_compatible_walk(g, TransitionSystem(), w)
     assert is_compatible_walk(g, TransitionSystem([(0, 1)]), w)
     with pytest.raises(ValueError):
@@ -162,9 +161,9 @@ def test_round_trip_seeded_corpus():
 
 def test_walk_predicates():
     g = triangle()
-    w = walk_from_vertices(g, [0, 1, 2, 0])
+    w = Walk((0, 1, 2, 0), (g.edge_id(0, 1), g.edge_id(1, 2), g.edge_id(2, 0)))
     assert w.is_closed() and w.is_cycle() and not w.is_path()
-    assert walk_from_vertices(g, [0, 1]).is_path()
+    assert Walk((0, 1), (g.edge_id(0, 1),)).is_path()
 
 
 def test_no_assert_statements_in_the_package():
@@ -199,3 +198,45 @@ def test_no_unused_imports_in_the_package():
             used |= set(transita.__all__)
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
+
+
+# public definitions that nothing in the package or the benchmark uses, kept
+# for the tests, each for the reason beside it
+REFERENCES = (
+    "verify_k_perfect",  # brute-force check that a hash family is k-perfect
+    "fit_colored",  # the paper's fit relation on colored traces, spelled out
+    "pi_row",  # the paper's Pi-vector of one colored trace, for the rank lemma
+    "correspondence_record",  # the record a known solution induces at a node
+    "psi_reduction_cycle",  # the paper's compatible-cycle hardness reduction
+    "is_linear_forest",  # checks the linear-forest modulator of a reduction
+    "validate_ham_bags",  # checks the path decomposition of a reduction
+    "single_bag_treecut",  # the trivial decomposition, a baseline for tests
+)
+
+
+def test_every_public_definition_is_used_or_a_reference():
+    # a use is a name, an attribute or a string (so __all__ and the
+    # benchmark's wrapped names count) anywhere in the package or bench/*.py
+    import transita
+
+    pkg = pathlib.Path(transita.__file__).parent
+    used = set()
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    for path in sorted(pkg.glob("*.py")) + sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    unused = [
+        node.name
+        for path in sorted(pkg.glob("*.py"))
+        if path.name != "oracle.py"
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert sorted(unused) == sorted(REFERENCES)

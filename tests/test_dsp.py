@@ -6,13 +6,13 @@ from transita.core import (
     DiGraph, TransitionSystem, Walk, all_transitions, dijkstra, is_compatible_walk,
 )
 from transita.dsp import (
-    AcyclicityError,
+    STAT_KEYS,
+    DArcGraph,
     PositivityError,
+    _BlobRouter,
+    _tight_reaching,
     check_positive_cycles,
-    dag_compatible_path,
-    dag_two_disjoint,
     edge_disjoint_2dspp,
-    shortest_edge_sets,
     vertex_disjoint_2dspp,
 )
 from transita.oracle import brute_2dspp, enumerate_shortest_compatible_paths
@@ -37,17 +37,18 @@ def random_transitions(rng, g, keep=0.7):
 
 
 def test_shortest_edge_sets_examples():
+    # the arcs on some shortest path, as _tight_reaching computes E1 and E2
+    def shortest_edge_set(g, s, t):
+        return sorted(_tight_reaching(DArcGraph.from_core(g, TransitionSystem()), s, t)[0])
+
     g = DiGraph(4, [(0, 1), (1, 2), (2, 3)], (1, 1, 1))
-    arcs, _ = shortest_edge_sets(g, 0, 3)
-    assert sorted(arcs) == [0, 1, 2]
+    assert shortest_edge_set(g, 0, 3) == [0, 1, 2]
     # diamond with two equal routes keeps both
     d = DiGraph(4, [(0, 1), (1, 3), (0, 2), (2, 3)], (1, 1, 1, 1))
-    arcs, _ = shortest_edge_sets(d, 0, 3)
-    assert sorted(arcs) == [0, 1, 2, 3]
+    assert shortest_edge_set(d, 0, 3) == [0, 1, 2, 3]
     # an arc on a strictly longer route is excluded
     d2 = DiGraph(4, [(0, 1), (1, 3), (0, 2), (2, 3)], (1, 1, 2, 2))
-    arcs, _ = shortest_edge_sets(d2, 0, 3)
-    assert sorted(arcs) == [0, 1]
+    assert shortest_edge_set(d2, 0, 3) == [0, 1]
 
 
 def test_positive_cycle_check():
@@ -56,57 +57,6 @@ def test_positive_cycle_check():
         check_positive_cycles(g)
     ok = DiGraph(2, [(0, 1), (1, 0)], (0, 1))
     check_positive_cycles(ok)
-
-
-def test_dag_compatible_path_examples():
-    g = DiGraph(2, [(0, 1)])
-    assert dag_compatible_path(g, TransitionSystem(), 0, 1)
-    g2 = DiGraph(3, [(0, 1), (1, 2)])
-    assert not dag_compatible_path(g2, TransitionSystem(), 0, 2)
-    assert dag_compatible_path(g2, TransitionSystem([(0, 1)]), 0, 2)
-    cyc = DiGraph(2, [(0, 1), (1, 0)])
-    with pytest.raises(AcyclicityError):
-        dag_compatible_path(cyc, TransitionSystem(), 0, 1)
-
-
-def test_dag_compatible_path_matches_enumeration():
-    rng = random.Random(40)
-    for _ in range(150):
-        n = rng.randint(3, 9)
-        arcs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-        g = DiGraph(n, arcs)
-        t = random_transitions(rng, g, 0.6)
-        s, tgt = rng.randrange(n), rng.randrange(n)
-        ok, wit = dag_compatible_path(g, t, s, tgt, witness=True)
-        # reference: DFS over all compatible arc walks
-        def dfs(v, last):
-            if v == tgt:
-                return True
-            return any(
-                dfs(g.head(a), a)
-                for hv, a in g.out(v)
-                if last is None or t.permits(last, a)
-            )
-        assert ok == dfs(s, None)
-        if ok and s != tgt:
-            assert wit.is_path() and is_compatible_walk(g, t, wit)
-
-
-def test_dag_two_disjoint_examples():
-    # two arc-disjoint parallel tracks
-    g = DiGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    t = all_transitions(g)
-    assert dag_two_disjoint(g, t, 0, 2, 3, 5, "edge")
-    assert dag_two_disjoint(g, t, 0, 2, 3, 5, "vertex")
-    # one mandatory shared bridge arc
-    bridge = DiGraph(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])
-    tb = all_transitions(bridge)
-    assert not dag_two_disjoint(bridge, tb, 0, 4, 1, 5, "edge")
-    # transition-blocked variant of a feasible instance
-    g2 = DiGraph(4, [(0, 1), (1, 2), (1, 3)])
-    t_ok = TransitionSystem([(0, 1), (0, 2)])
-    assert dag_compatible_path(g2, t_ok, 0, 2)
-    assert not dag_compatible_path(g2, TransitionSystem([(0, 2)]), 0, 2)
 
 
 def test_2dspp_parallel_corridors():
@@ -368,10 +318,9 @@ def test_2dspp_counters_on_a_12_by_12_grid(monkeypatch):
 
 def test_router_matches_per_route_search_on_the_reanchored_subgraph():
     # the router answers every route of a blob from one graph that carries
-    # all boundary arcs; each answer must equal a search on the blob with
-    # only that route's boundary arcs, each on a fresh outside end
-    from transita.dsp import STAT_KEYS, DArcGraph, _BlobRouter
-
+    # all boundary arcs; each answer must equal the oracle's on the blob with
+    # only that route's boundary arcs, each on a fresh outside end.  The
+    # copy has zero weights, so in it every route is a shortest one.
     rng = random.Random(17)
     checked = 0
     for _ in range(120):
@@ -385,8 +334,9 @@ def test_router_matches_per_route_search_on_the_reanchored_subgraph():
         exits = [a for a, (u, v) in enumerate(arcs) if u in members and v not in members]
 
         def reanchored(routes):
-            """The blob plus each route's entry and exit arc on fresh ends;
-            returns the graph, its transitions and the route ends."""
+            """The blob plus each route's entry and exit arc on fresh ends,
+            all of weight 0; returns the graph, its transitions and the
+            route ends."""
             ids = {v: i for i, v in enumerate(sorted(members))}
             sub, ends = [], []
             for a in inner:
@@ -397,7 +347,7 @@ def test_router_matches_per_route_search_on_the_reanchored_subgraph():
                 sub.append((a_out, (ids[arcs[a_out][0]], tgt)))
                 ends += [s, tgt]
             pos = {a: i for i, (a, _) in enumerate(sub)}
-            h = DiGraph(len(ids) + len(ends), [e for _, e in sub])
+            h = DiGraph(len(ids) + len(ends), [e for _, e in sub], (0,) * len(sub))
             th = TransitionSystem(
                 [(pos[a], pos[b]) for a, b in t.pairs if a in pos and b in pos]
             )
@@ -410,7 +360,7 @@ def test_router_matches_per_route_search_on_the_reanchored_subgraph():
                 for a_out in exits:
                     h, th, ends = reanchored([(a_in, a_out)])
                     ok = a_out in router.single(a_in)
-                    assert ok == dag_compatible_path(h, th, *ends)
+                    assert ok == bool(enumerate_shortest_compatible_paths(h, th, *ends))
                     if ok:
                         route = [a_in] + router.interior(a_in, a_out) + [a_out]
                         w = Walk((arcs[a_in][0],) + tuple(arcs[a][1] for a in route), tuple(route))
@@ -424,6 +374,6 @@ def test_router_matches_per_route_search_on_the_reanchored_subgraph():
                                 continue
                             h, th, ends = reanchored([(e1a, e1n), (e2n, e2a)])
                             ok = (e1n, e2a) in router.pair(e1a, e2n)
-                            assert ok == dag_two_disjoint(h, th, *ends, mode)
+                            assert ok == brute_2dspp(h, th, [ends[:2], ends[2:]], mode)
                             checked += ok
     assert checked > 100

@@ -11,8 +11,8 @@ from transita.treecut import (
     EMPTY_RECORD,
     LGraph,
     TreecutDecomposition,
+    _apply_record,
     build_corresponding_state,
-    build_simplified_state,
     comvdp,
     correspondence_record,
     enumerate_records,
@@ -495,7 +495,7 @@ def test_records_duality_and_simplification_safety():
             # simplification safety, second statement: the simplified
             # instance stays solvable when the record matches a solution
             ws = build_corresponding_state(g, t, pairs, tc, tc.root, EMPTY_RECORD)
-            if tn != tc.root and build_simplified_state(ws, g, tc, tn, rec, pairs):
+            if tn != tc.root and _apply_record(ws, tc, tn, rec, False, f"Q{tn}"):
                 g2, t2, labels = ws.lg.to_core()
                 idx = {l: i for i, l in enumerate(labels)}
                 new_pairs = [tuple(idx[v] for v in p) for p in ws.pairs]
