@@ -139,25 +139,41 @@ class SlotGraph:
     def __init__(self, g: Graph, t: TransitionSystem):
         self.g = g
         self.t = t
-        edges, pairs = g.edges, t.pairs
-        succ = [[] for _ in range(2 * g.m)]
-        pred = [[] for _ in range(2 * g.m)]
-        # Slots are visited in increasing id, so each pred list comes out in
-        # increasing id as well.  The pair test is t.permits(e, f) inlined.
-        for e in range(g.m):
-            for d in (0, 1):
-                sid = 2 * e + d
-                out = succ[sid]
-                for w, f in g.adj(edges[e][1 - d]):
-                    if f == e or ((e, f) if e < f else (f, e)) not in pairs:
-                        continue
-                    nxt = 2 * f + (0 if edges[f][1] == w else 1)
-                    out.append(nxt)
-                    pred[nxt].append(sid)
+        edges, m = g.edges, g.m
+        succ = [[] for _ in range(2 * m)]
+        pred = [[] for _ in range(2 * m)]
+        # A permitted pair (e, f) meeting at w links in(e, w) -> out(f, w)
+        # and in(f, w) -> out(e, w), where in(e, w) is 2e + (edges[e][1] != w)
+        # and out(f, w) is 2f + (edges[f][0] != w).  Pairs that are no
+        # transition of g (ids out of range, no shared vertex) add nothing.
+        for e, f in t.pairs:
+            if not (0 <= e < m and 0 <= f < m) or e == f:
+                continue
+            a, b = edges[e]
+            c, d = edges[f]
+            if a == c or a == d:
+                w = a
+            elif b == c or b == d:
+                w = b
+            else:
+                continue
+            ie, oe = 2 * e + (b != w), 2 * e + (a != w)
+            i_f, of = 2 * f + (d != w), 2 * f + (c != w)
+            succ[ie].append(of)
+            pred[of].append(ie)
+            succ[i_f].append(oe)
+            pred[oe].append(i_f)
+        # in increasing slot id, which is adjacency order at the head
+        for links in succ + pred:
+            links.sort()
         self.succ = tuple(map(tuple, succ))
         self.pred = tuple(map(tuple, pred))
-        self.heads = tuple(g.edges[sid >> 1][1 - (sid & 1)] for sid in range(2 * g.m))
-        self.tails = tuple(g.edges[sid >> 1][sid & 1] for sid in range(2 * g.m))
+        heads, tails = [], []
+        for u, v in edges:
+            heads += (v, u)
+            tails += (u, v)
+        self.heads = tuple(heads)
+        self.tails = tuple(tails)
 
     def slot(self, e: int, head: int) -> int:
         u, v = self.g.edges[e]

@@ -12,6 +12,19 @@ time a join needs it.  The filter is exact: table entries whose lower end
 lies at layer du are written only by the seeding or by the join at m = du,
 and the join visits m in descending order, so they are final before any
 m < du reads them.
+
+Calls that provably find nothing are not made.  A path inside G_(x, hi]
+visits x only as its first vertex, so after its first edge it is a
+compatible walk inside the layers dist(x)+1..hi.  One backward walk search
+over those layers, from the goal slots with both ends in them, bounds that
+walk's length from below for every start vertex x of the layer at once
+(one search per seeding layer, and one per (m, du) for the join).  A start
+edge whose slot is not itself a goal and has no successor within the
+remaining bound is skipped (`_may_reach`).  The colorful DP finds only
+paths, so a skipped call would have returned no length for any goal, and
+the calls that are made keep their goal lists: every result, witness
+included, is the one the unfiltered loop gives, for uncertified families
+too.
 """
 
 from __future__ import annotations
@@ -22,12 +35,12 @@ from typing import Optional
 from .core import (
     Graph, InvariantError, TransitionSystem, Walk, bfs_dist, is_compatible_walk, INF,
 )
-from .compath import SlotGraph, family_for_bound, oriented_compath
+from .compath import SlotGraph, _slot_walk_dists, family_for_bound, oriented_compath
 
 
 @dataclass(frozen=True)
 class LayerStructure:
-    """BFS layers from s and the inter/within-layer edge classification."""
+    """BFS layers from s."""
 
     dist: tuple
     layers: tuple  # layers[i] = tuple of vertices at distance i
@@ -43,17 +56,9 @@ class LayerStructure:
                 layers[int(dist[v])].append(v)
         return LayerStructure(tuple(dist), tuple(tuple(l) for l in layers))
 
-    def is_inter_layer(self, g: Graph, e: int) -> bool:
-        u, v = g.endpoints(e)
-        return self.dist[u] != self.dist[v]
-
-    def low(self, g: Graph, e: int) -> int:
-        u, v = g.endpoints(e)
-        return u if self.dist[u] < self.dist[v] else v
-
-    def region(self, x: int, hi: int) -> set:
-        """Vertex set of the induced subgraph G_(x, hi]."""
-        return {x}.union(*self.layers[int(self.dist[x]) + 1:hi + 1])
+    def band(self, lo: int, hi: int) -> set:
+        """Vertex set of the layers lo..hi; G_(x, hi] is {x} | band(dist(x)+1, hi)."""
+        return set().union(*self.layers[lo:hi + 1])
 
 
 # counters that comdetour adds to stats
@@ -123,31 +128,40 @@ def comdetour(
     # Both the seeding calls and the join segments need length bound 2k+1:
     # an x..u prefix spans up to k+1 layers plus k slack, and a join with a
     # bound of 2k would already fail to find the single-edge prefix at k=0.
-    fam = family_for_bound(g.n, 2 * k + 1, seed)
+    bound = 2 * k + 1
+    fam = family_for_bound(g.n, bound, seed)
 
     table = {}  # inter-layer edge id -> best known length of an e..tgt path
     pieces = {}  # edge id -> witness walk (seed) or (prefix walk, next edge)
 
-    inter = [
-        e
-        for e in range(g.m)
-        if ls.is_inter_layer(g, e)
-        and all(ls.dist[v] <= hi for v in g.endpoints(e))
-    ]
-    # Seed the last layers with direct ComPath calls.
-    for e in inter:
-        x = ls.low(g, e)
-        if ls.dist[x] < d - k - 1:
+    dist = ls.dist
+    inter = {}  # inter-layer edge id inside layers 0..hi -> its lower end
+    for e, (u, v) in enumerate(g.edges):
+        if dist[u] != dist[v] and dist[u] <= hi and dist[v] <= hi:
+            inter[e] = u if dist[u] < dist[v] else v
+    # Seed the last layers with direct ComPath calls.  seeded[lx] holds the
+    # layers above lx and the backward walk distances to tgt inside them.
+    into_tgt = {sg.slot(e, tgt) for _, e in g.adj(tgt)}
+    seeded = {}
+    for e, x in inter.items():
+        lx = int(dist[x])
+        if lx < d - k - 1:
             continue
-        (ln,), (w,) = sweep(("e", e, x), [("v", tgt)], 2 * k + 1, ls.region(x, hi))
-        if ln is not None and ls.dist[x] + ln <= hi:
+        if lx not in seeded:
+            band = ls.band(lx + 1, hi)
+            seeded[lx] = (band, _walks_back(sg, into_tgt, band))
+        band, bwd = seeded[lx]
+        if not _may_reach(sg, sg.slot(e, g.other_end(e, x)), into_tgt, bwd, bound):
+            continue
+        (ln,), (w,) = sweep(("e", e, x), [("v", tgt)], bound, band | {x})
+        if ln is not None and lx + ln <= hi:
             table[e] = ln
             if witness:
                 pieces[e] = ("seed", w)
 
     up = {}  # u -> the inter-layer edges whose lower end is u
-    for e in inter:
-        up.setdefault(ls.low(g, e), []).append(e)
+    for e, x in inter.items():
+        up.setdefault(x, []).append(e)
 
     # Fill earlier layers.  One sweep per (x, du, start edge) reaches the
     # joinable edges into layer du inside G_(x, du].  joins[du] lists each
@@ -156,24 +170,39 @@ def comdetour(
     # with no such g2 cannot join and are never asked for.  The list is
     # built once, when layer du is first needed: by then no later join
     # writes an entry whose lower end is at layer du (module docstring).
+    # join_slots[du] holds the slots of those edges entering u.
     joins = {}
+    join_slots = {}
     for m in range(d - k - 1, -1, -1):
+        reach = []  # (du, layers m+1..du, backward walk distances)
+        for du in range(m + 1, m + k + 2):
+            if du not in joins:
+                joins[du] = []
+                for u in ls.layers[du]:
+                    for w, f in g.adj(u):
+                        g2s = [g2 for g2 in up.get(u, ()) if g2 in table and t.permits(f, g2)]
+                        if g2s:
+                            joins[du].append((f, u, w, g2s))
+                join_slots[du] = {sg.slot(f, u) for f, u, _, _ in joins[du]}
+            if joins[du]:
+                band = ls.band(m + 1, du)
+                reach.append((du, band, _walks_back(sg, join_slots[du], band)))
         for x in ls.layers[m]:
-            for du in range(m + 1, m + k + 2):
-                if du not in joins:
-                    joins[du] = []
-                    for u in ls.layers[du]:
-                        for w, f in g.adj(u):
-                            g2s = [g2 for g2 in up.get(u, ()) if g2 in table and t.permits(f, g2)]
-                            if g2s:
-                                joins[du].append((f, u, w, g2s))
-                region = ls.region(x, du)
+            for du, band, bwd in reach:
+                starts = [
+                    e
+                    for w, e in g.adj(x)
+                    if w in band and _may_reach(sg, sg.slot(e, w), join_slots[du], bwd, bound)
+                ]
+                if not starts:
+                    continue
+                region = band | {x}
                 entries = [j for j in joins[du] if j[2] in region]
                 if not entries:
                     continue
                 goals = [("e", f, u) for f, u, _, _ in entries]
-                for e in [e for w, e in g.adj(x) if w in region]:
-                    res, ws = sweep(("e", e, x), goals, 2 * k + 1, region)
+                for e in starts:
+                    res, ws = sweep(("e", e, x), goals, bound, region)
                     for (_, _, _, g2s), r, w in zip(entries, res, ws):
                         if r is None:
                             continue
@@ -200,6 +229,25 @@ def comdetour(
         if not (wit.is_path() and is_compatible_walk(g, t, wit)):
             raise InvariantError("assembled detour is not a compatible path")
     return DetourResult(True, int(nu), d, wit, certified=fam.certified)
+
+
+def _walks_back(sg: SlotGraph, goal_slots, band: set) -> list:
+    """Fewest edges of a compatible walk inside band from each slot to a goal
+    slot, counting both (compath._slot_walk_dists); INF where none exists."""
+    heads, tails = sg.heads, sg.tails
+    seeds = [s for s in goal_slots if heads[s] in band and tails[s] in band]
+    return _slot_walk_dists(sg, seeds, band, backward=True)
+
+
+def _may_reach(sg: SlotGraph, sid: int, goal_slots, bwd: list, bound: int) -> bool:
+    """Whether a call from start slot sid can reach a goal slot within bound.
+
+    bwd comes from `_walks_back` over the layers above the start vertex x.
+    A path that the call finds is sid alone, when sid is a goal slot, or
+    sid followed by a walk from a successor s2 inside those layers, of at
+    least bwd[s2] edges.
+    """
+    return sid in goal_slots or any(bwd[s2] < bound for s2 in sg.succ[sid])
 
 
 def _assemble(pieces, e: int) -> Walk:

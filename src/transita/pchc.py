@@ -113,6 +113,14 @@ def field_for_colors(num_colors: int) -> FieldGF2a:
     a = 1
     while (1 << a) <= num_colors:
         a += 1
+    return _field(a)
+
+
+@lru_cache(maxsize=None)
+def _field(a: int) -> FieldGF2a:
+    # One shared instance per exponent: its tables are never written after
+    # construction, which for a = 8, 9, 12, 14 and 16 searches for a
+    # generator (over 0.1 s at a = 16).
     return FieldGF2a(a)
 
 

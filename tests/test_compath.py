@@ -106,6 +106,16 @@ def test_slot_graph_matches_a_reference_built_with_permits():
                                     rng.randrange(10**6)))
     g, _ = gen_random_ftg(12, 0.4, 0.5, 17)
     cases += [(g, all_transitions(g)), (g, TransitionSystem())]
+    # pairs that are no transition of g: disjoint edges, an edge paired
+    # with itself, and ids out of range
+    disjoint = [
+        (e, f) for e in range(g.m) for f in range(e + 1, g.m)
+        if not set(g.endpoints(e)) & set(g.endpoints(f))
+    ]
+    assert disjoint
+    junk = disjoint + [(0, 0), (3, 3), (-1, 0), (0, g.m), (g.m, g.m + 1), (-2, -1)]
+    cases += [(g, TransitionSystem(junk)),
+              (g, TransitionSystem(list(all_transitions(g).pairs) + junk))]
     for g, t in cases:
         sg = SlotGraph(g, t)
         assert (sg.succ, sg.pred, sg.heads, sg.tails) == _reference_slot_graph(g, t)

@@ -266,5 +266,60 @@ def test_comdetour_counts_its_calls_and_goals(monkeypatch):
         stats = {}
         assert comdetour(g, t, 0, tgt, 2, seed=2, witness=witness, stats=stats).yes
         assert stats == {"oriented_calls": seen[0], "goals": seen[1]}
-        # asking for every edge into each layer made 52 calls with 356 goals
-        assert stats == {"oriented_calls": 44, "goals": 66}
+        # asking for every edge into each layer made 52 calls with 356 goals;
+        # asking only for joinable edges, but from every start edge, made 44
+        # calls with 66 goals
+        assert stats == {"oriented_calls": 28, "goals": 45}
+
+
+def test_start_filter_changes_no_result(monkeypatch):
+    # admitting every start edge makes the unfiltered set of calls; the
+    # filter may only drop calls that find nothing, so every result, witness
+    # included, stays the same, for the uncertified families above n = 32 too
+    rng = random.Random(1412)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(6, 16)
+        g, t = gen_random_ftg(n, 0.3, 0.75, rng.randrange(10**6))
+        cases += [(g, t, rng.randrange(n), rng.randrange(n), k) for k in range(4)]
+    for _ in range(4):
+        n = rng.randint(36, 40)
+        g, t = gen_random_ftg(n, 3 / (n - 1), 0.8, rng.randrange(10**6))
+        dist = bfs_dist(g, 0)
+        tgt = max(range(n), key=lambda v: (dist[v] != INF, dist[v]))
+        cases += [(g, t, 0, tgt, k) for k in range(2)]
+    filtered = transita.detour._may_reach
+    calls = [0, 0]
+    uncertified_yes = 0
+    for g, t, s, tgt, k in cases:
+        for witness in (False, True):
+            runs = []
+            for i, admit in enumerate((filtered, lambda *args: True)):
+                monkeypatch.setattr(transita.detour, "_may_reach", admit)
+                stats = {}
+                runs.append(comdetour(g, t, s, tgt, k, seed=3, witness=witness, stats=stats))
+                calls[i] += stats["oriented_calls"]
+                runs.append(stats["oriented_calls"])
+            res, made, ref, unfiltered = runs
+            assert res == ref
+            assert made <= unfiltered
+            uncertified_yes += res.yes and not res.certified and res.dist > k
+    assert uncertified_yes > 0
+    assert calls[0] < calls[1]
+
+
+def test_may_reach_admits_a_start_slot_exactly_within_the_bound():
+    # on the path 0-1-2-3-4 the call from edge (0, 1) to vertex 3 needs
+    # exactly three edges, all inside the layers 1..3 above vertex 0
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    sg = transita.detour.SlotGraph(g, all_transitions(g))
+    goals = {sg.slot(2, 3), sg.slot(3, 3)}
+    start = sg.slot(0, 1)
+    may_reach = transita.detour._may_reach
+    bwd = transita.detour._walks_back(sg, goals, {1, 2, 3})
+    assert may_reach(sg, start, goals, bwd, 3)
+    assert not may_reach(sg, start, goals, bwd, 2)
+    # vertex 2 outside the layers: no walk is left, only a start goal slot
+    bwd = transita.detour._walks_back(sg, goals, {1, 3})
+    assert not may_reach(sg, start, goals, bwd, 5)
+    assert may_reach(sg, sg.slot(2, 3), goals, bwd, 1)

@@ -129,6 +129,15 @@ def test_field_for_colors_sizes():
     assert field_for_colors(500).a == 9
 
 
+def test_field_for_colors_builds_each_exponent_once():
+    # 300 and 500 colors share GF(2^9), whose x is no generator; the shared
+    # field keeps the tables of a fresh one
+    field = field_for_colors(500)
+    assert field_for_colors(300) is field
+    fresh = FieldGF2a(9)
+    assert (field._exp, field._log) == (fresh._exp, fresh._log)
+
+
 def test_fit_examples():
     f2 = ((0, 1), (1, 1))
     t1 = Trace(f2, ((0, 1),))
