@@ -262,7 +262,9 @@ def cmd_pchc(args, report) -> None:
         yes = rank_based_pchc(inst.graph, inst.coloring, dec, stats=stats)
     report.update(
         answer=yes, yes=yes,
-        max_family=stats.get("max_family", 0), field_a=stats.get("field_a"),
+        max_family=stats.get("max_family", 0),
+        max_family_before_prune=stats.get("max_family_before_prune"),
+        field_a=stats.get("field_a"),
     )
 
 

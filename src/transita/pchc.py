@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Sequence
 
 from .core import EdgeColoring, Graph, InvariantError
@@ -262,45 +261,49 @@ def _basis_cuts(matching: tuple) -> tuple:
     return tuple(j for j, c in enumerate(cut_basis(t)) if row[c])
 
 
-def reduce_representatives(traces: Sequence[ColoredTrace], field: FieldGF2a) -> list:
-    """Representative subset spanning the same row space of the E matrix.
+def reduce_representatives(states: Sequence, bag: Sequence, deg: Sequence, field: FieldGF2a) -> list:
+    """Representative states spanning the row space of the group's E matrix.
 
-    Input traces must share the degree map f and be in ColoredTrace's
-    canonical form, f and zeta sorted by vertex.  A trace's E row is the
-    tensor of its cut row and its pi row, of width 2^(2|Z|-1).  Every cut
-    row lies in the row space of the cut matrix, whose rank is
-    C(|Z|-1, |Z|/2), and projecting onto a column basis of that matrix
-    (`cut_basis`) is injective on that space, hence on its tensor with the
-    monomials.  Rows are therefore eliminated on the basis cuts only, where
-    an E row is nonzero just on the cuts its matching is consistent with,
-    and earliest-first pivoting keeps exactly the traces it keeps on the
-    full rows.  The result is a subset of the input of size at most
-    C(|Z|-1, |Z|/2) * 2^|Z|.
+    states are the (mate, zeta) pairs of one group of the dynamic program,
+    tuples aligned with the sorted bag whose degree tuple is deg (see the
+    comment that opens the shared dynamic program).  The fragment ends Z
+    are the bag vertices of degree 1; each end's mate must be another end
+    and its zeta a color, and a row read that breaks this raises
+    ValueError.  A state's E row is the tensor of the cut row of its
+    matching on Z and its pi row, of width 2^(2|Z|-1).  Every cut row lies
+    in the row space of the cut matrix, whose rank is C(|Z|-1, |Z|/2), and
+    projecting onto a column basis of that matrix (`cut_basis`) is
+    injective on that space, hence on its tensor with the monomials.  Rows
+    are therefore eliminated on the basis cuts only, where an E row is
+    nonzero just on the cuts its matching is consistent with, and
+    earliest-first pivoting keeps exactly the states it keeps on the full
+    rows.  A row is built only when the elimination reaches it, and no
+    state after the one that completes the basis is read.  The result is a
+    subsequence of states of length at most C(|Z|-1, |Z|/2) * 2^|Z|.
     """
-    if not traces:
-        return []
-    f0 = traces[0].f
-    if any(tr.f != f0 for tr in traces):
-        raise ValueError("traces must share the same degree map")
-    z_order = [v for v, d in f0 if d == 1]
-    pos = {v: i for i, v in enumerate(z_order)}
-    span = 1 << len(z_order)
-    width = len(cut_basis(len(z_order))) * span
+    ends = [i for i, d in enumerate(deg) if d == 1]
+    at = {bag[i]: j for j, i in enumerate(ends)}  # end vertex -> its index in Z
+    span = 1 << len(ends)
+    width = len(cut_basis(len(ends))) * span
     exp, log, order = field._exp, field._log, field.size - 1
-    cuts = {}  # matching -> its basis cuts
+    cuts = {}  # mate -> the basis cuts of its matching on Z
     basis = []  # (pivot, [(column, log of the entry)]) with entry 1 at pivot
     kept = []
-    for tr in traces:
+    for state in states:
+        mate, zeta = state
+        if mate not in cuts:
+            cuts[mate] = _basis_cuts(_end_matching(mate, bag, ends, at))
         # logs of the pi row: the entry of monomial I is prod_{v not in I} zeta(v)
         logs = [0]
-        for _, c in tr.zeta:
+        for i in ends:
+            c = zeta[i]
+            if not c:
+                raise ValueError(f"fragment end {bag[i]} has no color")
             lc = log[c]
             logs = [x + lc for x in logs] + logs
         block = [exp[x % order] for x in logs]
-        if tr.matching not in cuts:
-            cuts[tr.matching] = _basis_cuts(tuple((pos[a], pos[b]) for a, b in tr.matching))
         row = [0] * width
-        for j in cuts[tr.matching]:
+        for j in cuts[mate]:
             row[j * span : (j + 1) * span] = block
         for pivot, brow in basis:
             c = row[pivot]
@@ -313,10 +316,23 @@ def reduce_representatives(traces: Sequence[ColoredTrace], field: FieldGF2a) -> 
             continue
         lp = order - log[row[pivot]]
         basis.append((pivot, [(k, (log[x] + lp) % order) for k, x in enumerate(row) if x]))
-        kept.append(tr)
+        kept.append(state)
         if len(basis) == width:
             break  # the basis spans every row
     return kept
+
+
+def _end_matching(mate, bag, ends, at) -> tuple:
+    """The perfect matching that mate puts on the ends, as index pairs (j, k)
+    into ends with j < k, ordered by j."""
+    pairs = []
+    for j, i in enumerate(ends):
+        k = at.get(mate[i])
+        if k is None or k == j or mate[ends[k]] != bag[i]:
+            raise ValueError(f"fragment end {bag[i]} is not matched to another end")
+        if j < k:
+            pairs.append((j, k))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +488,10 @@ def build_nice_tree(g: Graph, dec: DecompositionFile) -> list:
 # A node's family maps each (deg, closed) to the set of (mate, zeta) of its
 # states.  Which step applies to a state depends on deg alone, so edge and
 # join nodes decide it once per group, and the groups are the buckets that
-# the rank engine reduces.
+# the rank engine reduces.  Every nice node has exactly one parent, so an
+# edge node adds its states to its child's family in place; the rank engine
+# then reduces only the groups that grew there, since intro and forget keep
+# every other group within its cap, and every group after a join.
 
 
 class PchcTimeout(Exception):
@@ -497,12 +516,15 @@ def _forget_family(family, i) -> dict:
     }
 
 
-def _edge_family(family, bag, u, v, color) -> dict:
-    """Every state without and with edge uv."""
+def _edge_family(family, bag, u, v, color) -> list:
+    """Add every state with edge uv to the family, in place; return the keys
+    of the groups that grew."""
     pos = {w: i for i, w in enumerate(bag)}
     k = len(bag)
     at_u, at_v = pos[u], pos[v]
-    out = {key: set(group) for key, group in family.items()}
+    # merged after the loop, so that it sees only the child's states and
+    # no state added here gets edge uv a second time
+    added = {}
     for (deg, closed), group in family.items():
         if closed or deg[at_u] == 2 or deg[at_v] == 2:
             continue
@@ -537,7 +559,7 @@ def _edge_family(family, bag, u, v, color) -> dict:
                     # further fragment could never merge with it, so close
                     # only when alone
                     if deg.count(1) == 2:
-                        out[d, True] = {((-1,) * k, (0,) * k)}
+                        added[d, True] = {((-1,) * k, (0,) * k)}
                     continue
                 m, z = list(mate), list(zeta)
                 m[iu] = m[iv] = -1
@@ -545,8 +567,15 @@ def _edge_family(family, bag, u, v, color) -> dict:
                 z[iu] = z[iv] = 0
                 new.add((tuple(m), tuple(z)))
         if new:
-            out.setdefault((d, False), set()).update(new)
-    return out
+            added[d, False] = new  # d determines deg, so no other group adds here
+    grown = []
+    for key, new in added.items():
+        group = family.setdefault(key, set())
+        size = len(group)
+        group |= new
+        if len(group) > size:
+            grown.append(key)
+    return grown
 
 
 def _join_family(left, right, bag) -> dict:
@@ -604,9 +633,10 @@ def _join_family(left, right, bag) -> dict:
     return out
 
 
-def _prune_rank(family, bag, field) -> dict:
-    """Reduce each (deg, closed) group over its cap; checks the size bound."""
-    for (deg, closed), group in list(family.items()):
+def _prune_rank(family, bag, keys, field) -> None:
+    """Reduce each group of keys over its cap, in place; checks the size bound."""
+    for deg, closed in keys:
+        group = family[deg, closed]
         t = deg.count(1)
         if closed or not t:
             # mate and zeta are empty here, so the group holds one state
@@ -616,32 +646,20 @@ def _prune_rank(family, bag, field) -> dict:
         cap = 1 << (2 * t - 1)
         if len(group) <= cap:
             continue
-        states = sorted(group)
-        f = tuple(zip(bag, deg))
-        # t >= 2 fragment ends, so pick returns tuples
-        pick = itemgetter(*(i for i, d in enumerate(deg) if d == 1))
-        ends = pick(bag)
-        matchings = {}  # mate at the ends -> matching, shared by the traces
-        traces = []
-        for mate, zeta in states:
-            at_ends = pick(mate)
-            if at_ends not in matchings:
-                matchings[at_ends] = tuple((a, b) for a, b in zip(ends, at_ends) if a < b)
-            traces.append(ColoredTrace(f, matchings[at_ends], tuple(zip(ends, pick(zeta)))))
-        kept = reduce_representatives(traces, field)
+        kept = reduce_representatives(sorted(group), bag, deg, field)
         if len(kept) > cap:
             raise InvariantError(f"{len(kept)} representatives exceed the cap {cap}")
-        keep = set(map(id, kept))
-        family[deg, closed] = {st for st, tr in zip(states, traces) if id(tr) in keep}
-    return family
+        family[deg, closed] = set(kept)
 
 
-def _run_dp(g, edge_color, nice, prune, deadline, stats):
+def _run_dp(g, edge_color, nice, field, deadline, stats):
     """Bottom-up trace DP over a nice tree; True iff a closed state survives.
 
-    prune(family, bag), when given, runs after edge and join nodes, the only
-    nodes whose groups can outgrow it: intro is injective on states and
-    forget is injective on the states it keeps.
+    With a field, the rank engine's reduction runs after edge and join
+    nodes, the only nodes whose groups can outgrow their cap: intro is
+    injective on states and forget is injective on the states it keeps.
+    stats, when given, gets the largest family after any node and, with a
+    field, the largest an edge or join node made before its reduction.
     """
     start_time = time.monotonic()
     memo = {}
@@ -653,6 +671,7 @@ def _run_dp(g, edge_color, nice, prune, deadline, stats):
         if deadline is not None and time.monotonic() - start_time > deadline:
             raise PchcTimeout(f"exceeded {deadline}s at node {idx}")
         kind = node.kind
+        grown = None  # keys of the groups an edge or join node may have put over their cap
         if kind == "leaf":
             family = {((), False): {((), ())}}
         elif kind == "intro":
@@ -662,13 +681,18 @@ def _run_dp(g, edge_color, nice, prune, deadline, stats):
             family = _forget_family(memo[child], nice[child].bag.index(node.data[0]))
         elif kind == "edge":
             u, v, e = node.data
-            family = _edge_family(memo[node.children[0]], node.bag, u, v, edge_color[e])
+            family = memo[node.children[0]]
+            grown = _edge_family(family, node.bag, u, v, edge_color[e])
         elif kind == "join":
             family = _join_family(memo[node.children[0]], memo[node.children[1]], node.bag)
+            grown = list(family)
         else:  # pragma: no cover
             raise InvariantError(f"unknown nice-tree node kind {kind!r}")
-        if prune is not None and kind in ("edge", "join"):
-            family = prune(family, node.bag)
+        if field is not None and grown is not None:
+            if stats is not None:
+                size = sum(map(len, family.values()))
+                stats["max_family_before_prune"] = max(stats.get("max_family_before_prune", 0), size)
+            _prune_rank(family, node.bag, grown, field)
         if stats is not None:
             size = sum(map(len, family.values()))
             stats["max_family"] = max(stats.get("max_family", 0), size)
@@ -715,7 +739,8 @@ def rank_based_pchc(
     Colors are embedded into nonzero elements of GF(2^a) with 2^a greater
     than the number of colors; after every edge and join node each family
     sharing a degree tuple is reduced to at most C(|Z|-1, |Z|/2) * 2^|Z|
-    traces (see `reduce_representatives`).
+    states (see `reduce_representatives`).  stats, when given, gets
+    `field_a`, `max_family` and `max_family_before_prune`.
     """
     _check_inputs(g, coloring, dec)
     if g.n < 3:
@@ -724,5 +749,4 @@ def rank_based_pchc(
     if stats is not None:
         stats["field_a"] = field.a
     nice = build_nice_tree(g, dec)
-    prune = lambda family, bag: _prune_rank(family, bag, field)
-    return _run_dp(g, coloring.colors, nice, prune, None, stats)
+    return _run_dp(g, coloring.colors, nice, field, None, stats)

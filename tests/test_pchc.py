@@ -24,6 +24,7 @@ from transita.pchc import (
     rank_based_pchc,
     reduce_representatives,
     validate_tree_decomposition,
+    _edge_family,
     _single_cycle,
 )
 from transita.treecut import single_bag_treecut
@@ -71,6 +72,17 @@ def full_width_reduce(traces, field) -> list:
         basis.append((pivot, [field.mul(inv, x) for x in row]))
         kept.append(tr)
     return kept
+
+
+def as_state(trace: ColoredTrace, bag) -> tuple:
+    """The dynamic program's (mate, zeta) of a colored trace, aligned with
+    bag; bag vertices outside the trace's ends get mate -1 and zeta 0."""
+    mate = {v: -1 for v in bag}
+    for a, b in trace.matching:
+        mate[a], mate[b] = b, a
+    zeta = dict.fromkeys(bag, 0)
+    zeta.update(trace.zeta)
+    return tuple(mate[v] for v in bag), tuple(zeta[v] for v in bag)
 
 
 def gf2_rank(rows) -> int:
@@ -269,9 +281,8 @@ def test_e_row_widths_and_fit_dot_product():
 
 def test_reduce_representatives_properties():
     F = FieldGF2a(3)
-    f2 = ((0, 1), (1, 1))
-    tr = ColoredTrace(f2, ((0, 1),), ((0, 1), (1, 2)))
-    assert reduce_representatives([tr, tr], F) == [tr]  # duplicates dropped
+    st = ((1, 0), (1, 2))
+    assert reduce_representatives([st, st], (0, 1), (1, 1), F) == [st]  # duplicates dropped
     rng = random.Random(11)
     for _ in range(120):
         sz = rng.choice([2, 4])
@@ -284,7 +295,8 @@ def test_reduce_representatives_properties():
             zeta = tuple((v, rng.randint(1, 7)) for v in z)
             fam.append(ColoredTrace(f, m, zeta))
         fam = sorted(set(fam), key=lambda t: (t.matching, t.zeta))
-        kept = reduce_representatives(fam, F)
+        back = {as_state(tr, z): tr for tr in fam}
+        kept = [back[s] for s in reduce_representatives(list(back), z, (1,) * sz, F)]
         assert len(kept) <= 1 << (2 * sz - 1)
         assert set(kept) <= set(fam)
         # representation: whatever fits the family fits the kept subset
@@ -299,12 +311,56 @@ def test_reduce_representatives_properties():
                     assert any(fit_colored(t, tau) for t in kept)
 
 
-def test_reduce_representatives_rejects_mixed_f():
+def test_reduce_representatives_rejects_states_that_do_not_fit_deg():
+    # every row read is checked; an uncolored end would otherwise read as
+    # color 1 through log[0] = 0
     F = FieldGF2a(2)
-    a = ColoredTrace(((0, 1), (1, 1)), ((0, 1),), ((0, 1), (1, 2)))
-    b = ColoredTrace(((0, 0), (1, 0)), (), ())
-    with pytest.raises(ValueError):
-        reduce_representatives([a, b], F)
+    bag, deg = (0, 1, 2), (1, 1, 0)
+    good = ((1, 0, -1), (1, 2, 0))
+    for bad in (
+        ((2, 0, -1), (1, 2, 0)),  # end 0's mate is no end
+        ((0, 0, -1), (1, 2, 0)),  # end 0 is its own mate
+        ((1, 1, -1), (1, 2, 0)),  # end 1 is its own mate, so 0's mate is not 1's
+        ((1, 0, -1), (1, 0, 0)),  # end 1 has no color
+    ):
+        for states in ([bad], [good, bad]):
+            with pytest.raises(ValueError):
+                reduce_representatives(states, bag, deg, F)
+
+
+def test_reduce_representatives_stops_at_full_rank():
+    # two ends over GF(4): a state's row is (ab, b, a, 1) for end colors
+    # (a, b), and the four pairs over {1, 2} are independent, so they fill
+    # the width C(1, 1) * 2^2 = 4 and nothing after them is read
+    F = FieldGF2a(2)
+    full = [((1, 0), (a, b)) for a in (1, 2) for b in (1, 2)]
+    states = full[:1] + full[:1] + full[1:] + [None, None]
+    assert reduce_representatives(states, (0, 1), (1, 1), F) == full
+
+
+def test_edge_family_extends_in_place_and_returns_the_grown_groups():
+    # a new fragment uv is not extended by uv again, so no group gets
+    # degree 2 at both ends
+    family = {((0, 0), False): {((-1, -1), (0, 0))}}
+    assert _edge_family(family, (0, 1), 0, 1, 1) == [((1, 1), False)]
+    assert family == {
+        ((0, 0), False): {((-1, -1), (0, 0))},
+        ((1, 1), False): {((1, 0), (1, 1))},
+    }
+    # a group that only gets states it holds has not grown
+    fragment = ((1, 0, -1), (3, 3, 0))
+    family = {
+        ((0, 0, 0), False): {((-1, -1, -1), (0, 0, 0))},
+        ((1, 1, 0), False): {fragment},
+        ((0, 1, 1), False): {((-1, 2, 1), (0, 4, 4))},
+    }
+    assert _edge_family(family, (0, 1, 2), 0, 1, 3) == [((1, 2, 1), False)]
+    assert family == {
+        ((0, 0, 0), False): {((-1, -1, -1), (0, 0, 0))},
+        ((1, 1, 0), False): {fragment},
+        ((0, 1, 1), False): {((-1, 2, 1), (0, 4, 4))},
+        ((1, 2, 1), False): {((2, -1, 0), (3, 0, 4))},
+    }
 
 
 def test_pchc_trivial_instances():
@@ -487,20 +543,41 @@ def test_reduce_representatives_matches_the_full_width_elimination():
         cases += [(F, 4, 200, min(colors, 2))]
     over_cap = 0
     for F, sz, size, colors in cases:
-        fam = random_family(rng, list(range(0, 2 * sz, 2)), size, colors)
+        z = list(range(0, 2 * sz, 2))
+        fam = random_family(rng, z, size, colors)
         over_cap += len(fam) > 1 << (2 * sz - 1)
-        assert reduce_representatives(fam, F) == full_width_reduce(fam, F)
+        # the ends sit between a degree-2 vertex 1 and a degree-0 vertex 3
+        bag = sorted(z + [1, 3])
+        deg = tuple(1 if v in z else 2 if v == 1 else 0 for v in bag)
+        back = {as_state(tr, bag): tr for tr in fam}  # in fam's order
+        kept = reduce_representatives(list(back), bag, deg, F)
+        assert [back[st] for st in kept] == full_width_reduce(fam, F)
     assert over_cap >= 10
 
 
 def test_triple_wheel_families_are_pinned():
     # the largest family after any node of the rank engine on criterion 5's
-    # width-4 wheels, as the dict-state DP with full-width elimination kept
-    for l, family in ((5, 614), (50, 910), (500, 896)):
+    # width-4 wheels, as the dict-state DP with full-width elimination kept,
+    # and the largest an edge or join node made before its reduction
+    for l, family, before in ((5, 614, 679), (50, 910, 1203), (500, 896, 1217)):
         g, col, dec = _triple_wheel(40, l, 1)
         stats = {}
         assert rank_based_pchc(g, col, dec, stats=stats)
-        assert stats["max_family"] == family
+        assert (stats["max_family"], stats["max_family_before_prune"]) == (family, before)
+
+
+def test_wheel_rooted_at_its_middle_is_reduced_at_the_join():
+    # rooted at its middle bag, the wheel's path decomposition has one join,
+    # where both halves meet with full families; at l = 50 and 500 the join
+    # puts groups over their cap that no later edge node grows, and only
+    # the reduction after the join brings them back under it
+    for l, family, before in ((5, 488, 543), (50, 808, 1060), (500, 863, 1250)):
+        g, col, dec = _triple_wheel(40, l, 1)
+        dec = DecompositionFile(len(dec.bags) // 2, dec.tree_edges, dec.bags)
+        assert sum(nd.kind == "join" for nd in build_nice_tree(g, dec)) == 1
+        stats = {}
+        assert rank_based_pchc(g, col, dec, stats=stats)
+        assert (stats["max_family"], stats["max_family_before_prune"]) == (family, before)
 
 
 def elimination_decomposition(g, order, root):
