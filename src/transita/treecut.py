@@ -11,14 +11,21 @@ Thin children are simplified by the first candidate record that is valid,
 with two gadgets for a choice of exits; bold children try every
 combination of their valid records.  The residual instance is decided
 exhaustively.
+
+Every record at t starts from t's frame: the bag, the ends of the cut edges
+of t and of each child, and the edges among them.  Any other vertex is deep:
+it lies in Z_t or in a child's Y_s with all its neighbours on that side,
+which t's record or the child's simplification drops before the instance is
+decided.  Until then it only appears in transitions at vertices dropped with
+it, so leaving it out changes nothing, and the work per record is bounded by
+the width, not by n.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import Graph, InvariantError, TransitionSystem, components
@@ -243,6 +250,7 @@ class TreecutDecomposition:
         self.parent = {c: t for t, cs in self.children.items() for c in cs}
         self.postorder = postorder(self.children, self.root)
         self._y = {}
+        self._z = {}  # filled on first use: O(n) each
         self._cut = {}
         for tnode in self.postorder:
             y = set(self.bags[tnode])
@@ -260,7 +268,9 @@ class TreecutDecomposition:
         return self._y[t]
 
     def z_set(self, t) -> frozenset:
-        return frozenset(range(self.g.n)) - self._y[t]
+        if t not in self._z:
+            self._z[t] = frozenset(range(self.g.n)) - self._y[t]
+        return self._z[t]
 
     def cut_edges(self, t) -> tuple:
         return self._cut[t]
@@ -572,7 +582,9 @@ class WorkState:
 
     lg: LGraph
     pairs: Set[frozenset]  # terminal pairs, as 2-element frozensets
-    realized: Dict[int, Optional[tuple]]  # original edge -> current edge or None
+    # original edge -> current edge, or None once deleted; only the frame's
+    # edges, which hold every cut edge of the node and of its children
+    realized: Dict[int, Optional[tuple]]
     fresh: itertools.count
 
     def new_label(self, tag):
@@ -587,10 +599,11 @@ def _lookup_partner(pairs, a):
     return None
 
 
-def _terminate_state(ws: WorkState, drop_set: Set, groups_edges: List[List[int]], tag):
+def _terminate_state(ws: WorkState, drop_set: frozenset, groups_edges: List[List[int]], tag):
     """Terminate groups (given as original edge ids) w.r.t. everything
-    outside drop_set; updates realized edges and removes drop_set pairs."""
-    inside = set(ws.lg.adj) - set(drop_set)
+    outside drop_set.  The graph, realized edges and pairs are replaced, not
+    changed in place, so a frame that ws started from stays as it was."""
+    inside = set(ws.lg.adj) - drop_set
     groups = []
     labels = []
     for grp in groups_edges:
@@ -604,32 +617,22 @@ def _terminate_state(ws: WorkState, drop_set: Set, groups_edges: List[List[int]]
             cur.append((iu, ov))
         groups.append(cur)
         labels.append(ws.new_label(tag))
-    new_lg, labels = terminate(ws.lg, inside, groups, labels)
-    # update realizations: terminated edges point at their gateway; any other
-    # edge losing an endpoint is gone
-    terminated = {}
-    for gi, grp in enumerate(groups_edges):
-        for e in grp:
-            terminated[e] = labels[gi]
-    for e, cur in list(ws.realized.items()):
-        if cur is None:
-            continue
-        u, v = cur
-        if e in terminated:
-            keep = u if u in inside else v
-            ws.realized[e] = (keep, terminated[e])
-        elif u in drop_set or v in drop_set:
-            ws.realized[e] = None
-    ws.lg = new_lg
-    ws.pairs = {p for p in ws.pairs if not (p & set(drop_set))}
+    ws.lg, labels = terminate(ws.lg, inside, groups, labels)
+    # terminated edges point at their gateway; any other edge losing an
+    # endpoint is gone
+    terminated = {e: labels[gi] for gi, grp in enumerate(groups_edges) for e in grp}
+    realized = {}
+    for e, cur in ws.realized.items():
+        if cur is not None:
+            u, v = cur
+            if e in terminated:
+                cur = (u if u in inside else v, terminated[e])
+            elif u in drop_set or v in drop_set:
+                cur = None
+        realized[e] = cur
+    ws.realized = realized
+    ws.pairs = {p for p in ws.pairs if not p & drop_set}
     return labels
-
-
-@lru_cache(maxsize=8)
-def _input_lgraph(g: Graph, tsys: TransitionSystem) -> LGraph:
-    """The input as an LGraph, built once per graph and transition system;
-    callers copy it before changing it."""
-    return LGraph.from_core(g, tsys)
 
 
 def _kept_end(ws: WorkState, e: int, dropped):
@@ -641,18 +644,19 @@ def _kept_end(ws: WorkState, e: int, dropped):
 def _apply_record(
     ws: WorkState, dec: TreecutDecomposition, t, rec: Record, keep_y: bool, tag
 ) -> bool:
-    """Replace one side of node t's cut by gateways, as rec says, in place.
+    """Replace one side of node t's cut by gateways, as rec says.
 
     With keep_y, Z_t is dropped (the corresponding instance): each I-pair
     becomes one pair gateway, each F and L edge a single gateway, each
     F-pair a terminal pair of gateways, and each unmatched terminal a is
     paired with the gateway of its lambda edge.  Otherwise Y_t is dropped
     (simplifying a child) with I and F swapped, and a's partner outside Y_t
-    takes the place of a.  Returns False, before any change, when rec uses a
-    deleted edge, a pair group's two kept-side ends coincide, or a
-    terminal's partner is gone.
+    takes the place of a.  U edges cross the cut, so the termination drops
+    them.  Returns False, before any change, when rec uses a deleted edge, a
+    pair group's two kept-side ends coincide, or a terminal's partner is
+    gone.  ws gets a new graph, so the one it had is never changed.
     """
-    drop = (dec.z_set(t) if keep_y else dec.y_set(t)) & set(ws.lg.adj)
+    drop = dec.z_set(t) if keep_y else dec.y_set(t)
     if keep_y:
         gated, paired, single = rec.ipairs, rec.fpairs, F
     else:
@@ -666,10 +670,6 @@ def _apply_record(
     if None in ends.values():
         return False
     groups += [[e] for e, lbl in rec.sigma if lbl in (single, L)]
-    for e, lbl in rec.sigma:
-        if lbl == U and ws.realized[e] is not None:
-            ws.lg.remove_edge(*ws.realized[e])
-            ws.realized[e] = None
     labels = _terminate_state(ws, drop, groups, tag)
     label_of = {e: lbl for grp, lbl in zip(groups, labels) for e in grp}
     for pg in paired:
@@ -679,16 +679,30 @@ def _apply_record(
     return True
 
 
+def node_frame(whole: LGraph, g: Graph, dec: TreecutDecomposition, t) -> WorkState:
+    """The frame of node t (see the module docstring), as a WorkState with
+    no pairs: the subgraph of whole, the input as an LGraph, induced by the
+    bag and the ends of the cut edges of t and of each child, with realized
+    entries for its edges only."""
+    keep = set(dec.bags[t])
+    for s in [t] + dec.children[t]:
+        for e in dec.cut_edges(s):
+            keep.update(g.edges[e])
+    lg, _ = terminate(whole, keep, [])
+    realized = {e: tuple(g.edges[e]) for v in keep for w, e in g.adj(v) if w in keep}
+    return WorkState(lg, set(), realized, itertools.count())
+
+
 def build_corresponding_state(
-    g: Graph, tsys: TransitionSystem, pairs, dec: TreecutDecomposition, t, rec: Record
+    frame: WorkState, pairs, dec: TreecutDecomposition, t, rec: Record
 ) -> WorkState:
-    """The corresponding instance of record rec at node t, as a WorkState."""
-    ws = WorkState(
-        _input_lgraph(g, tsys).copy(),
-        {frozenset(p) for p in pairs},
-        {e: tuple(g.edges[e]) for e in range(g.m)},
-        itertools.count(),
-    )
+    """The corresponding instance of record rec at node t, as a WorkState.
+
+    It shares t's frame without a copy: every later step replaces the graph,
+    the realized map and the pairs instead of changing them, so the frame
+    is only read.  Deep vertices are not in it and are never needed.
+    """
+    ws = replace(frame, pairs={frozenset(p) for p in pairs}, fresh=itertools.count())
     _apply_record(ws, dec, t, rec, True, "R")
     return ws
 
@@ -822,7 +836,7 @@ def reduce_thin_child(ws: WorkState, dec: TreecutDecomposition, s, d_records, pa
     valid = [r for r in cands if r in d_records]
     if len(present) == 2 and uts and len(valid) == len(cands):
         # every assignment is valid: keep the choice of exit open
-        drop = dec.y_set(s) & set(ws.lg.adj)
+        drop = dec.y_set(s)
         partners = [_lookup_partner(ws.pairs, a) for a in uts]
         if None in partners:
             return False
@@ -864,63 +878,40 @@ def reduce_thin_child(ws: WorkState, dec: TreecutDecomposition, s, d_records, pa
 # The leaf-to-root dynamic program.
 
 
-def solve_leaf(g, tsys, pairs, dec: TreecutDecomposition, t, width) -> list:
-    """Valid records of a leaf: its corresponding instance is an SComVDP."""
-    out = []
-    for rec in enumerate_records(g, dec, t, pairs, width):
-        ws = build_corresponding_state(g, tsys, pairs, dec, t, rec)
-        core = set(dec.bags[t])
-        if scomvdp_state(ws.lg, ws.pairs, core):
-            out.append(rec)
-    return out
+def solve_node(whole: LGraph, pairs, dec: TreecutDecomposition, t, d, width) -> list:
+    """Valid records of node t, given the valid records d of its children.
 
-
-def solve_internal(g, tsys, pairs, dec: TreecutDecomposition, t, d_children, width) -> list:
-    """Valid records of an internal node, given the children's valid records."""
+    Each record's corresponding instance, built from t's frame, has its thin
+    children simplified in place; then every combination of the bold
+    children's records is tried.  A leaf has neither kind of child, so its
+    one (empty) combination decides the corresponding instance itself.
+    """
     thin = dec.thin_children(t)
     bold = dec.bold_children(t)
     if len(bold) > 2 * width + 1:
         raise InvariantError("a nice decomposition has at most 2w+1 bold children")
+    frame = node_frame(whole, dec.g, dec, t)
+    core = set(dec.bags[t])
     out = []
-    for rec in enumerate_records(g, dec, t, pairs, width):
-        base = build_corresponding_state(g, tsys, pairs, dec, t, rec)
-        ok = True
-        for s in thin:
-            if not reduce_thin_child(base, dec, s, d_children[s], pairs):
-                ok = False
-                break
-        if not ok:
+    for rec in enumerate_records(dec.g, dec, t, pairs, width):
+        base = build_corresponding_state(frame, pairs, dec, t, rec)
+        if not all(reduce_thin_child(base, dec, s, d[s], pairs) for s in thin):
             continue
-        eff = {}
-        for s in bold:
-            eff[s] = _records_effective(base, dec.cut_edges(s), d_children[s])
-            if not eff[s]:
-                ok = False
-                break
-        if not ok:
-            continue
-        found = False
-        for combo in itertools.product(*(eff[s] for s in bold)):
-            ws = WorkState(
-                base.lg.copy(), set(base.pairs), dict(base.realized), base.fresh
-            )
-            good = True
-            for s, rec_s in zip(bold, combo):
-                if not _apply_record(ws, dec, s, rec_s, False, f"Q{s}"):
-                    good = False
-                    break
-            if not good:
+        eff = [_records_effective(base, dec.cut_edges(s), d[s]) for s in bold]
+        for combo in itertools.product(*eff):
+            ws = replace(base)  # _apply_record leaves base as it was
+            if not all(
+                _apply_record(ws, dec, s, rec_s, False, f"Q{s}")
+                for s, rec_s in zip(bold, combo)
+            ):
                 continue
-            core = set(dec.bags[t]) & set(ws.lg.adj)
             if any(
                 v not in core and ws.lg.degree(v) > 2 for v in ws.lg.adj
             ):  # pragma: no cover - structural guarantee of the construction
                 raise InvariantError("non-core vertex of degree above two")
-            if scomvdp_state(ws.lg, ws.pairs, set(dec.bags[t])):
-                found = True
+            if scomvdp_state(ws.lg, ws.pairs, core):
+                out.append(rec)
                 break
-        if found:
-            out.append(rec)
     return out
 
 
@@ -944,12 +935,10 @@ def comvdp(g: Graph, tsys: TransitionSystem, pairs, dec: DecompositionFile,
     for t in tc.nodes():
         if len(unmatched_terminals(tc, t, pairs)) > len(tc.cut_edges(t)):
             return False, info  # cut too small for the crossing terminals
+    whole = LGraph.from_core(g, tsys)
     d = {}
     for t in tc.nodes():
-        if not tc.children[t]:
-            d[t] = solve_leaf(g, tsys, pairs, tc, t, width)
-        else:
-            d[t] = solve_internal(g, tsys, pairs, tc, t, d, width)
+        d[t] = solve_node(whole, pairs, tc, t, d, width)
         if return_tables:
             info["tables"][t] = list(d[t])
         if not d[t]:

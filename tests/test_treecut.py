@@ -1,16 +1,18 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from transita.core import Graph, TransitionSystem, all_transitions
 from transita.genred import gen_random_ftg
 from transita.io import DecompositionFile
+from transita import treecut
 from transita.oracle import brute_compatible_path, brute_disjoint_paths
 from transita.treecut import (
-    EMPTY_RECORD,
     LGraph,
     TreecutDecomposition,
+    WorkState,
     _apply_record,
     build_corresponding_state,
     comvdp,
@@ -20,6 +22,7 @@ from transita.treecut import (
     exhaustive_treecut_decomposition,
     NicenessError,
     make_nice,
+    node_frame,
     scomvdp_state,
     single_bag_treecut,
     suppress_vertex,
@@ -377,16 +380,51 @@ def test_corresponding_instance_shapes():
     dec = TreecutDecomposition(g, DecompositionFile(0, ((0, 1),), ((1, 3), (0, 2))))
     recs = enumerate_records(g, dec, 1, [], width=4)
     by = {tuple(l for _, l in r.sigma): r for r in recs}
+    frame = node_frame(LGraph.from_core(g, TransitionSystem()), g, dec, 1)
     # all-unused: no gateway vertices are added
-    ws = build_corresponding_state(g, TransitionSystem(), [], dec, 1, by[("U", "U")])
+    ws = build_corresponding_state(frame, [], dec, 1, by[("U", "U")])
     assert set(ws.lg.adj) == {0, 2}
     # the pair of foreign edges adds a terminal pair of gateways
-    ws = build_corresponding_state(g, TransitionSystem(), [], dec, 1, by[("F", "F")])
+    ws = build_corresponding_state(frame, [], dec, 1, by[("F", "F")])
     gateways = [v for v in ws.lg.adj if v not in (0, 2)]
     assert len(gateways) == 2
     assert len(ws.pairs) == 1
     flat = [v for p in ws.pairs for v in p]
     assert len(flat) == len(set(flat))  # added pairs are disjoint
+
+
+def _frame_contents(frame):
+    adj = {v: set(nb) for v, nb in frame.lg.adj.items()}
+    trans = {v: set(ps) for v, ps in frame.lg.trans.items()}
+    return adj, trans, dict(frame.realized)
+
+
+@pytest.mark.parametrize("pairs", [[], [(3, 7)], [(3, 8), (6, 9)]])
+def test_node_frames_are_read_only(monkeypatch, pairs):
+    # every record of a node starts from the node's one frame, so solving
+    # them must leave it as it was; node 1 has a bold child 2 and a thin
+    # child 3, and its cut of two edges gives it U records
+    g = Graph(10, [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5),
+                   (2, 6), (6, 7), (0, 7), (0, 8), (1, 9), (8, 9)])
+    dec = DecompositionFile(
+        0, ((0, 1), (1, 2), (1, 3)), ((8, 9), (0, 1, 2), (3, 4, 5), (6, 7))
+    )
+    frames = []
+
+    def recording_frame(*args):
+        frame = node_frame(*args)
+        frames.append((frame, _frame_contents(frame)))
+        return frame
+
+    monkeypatch.setattr(treecut, "node_frame", recording_frame)
+    t = all_transitions(g)
+    yes, info = comvdp(g, t, pairs, dec, return_tables=True)
+    assert yes == brute_disjoint_paths(g, t, pairs, "vertex")
+    tc = info["decomposition"]
+    assert tc.thin_children(1) == [3] and tc.bold_children(1) == [2]
+    assert len(info["tables"][1]) >= 2 and len(frames) == 4
+    for frame, before in frames:
+        assert _frame_contents(frame) == before
 
 
 def test_scomvdp_examples_and_equivalence():
@@ -494,7 +532,12 @@ def test_records_duality_and_simplification_safety():
             assert rec in tables[tn]  # the solution's record is valid
             # simplification safety, second statement: the simplified
             # instance stays solvable when the record matches a solution
-            ws = build_corresponding_state(g, t, pairs, tc, tc.root, EMPTY_RECORD)
+            ws = WorkState(
+                LGraph.from_core(g, t),
+                {frozenset(p) for p in pairs},
+                {e: tuple(g.edges[e]) for e in range(g.m)},
+                itertools.count(),
+            )
             if tn != tc.root and _apply_record(ws, tc, tn, rec, False, f"Q{tn}"):
                 g2, t2, labels = ws.lg.to_core()
                 idx = {l: i for i, l in enumerate(labels)}
@@ -587,3 +630,93 @@ def test_thin_child_reductions_match_oracle(make, seed, pinned):
         assert yes == brute_disjoint_paths(g, t, pairs, "vertex")
         counts.append(sum(map(len, info["tables"].values())))
     assert counts == pinned
+
+
+def _triangle_chain(k):
+    """k triangles joined in a row by single edges, one bag each, with all
+    transitions and one pair from end to end; width 3."""
+    edges = []
+    for i in range(0, 3 * k, 3):
+        edges += [(i, i + 1), (i, i + 2), (i + 1, i + 2)] + ([(i - 1, i)] if i else [])
+    g = Graph(3 * k, edges)
+    dec = DecompositionFile(
+        0,
+        tuple((i - 1, i) for i in range(1, k)),
+        tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)),
+    )
+    return g, all_transitions(g), [(0, 3 * k - 1)], dec
+
+
+def test_comvdp_graph_work_grows_linearly_on_a_chain(monkeypatch):
+    # vertices and edges added to LGraphs plus vertices copied, over one
+    # comvdp run: each record's instance is built from its node's frame, so
+    # the work per node is bounded by the width and the total is linear in n
+    count = [0]
+
+    def counted(method, cost):
+        def wrapper(self, *args):
+            count[0] += cost(self)
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(LGraph, "add_vertex", counted(LGraph.add_vertex, lambda lg: 1))
+    monkeypatch.setattr(LGraph, "add_edge", counted(LGraph.add_edge, lambda lg: 1))
+    monkeypatch.setattr(LGraph, "copy", counted(LGraph.copy, lambda lg: len(lg.adj)))
+    counts = []
+    for n in (96, 192, 384, 768):
+        count[0] = 0
+        yes, info = comvdp(*_triangle_chain(n // 3))
+        assert yes and info["width"] == 3
+        counts.append(count[0])
+    assert counts == [1321, 2665, 5353, 10729]
+    assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:]))
+
+
+@st.composite
+def rooted_instances(draw):
+    """A rooted decomposition of width at most three with up to two pairs.
+
+    Half the draws are random.  The rest plant one of two shapes that random
+    draws seldom give, each reaching one rejection of _apply_record:
+    - a chain whose leaf {3, 4} has two cut edges into the root bag, so an
+      I-pair of node 1 ends both at one gateway and the leaf's F-pair record
+      on them is refused;
+    - two bold leaves joined by an edge, so once the first leaf's record
+      marks it U, a record of the second that uses it is refused.
+    """
+    shape = draw(st.sampled_from(["random", "random", "chain", "siblings"]))
+    if shape == "chain":
+        more = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (0, 4), (1, 3)]
+        more = draw(st.sets(st.sampled_from(more), max_size=3))
+        g = Graph(5, sorted({(0, 3), (1, 4), (3, 4)} | more))
+        dec = DecompositionFile(0, ((0, 1), (1, 2)), ((0, 1), (2,), (3, 4)))
+    elif shape == "siblings":
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (3, 4)])
+        dec = DecompositionFile(0, ((0, 1), (0, 2)), ((0,), (1, 2), (3, 4)))
+    else:
+        n = draw(st.integers(3, 8))
+        nodes = draw(st.integers(2, min(n, 5)))
+        tree = tuple((draw(st.integers(0, i - 1)), i) for i in range(1, nodes))
+        bags = [[] for _ in range(nodes)]
+        for v in range(n):
+            bags[draw(st.integers(0, nodes - 1))].append(v)
+        everything = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, sorted(draw(st.sets(st.sampled_from(everything), max_size=n + 2))))
+        dec = DecompositionFile(0, tree, tuple(map(tuple, bags)))
+    assume(evaluate_width(g, dec)[0] <= 3)
+    allowed = sorted(all_transitions(g).pairs)
+    dropped = set()
+    if allowed:
+        dropped = draw(st.sets(st.sampled_from(allowed), max_size=len(allowed) // 3))
+    t = TransitionSystem([q for q in allowed if q not in dropped])
+    ends = draw(st.permutations(range(g.n)))
+    k = draw(st.integers(0, min(2, g.n // 2)))
+    return g, t, [(ends[2 * i], ends[2 * i + 1]) for i in range(k)], dec
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=rooted_instances())
+def test_comvdp_matches_the_oracle_on_drawn_decompositions(case):
+    g, t, pairs, dec = case
+    assert comvdp(g, t, pairs, dec)[0] == brute_disjoint_paths(g, t, pairs, "vertex")
