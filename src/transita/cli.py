@@ -193,7 +193,7 @@ def cmd_compath(args, report) -> None:
     fam = family_for_bound(g.n, args.max_len, args.seed)
     res = compath(
         g, inst.transitions, x, y, args.max_len,
-        seed=args.seed, witness=args.witness, family=fam,
+        seed=args.seed, witness=args.witness,
     )
     length, wit = res if args.witness else (res, None)
     report.update(

@@ -438,7 +438,6 @@ def compath(
     k: int,
     seed: int = 0,
     witness: bool = False,
-    family: Optional[HashFamily] = None,
 ):
     """Length of a shortest compatible x-y path of length <= k, or None.
 
@@ -457,8 +456,7 @@ def compath(
         return (0, w) if witness else 0
     if k < 1:
         return (None, None) if witness else None
-    if family is None:
-        family = family_for_bound(g.n, k, seed)
+    family = family_for_bound(g.n, k, seed)
     sg = SlotGraph(g, t)
     goals = _orientations(g, y, False)
     best = None

@@ -264,22 +264,26 @@ def _dag_two_disjoint(dg: DArcGraph, line, lvl, start, vertex_mode) -> dict:
     parent map from start, with labels (side, appended arc); a start pair
     that already shares an arc, or a head in vertex mode, reaches nothing.
     """
-    head, tail = dg.head, dg.tail
+    head = dg.head
     e1, e2 = start
     if e1 == e2 or (vertex_mode and head(e1) == head(e2)):
         return {}
 
+    # In vertex mode a new head need only differ from the other side's head:
+    # a side extends only while its head is at least as high as the other's,
+    # so every vertex behind the other side's last arc lies strictly above
+    # all it can reach, and a _BlobRouter's start arcs leave fresh sources.
     def successors(node):
         e1, e2 = node
         h1, h2 = head(e1), head(e2)
         out = []
         if lvl[h2] >= lvl[h1]:
             for e2n in line[e2]:
-                if e2n != e1 and not (vertex_mode and head(e2n) in (tail(e1), h1)):
+                if e2n != e1 and not (vertex_mode and head(e2n) == h1):
                     out.append(((e1, e2n), (2, e2n)))
         if lvl[h1] >= lvl[h2]:
             for e1n in line[e1]:
-                if e1n != e2 and not (vertex_mode and head(e1n) in (tail(e2), h2)):
+                if e1n != e2 and not (vertex_mode and head(e1n) == h2):
                     out.append(((e1n, e2), (1, e1n)))
         return out
 

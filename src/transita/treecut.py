@@ -232,7 +232,13 @@ def terminate(lg: LGraph, inside: Set, groups: Sequence[Sequence[Tuple]], labels
 
 
 class TreecutDecomposition:
-    """A rooted tree with a (possibly empty-bag) partition of the vertices."""
+    """A rooted tree with a (possibly empty-bag) partition of the vertices.
+
+    Cuts are built leaf to root: cut(t) is the symmetric difference of the
+    edges at t's bag vertices and the cuts of t's children.  An edge with an
+    end in a part that the torso at t shrinks lies in the cut of t or of a
+    child, so torsos and niceness read only those cuts, never the graph.
+    """
 
     def __init__(self, g: Graph, dec: DecompositionFile):
         self.g = g
@@ -254,12 +260,14 @@ class TreecutDecomposition:
         self._cut = {}
         for tnode in self.postorder:
             y = set(self.bags[tnode])
+            cut = set()
             for c in self.children[tnode]:
                 y |= self._y[c]
-            self._y[tnode] = y = frozenset(y)
-            self._cut[tnode] = () if tnode == self.root else tuple(
-                e for e, (u, v) in enumerate(g.edges) if (u in y) != (v in y)
-            )
+                cut.symmetric_difference_update(self._cut[c])
+            for v in self.bags[tnode]:
+                cut ^= {e for _, e in g.adj(v)}
+            self._y[tnode] = frozenset(y)
+            self._cut[tnode] = tuple(sorted(cut))
 
     def nodes(self):
         return self.postorder
@@ -297,9 +305,16 @@ class TreecutDecomposition:
         """
         bag = self.bags[t]
         # shrunk vertices: -1 above t, -2, -3, ... the child subtrees
-        shrunk = {v: -2 - i for i, c in enumerate(self.children[t]) for v in self._y[c]}
+        shrunk = {}
+        edges = set(self._cut[t])
+        for i, c in enumerate(self.children[t]):
+            edges.update(self._cut[c])
+            for e in self._cut[c]:
+                u, v = self.g.edges[e]
+                shrunk[u if u in self._y[c] else v] = -2 - i
         adj = {x: {} for x in range(-1 - len(self.children[t]), 0)}
-        for u, v in self.g.edges:
+        for e in sorted(edges):
+            u, v = self.g.edges[e]
             a = u if u in bag else shrunk.get(u, -1)
             b = v if v in bag else shrunk.get(v, -1)
             if a != b:
@@ -342,7 +357,7 @@ class TreecutDecomposition:
             if not self.is_thin(t):
                 continue
             yt = self._y[t]
-            nbrs = {w for v in yt for w, _ in self.g.adj(v)} - yt
+            nbrs = {w for e in self._cut[t] for w in self.g.edges[e] if w not in yt}
             for b in self.children[self.parent[t]]:
                 if b != t and nbrs & self._y[b]:
                     return t, b
@@ -376,29 +391,16 @@ def make_nice(g: Graph, dec: DecompositionFile) -> Tuple[TreecutDecomposition, i
     do not exceed the input's; both facts are checked, raising NicenessError,
     rather than assumed.
     """
-    tc = TreecutDecomposition(g, dec)
-    width_before = tc.width()
-    nodes = sorted(tc.bags)
-    parent = dict(tc.parent)
-    guard = (len(nodes) + 1) ** 3
-
-    def rebuild():
-        edges = tuple((parent[t], t) for t in nodes if t != tc.root)
-        return TreecutDecomposition(
-            g,
-            DecompositionFile(
-                tc.root, edges, tuple(tuple(sorted(tc.bags[t])) for t in nodes)
-            ),
-        )
-
-    cur = rebuild()
-    for _ in range(guard):
+    cur = TreecutDecomposition(g, dec)
+    width_before = cur.width()
+    for _ in range((len(cur.bags) + 1) ** 3):
         move = cur._violation()
         if move is None:
             break
         t, b = move
-        parent[t] = b
-        cur = rebuild()
+        f = cur.to_file()
+        edges = tuple((b, c) if c == t else (p, c) for p, c in f.tree_edges)
+        cur = TreecutDecomposition(g, replace(f, tree_edges=edges))
     else:  # pragma: no cover
         raise NicenessError("make_nice did not converge")
     if not cur.is_nice():
@@ -915,32 +917,25 @@ def solve_node(whole: LGraph, pairs, dec: TreecutDecomposition, t, d, width) -> 
     return out
 
 
-def comvdp(g: Graph, tsys: TransitionSystem, pairs, dec: DecompositionFile,
-           return_tables: bool = False):
+def comvdp(g: Graph, tsys: TransitionSystem, pairs, dec: DecompositionFile):
     """Compatible vertex-disjoint paths, leaf-to-root over a treecut dec.
 
-    Returns (answer, info); info carries the width and niceness used, plus
-    the per-node valid-record tables and the nice decomposition when
-    return_tables is set.
+    Returns (answer, info); info carries the width and niceness used, the
+    nice decomposition, and the valid records of each node solved so far.
     """
     pairs = [tuple(p) for p in pairs]
     flat = [v for p in pairs for v in p]
     if len(flat) != len(set(flat)):
         return False, {"reason": "overlapping terminal pairs"}
     tc, width = make_nice(g, dec)
-    info = {"width": width, "nice": True}
-    if return_tables:
-        info["decomposition"] = tc
-        info["tables"] = {}
+    d = {}
+    info = {"width": width, "nice": True, "decomposition": tc, "tables": d}
     for t in tc.nodes():
         if len(unmatched_terminals(tc, t, pairs)) > len(tc.cut_edges(t)):
             return False, info  # cut too small for the crossing terminals
     whole = LGraph.from_core(g, tsys)
-    d = {}
     for t in tc.nodes():
         d[t] = solve_node(whole, pairs, tc, t, d, width)
-        if return_tables:
-            info["tables"][t] = list(d[t])
         if not d[t]:
             return False, info
     return d[tc.root] == [EMPTY_RECORD], info

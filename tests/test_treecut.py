@@ -217,13 +217,32 @@ def decompositions(draw):
     return g, DecompositionFile(0, tree, tuple(map(tuple, bags)))
 
 
+def _violation_by_definition(g, tc):
+    """The first thin node with a neighbour of Y_t in a sibling's subtree."""
+    for t in tc.nodes():
+        if not tc.is_thin(t):
+            continue
+        y = tc.y_set(t)
+        nbrs = {w for v in y for w, _ in g.adj(v)} - y
+        for b in tc.children[tc.parent[t]]:
+            if b != t and nbrs & tc.y_set(b):
+                return t, b
+    return None
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=decompositions())
 def test_torso_size_matches_the_definition(case):
+    # cuts, torsos and violations are derived from the children's cut
+    # edges; each must equal the whole-graph scan that defines it
     g, dec = case
     tc = TreecutDecomposition(g, dec)
     for t in tc.nodes():
+        y = tc.y_set(t)
+        cut = tuple(e for e, (u, v) in enumerate(g.edges) if (u in y) != (v in y))
+        assert tc.cut_edges(t) == cut
         assert tc.torso_size(t) == _torso_by_definition(g, tc, t)
+    assert tc._violation() == _violation_by_definition(g, tc)
 
 
 def test_suppress_vertex_cases():
@@ -418,7 +437,7 @@ def test_node_frames_are_read_only(monkeypatch, pairs):
 
     monkeypatch.setattr(treecut, "node_frame", recording_frame)
     t = all_transitions(g)
-    yes, info = comvdp(g, t, pairs, dec, return_tables=True)
+    yes, info = comvdp(g, t, pairs, dec)
     assert yes == brute_disjoint_paths(g, t, pairs, "vertex")
     tc = info["decomposition"]
     assert tc.thin_children(1) == [3] and tc.bold_children(1) == [2]
@@ -521,7 +540,7 @@ def test_records_duality_and_simplification_safety():
         ok, walks = brute_disjoint_paths(g, t, pairs, "vertex", return_witness=True)
         if not ok or not pairs:
             continue
-        yes, info = comvdp(g, t, pairs, dec_file, return_tables=True)
+        yes, info = comvdp(g, t, pairs, dec_file)
         assert yes
         tc = info["decomposition"]
         tables = info["tables"]
@@ -626,7 +645,7 @@ def test_thin_child_reductions_match_oracle(make, seed, pinned):
     counts = []
     for _ in pinned:
         g, t, pairs, dec = make(rng)
-        yes, info = comvdp(g, t, pairs, dec, return_tables=True)
+        yes, info = comvdp(g, t, pairs, dec)
         assert yes == brute_disjoint_paths(g, t, pairs, "vertex")
         counts.append(sum(map(len, info["tables"].values())))
     assert counts == pinned
@@ -670,6 +689,39 @@ def test_comvdp_graph_work_grows_linearly_on_a_chain(monkeypatch):
         assert yes and info["width"] == 3
         counts.append(count[0])
     assert counts == [1321, 2665, 5353, 10729]
+    assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:]))
+
+
+def test_make_nice_graph_reads_grow_linearly_on_a_chain(monkeypatch):
+    # Graph.adj calls plus edge items read by one make_nice run: cuts,
+    # torsos and violations come from the cut edges, and the one tree is
+    # built once, so the reads are linear in n
+    count = [0]
+
+    class CountedEdges(tuple):
+        def __getitem__(self, i):
+            count[0] += 1
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            for e in super().__iter__():
+                count[0] += 1
+                yield e
+
+    def counted_adj(self, v):
+        count[0] += 1
+        return self._adj[v]
+
+    monkeypatch.setattr(Graph, "adj", counted_adj)
+    counts = []
+    for n in (96, 192, 384, 768):
+        g, _, _, dec = _triangle_chain(n // 3)
+        g.edges = CountedEdges(g.edges)
+        count[0] = 0
+        nice, width = make_nice(g, dec)
+        assert width == 3 and nice.to_file() == dec
+        counts.append(count[0])
+    assert counts == [344, 696, 1400, 2808]
     assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:]))
 
 
