@@ -26,7 +26,9 @@ exactly one report, with ``"answer": null`` and
 family swept was seeded random rather than certified perfect (n > 32), so
 that a "no" is only probable.  A ``detour`` report's "stats" also holds
 the solver's counters ``oriented_calls`` and ``goals`` (see
-``detour.comdetour``).
+``detour.comdetour``).  A ``pchc`` report carries ``max_family`` and, from
+the rank engine (null for ``--engine naive``), ``max_family_before_prune``
+and ``dead_groups`` (see ``pchc.rank_based_pchc``).
 
 Exit codes: 0 when the run answers; 1 when it answers "no" under
 ``--strict-exit``; 2 for an error report.  Usage errors found by argparse
@@ -264,6 +266,7 @@ def cmd_pchc(args, report) -> None:
         answer=yes, yes=yes,
         max_family=stats.get("max_family", 0),
         max_family_before_prune=stats.get("max_family_before_prune"),
+        dead_groups=stats.get("dead_groups"),
         field_a=stats.get("field_a"),
     )
 

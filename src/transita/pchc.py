@@ -3,16 +3,19 @@
 Two engines share one dynamic program over a nice tree decomposition.  Its
 states are positional: tuples aligned with the node's sorted bag giving each
 bag vertex's degree, the other end of its path fragment and the color of
-that fragment's end edge.  The naive engine keeps every state; the
-rank-based engine prunes each family sharing a degree tuple to a
-representative subset by Gaussian elimination over GF(2^a) on a
-cuts-times-monomials matrix, restricted to a column basis of the cut
-matrix, so the family size never depends on the number of colors.
+that fragment's end edge.  The naive engine keeps every state and is the
+reference the rank-based engine is checked against.  The rank-based engine
+deletes the degree groups that can no longer close and prunes each family
+sharing a degree tuple to a representative subset by Gaussian elimination
+over GF(2^a) on a cuts-times-monomials matrix, restricted to a column basis
+of the cut matrix, so the family size never depends on the number of
+colors.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -407,14 +410,22 @@ class _NiceNode:
     data: tuple
     bag: tuple
     children: tuple
+    left: tuple  # per bag vertex, how many of its edges this subtree has not introduced
 
 
 def build_nice_tree(g: Graph, dec: DecompositionFile) -> list:
     """Postorder list of nice nodes with introduce-edge nodes.
 
     Every vertex is introduced/forgotten along the tree and every edge is
-    introduced exactly once at a node whose bag contains both endpoints.
-    The last list entry is the root and has an empty bag.
+    introduced exactly once, at the first bag in postorder that holds both
+    ends.  The edges placed at one bag are introduced tightest first: in
+    ascending order of (the fewer edges left at either end once the bag's
+    edges are in, edge id), so the edges of a vertex that has none left
+    after the bag come before the others.  Each node's `left` counts,
+    per bag vertex, its edges not introduced in the node's subtree: deg_G(w)
+    when w is introduced, one less at both ends of an edge node, and
+    a + b - deg_G(w) at a join of children with counts a and b.  The last
+    list entry is the root and has an empty bag.
     """
     bad = validate_tree_decomposition(g, dec)
     if bad:
@@ -434,41 +445,53 @@ def build_nice_tree(g: Graph, dec: DecompositionFile) -> list:
 
     nodes = []
 
-    def emit(kind, data, bag, kids):
-        nodes.append(_NiceNode(kind, data, tuple(bag), tuple(kids)))
+    def emit(kind, data, bag, kids, left):
+        nodes.append(_NiceNode(kind, data, bag, kids, left))
         return len(nodes) - 1
 
-    def carry(idx, bag, target):
-        """Forget, then introduce, one vertex at a time from bag to target."""
-        cur, target = set(bag), set(target)
-        for v in sorted(cur - target):
-            cur.remove(v)
-            idx = emit("forget", (v,), sorted(cur), (idx,))
-        for v in sorted(target - cur):
-            cur.add(v)
-            idx = emit("intro", (v,), sorted(cur), (idx,))
+    def carry(idx, target):
+        """Forget, then introduce, one vertex at a time from idx's bag to target."""
+        bag, left = nodes[idx].bag, nodes[idx].left
+        for v in sorted(set(bag) - set(target)):
+            i = bag.index(v)
+            bag, left = bag[:i] + bag[i + 1 :], left[:i] + left[i + 1 :]
+            idx = emit("forget", (v,), bag, (idx,), left)
+        for v in sorted(set(target) - set(bag)):
+            i = bisect_left(bag, v)
+            bag, left = bag[:i] + (v,) + bag[i:], left[:i] + (g.degree(v),) + left[i:]
+            idx = emit("intro", (v,), bag, (idx,), left)
         return idx
 
     # stream[c]: the last node of child c, carried to its parent's bag as
     # soon as c is finished, before c's next sibling is built
     stream = {}
     for t in order:
-        bag_t = tuple(sorted(set(dec.bags[t])))
+        bag = tuple(sorted(set(dec.bags[t])))
         if children[t]:
             idx = stream.pop(children[t][0])
             for c in children[t][1:]:
-                idx = emit("join", (), bag_t, (idx, stream.pop(c)))
+                other = stream.pop(c)
+                left = tuple(
+                    a + b - g.degree(w) for w, a, b in zip(bag, nodes[idx].left, nodes[other].left)
+                )
+                idx = emit("join", (), bag, (idx, other), left)
         else:
-            idx = carry(emit("leaf", (), (), ()), (), bag_t)
-        for e in sorted(edge_at.get(t, ())):
+            idx = carry(emit("leaf", (), (), (), ()), bag)
+        at = {w: i for i, w in enumerate(bag)}
+        placed = edge_at.get(t, ())
+        after = list(nodes[idx].left)  # what is left once the bag's edges are in
+        for e in placed:
+            for w in g.edges[e]:
+                after[at[w]] -= 1
+        left = list(nodes[idx].left)
+        for e in sorted(placed, key=lambda e: (min(after[at[w]] for w in g.edges[e]), e)):
             u, v = g.edges[e]
-            idx = emit("edge", (u, v, e), bag_t, (idx,))
+            left[at[u]] -= 1
+            left[at[v]] -= 1
+            idx = emit("edge", (u, v, e), bag, (idx,), tuple(left))
         if t != dec.root:
-            stream[t] = carry(idx, bag_t, dec.bags[parent[t]])
-
-    for v in sorted(set(dec.bags[dec.root]), reverse=True):
-        bag = tuple(w for w in nodes[idx].bag if w != v)
-        idx = emit("forget", (v,), bag, (idx,))
+            stream[t] = carry(idx, dec.bags[parent[t]])
+    carry(idx, ())
     return nodes
 
 
@@ -492,6 +515,19 @@ def build_nice_tree(g: Graph, dec: DecompositionFile) -> list:
 # edge node adds its states to its child's family in place; the rank engine
 # then reduces only the groups that grew there, since intro and forget keep
 # every other group within its cap, and every group after a join.
+#
+# An open group is dead when some bag vertex w has deg[w] + left[w] < 2,
+# left being the node's count of w's edges not yet introduced (see
+# `build_nice_tree`): w can never reach degree 2, so no state of the group
+# completes a Hamiltonian cycle.  The test reads deg alone, so whole groups
+# go at once.  After an edge node uv only u and v can have turned dead, and
+# the rank engine deletes those groups there and checks every position after
+# a join, before it reduces; each group is reduced on its own, so the groups
+# that survive keep the same representatives.  Tightest-first edge order
+# makes a group die at the first edge node of its bag that can tell.  The
+# naive engine drops nothing: it is the unpruned reference the rank engine
+# is checked against, and its families show the full growth with the
+# number of colors.
 
 
 class PchcTimeout(Exception):
@@ -652,14 +688,32 @@ def _prune_rank(family, bag, keys, field) -> None:
         family[deg, closed] = set(kept)
 
 
+def _drop_dead(family, left, positions) -> int:
+    """Delete the open groups in which a bag vertex at one of positions can
+    no longer reach degree 2; return how many were deleted."""
+    need = [(i, 2 - left[i]) for i in positions if left[i] < 2]
+    if not need:
+        return 0
+    dead = [
+        (deg, closed)
+        for deg, closed in family
+        if not closed and any(deg[i] < n for i, n in need)
+    ]
+    for key in dead:
+        del family[key]
+    return len(dead)
+
+
 def _run_dp(g, edge_color, nice, field, deadline, stats):
     """Bottom-up trace DP over a nice tree; True iff a closed state survives.
 
-    With a field, the rank engine's reduction runs after edge and join
-    nodes, the only nodes whose groups can outgrow their cap: intro is
-    injective on states and forget is injective on the states it keeps.
+    With a field, the rank engine first deletes the dead groups (see the
+    comment that opens the dynamic program) after edge and join nodes, then
+    reduces there, the only nodes whose groups can outgrow their cap: intro
+    is injective on states and forget is injective on the states it keeps.
     stats, when given, gets the largest family after any node and, with a
-    field, the largest an edge or join node made before its reduction.
+    field, the largest an edge or join node made before the deletion and
+    the reduction, and the number of dead groups deleted over all nodes.
     """
     start_time = time.monotonic()
     memo = {}
@@ -683,15 +737,22 @@ def _run_dp(g, edge_color, nice, field, deadline, stats):
             u, v, e = node.data
             family = memo[node.children[0]]
             grown = _edge_family(family, node.bag, u, v, edge_color[e])
+            tight = (node.bag.index(u), node.bag.index(v))  # only u and v lost an edge left
         elif kind == "join":
             family = _join_family(memo[node.children[0]], memo[node.children[1]], node.bag)
             grown = list(family)
+            tight = range(len(node.bag))
         else:  # pragma: no cover
             raise InvariantError(f"unknown nice-tree node kind {kind!r}")
         if field is not None and grown is not None:
             if stats is not None:
                 size = sum(map(len, family.values()))
                 stats["max_family_before_prune"] = max(stats.get("max_family_before_prune", 0), size)
+            dead = _drop_dead(family, node.left, tight)
+            if dead:
+                grown = [key for key in grown if key in family]
+            if stats is not None:
+                stats["dead_groups"] = stats.get("dead_groups", 0) + dead
             _prune_rank(family, node.bag, grown, field)
         if stats is not None:
             size = sum(map(len, family.values()))
@@ -719,7 +780,8 @@ def naive_pchc(
     """Properly colored Hamiltonian cycle via the full colored-trace DP.
 
     Exponential in both the width and (through the zeta range) the number
-    of colors; serves as the medium-scale oracle for the rank-based engine.
+    of colors; serves as the medium-scale oracle for the rank-based engine,
+    so it keeps every state, dead groups included.
     """
     _check_inputs(g, coloring, dec)
     if g.n < 3:
@@ -739,8 +801,10 @@ def rank_based_pchc(
     Colors are embedded into nonzero elements of GF(2^a) with 2^a greater
     than the number of colors; after every edge and join node each family
     sharing a degree tuple is reduced to at most C(|Z|-1, |Z|/2) * 2^|Z|
-    states (see `reduce_representatives`).  stats, when given, gets
-    `field_a`, `max_family` and `max_family_before_prune`.
+    states (see `reduce_representatives`), after the groups that can no
+    longer close are deleted (see the comment that opens the dynamic
+    program).  stats, when given, gets `field_a`, `max_family`,
+    `max_family_before_prune` and `dead_groups`.
     """
     _check_inputs(g, coloring, dec)
     if g.n < 3:

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import transita.detour
 
-from transita.core import Graph, TransitionSystem, all_transitions, bfs_dist, is_compatible_walk, INF
+from transita.core import (
+    Graph, TransitionSystem, all_transitions, bfs_dist, is_compatible_walk, validate_walk, INF,
+)
 from transita.detour import comdetour
 from transita.genred import gen_random_ftg
 from transita.oracle import brute_compatible_path
@@ -323,3 +326,44 @@ def test_may_reach_admits_a_start_slot_exactly_within_the_bound():
     bwd = transita.detour._walks_back(sg, goals, {1, 3})
     assert not may_reach(sg, start, goals, bwd, 5)
     assert may_reach(sg, sg.slot(2, 3), goals, bwd, 1)
+
+
+@st.composite
+def detour_queries(draw):
+    # n <= 9 with slack 0-3.  The graph and its turns come from a drawn
+    # seed: plain draws put most of the weight on tiny, dense graphs with
+    # every turn kept, where no route needs a detour.  Most graphs get a
+    # spanning path, so that the target is mostly reachable and far enough
+    # for the layered search, and each turn is kept with a drawn
+    # probability, so that some shortest routes are blocked
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rnd.randint(3, 9)
+    density = rnd.choice([0.1, 0.2, 0.35])
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density}
+    if rnd.random() < 0.9:
+        order = rnd.sample(range(n), n)
+        edges |= {tuple(sorted(p)) for p in zip(order, order[1:])}
+    g = Graph(n, sorted(edges))
+    keep = rnd.choice([0.5, 0.7, 0.85])
+    t = TransitionSystem(p for p in sorted(all_transitions(g).pairs) if rnd.random() < keep)
+    s = draw(st.integers(0, n - 1))
+    tgt = draw(st.sampled_from([v for v in range(n) if v != s]))
+    return g, t, s, tgt, draw(st.integers(0, 3))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(detour_queries())
+def test_comdetour_agrees_with_the_oracle_on_drawn_graphs(query):
+    g, t, s, tgt, k = query
+    dist = bfs_dist(g, s)
+    ref = None if dist[tgt] == INF else brute_compatible_path(g, t, s, tgt, int(dist[tgt]) + k)
+    for witness in (False, True):
+        res = comdetour(g, t, s, tgt, k, witness=witness)
+        assert res.certified
+        assert (res.yes, res.nu) == (ref is not None, ref)
+        if witness and res.yes:
+            w = res.witness
+            validate_walk(g, w)
+            if not (w.is_path() and is_compatible_walk(g, t, w)):
+                raise AssertionError(f"witness {w} is not a compatible path")
+            assert (w.vertices[0], w.vertices[-1], w.length) == (s, tgt, ref)

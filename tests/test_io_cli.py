@@ -317,6 +317,30 @@ def test_failed_solver_check_writes_an_internal_error_report(tmp_path, monkeypat
     assert "misses its target" in report["error"]["message"]
 
 
+def test_pchc_report_carries_the_rank_counters(tmp_path):
+    # the rank engine's counters, equal to its stats; null for the naive
+    # engine, which reduces and drops nothing
+    from transita.core import EdgeColoring, Graph, TransitionSystem
+    from transita.pchc import min_degree_decomposition, rank_based_pchc
+
+    g = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)])
+    col = EdgeColoring(tuple(1 + i % 2 for i in range(g.m)), 2)
+    dec = min_degree_decomposition(g)
+    (tmp_path / "inst.json").write_bytes(serialize_instance(Instance(g, TransitionSystem(), col)))
+    (tmp_path / "dec.json").write_bytes(serialize_decomposition(dec))
+    stats = {}
+    assert rank_based_pchc(g, col, dec, stats=stats) and stats["dead_groups"] > 0
+    for engine, expected in (("rank", stats), ("naive", {})):
+        code, out = run_cli(
+            ["pchc", "--instance", str(tmp_path / "inst.json"),
+             "--decomposition", str(tmp_path / "dec.json"), "--engine", engine]
+        )
+        report = json.loads(out)
+        assert code == 0 and report["answer"] is True
+        for key in ("max_family_before_prune", "dead_groups", "field_a"):
+            assert report[key] == expected.get(key)
+
+
 def test_deep_inputs_write_one_report(tmp_path):
     # each of these three inputs once ended in a RecursionError traceback
     from transita.core import DiGraph, EdgeColoring, Graph, TransitionSystem

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from transita import pchc
 from transita.core import EdgeColoring, Graph
 from transita.io import DecompositionFile, postorder
 from transita.oracle import brute_pchc
@@ -468,7 +469,11 @@ def test_rank_pchc_on_a_deep_path_decomposition():
 
 def test_nice_tree_places_each_edge_at_its_first_covering_bag():
     # brute placement: scan every bag for both ends of each edge and take the
-    # first in postorder; the nice tree's edge nodes must follow it
+    # first in postorder; the nice tree's edge nodes must follow it, and
+    # within a bag come tightest first, by (the fewer edges left at either
+    # end once every edge placed in the bag's subtree is in, edge id), the
+    # edges left counted by walking up the decomposition from each edge's
+    # bag.  History: before the edges of a bag were ordered, they came by id
     rng = random.Random(7)
     cases = []
     for _ in range(60):
@@ -480,19 +485,82 @@ def test_nice_tree_places_each_edge_at_its_first_covering_bag():
     cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     bags = tuple((0, i, i + 1) for i in range(1, n - 1))
     cases.append((cycle, DecompositionFile(0, tuple((i, i + 1) for i in range(len(bags) - 1)), bags)))
+    reordered = 0
     for g, dec in cases:
-        rank = {t: i for i, t in enumerate(postorder(dec.children_map(), dec.root))}
-        at = {}
+        children = dec.children_map()
+        parent = {c: t for t, cs in children.items() for c in cs}
+        rank = {t: i for i, t in enumerate(postorder(children, dec.root))}
+        at, placed = {}, {}
         for e, (u, v) in enumerate(g.edges):
             t = min((i for i, bag in enumerate(dec.bags) if u in bag and v in bag), key=rank.get)
             at.setdefault(t, []).append(e)
+            placed[e] = t
+
+        def below(s, t):
+            while s != t and s in parent:
+                s = parent[s]
+            return s == t
+
+        def left_after(w, t):
+            return g.degree(w) - sum(w in g.edges[e] and below(s, t) for e, s in placed.items())
+
         expected = [
             (e, tuple(sorted(set(dec.bags[t]))))
             for t in sorted(at, key=rank.get)
-            for e in sorted(at[t])
+            for e in sorted(at[t], key=lambda e: (min(left_after(w, t) for w in g.edges[e]), e))
         ]
+        reordered += [e for e, _ in expected] != sorted(placed, key=lambda e: (rank[placed[e]], e))
         nodes = build_nice_tree(g, dec)
         assert [(nd.data[2], nd.bag) for nd in nodes if nd.kind == "edge"] == expected
+    assert reordered >= 10
+
+
+def test_nice_tree_counts_the_edges_left_at_each_bag_vertex():
+    # left[i] is deg_G(bag[i]) less the edges at it introduced in the node's
+    # subtree, counted here by walking the subtree
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+        order = list(range(n))
+        rng.shuffle(order)
+        nodes = build_nice_tree(g, elimination_decomposition(g, order, rng.randrange(n)))
+        for node in nodes:
+            stack, below = [node], []
+            while stack:
+                nd = stack.pop()
+                below += [nd.data[2]] if nd.kind == "edge" else []
+                stack += [nodes[c] for c in nd.children]
+            assert node.left == tuple(
+                g.degree(w) - sum(w in g.edges[e] for e in below) for w in node.bag
+            )
+        assert nodes[-1].left == ()
+
+
+def test_dead_group_boundaries_keep_the_cycle():
+    # alternately colored 6-cycles whose vertices keep degree 2 only when
+    # the edges left are counted right; both engines must say yes
+    cycle = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    col = EdgeColoring(tuple(1 + i % 2 for i in range(6)), 2)
+    # vertex 1's two edges lie in the two branches below the root's join:
+    # (0, 1) in bag 1 and (1, 2) in bag 2, so each branch leaves it one edge
+    # and the join none, at degree 2
+    split = DecompositionFile(0, ((0, 1), (0, 2)), ((0, 1, 3), (0, 1, 3, 4, 5), (1, 2, 3)))
+    nodes = build_nice_tree(cycle, split)
+    (join,) = [nd for nd in nodes if nd.kind == "join"]
+    assert [nodes[c].left[join.bag.index(1)] for c in join.children] == [1, 1]
+    assert join.left[join.bag.index(1)] == 0
+    # vertex 0's edges lie at the two ends of a path decomposition: (0, 5)
+    # at the leaf bag and its last edge (0, 1) at the root bag, so on the
+    # way up it has degree 1 and one edge left
+    bags = tuple((0, i, i + 1) for i in range(1, 5))
+    path = DecompositionFile(0, tuple((i, i + 1) for i in range(3)), bags)
+    for dec in (split, path):
+        assert validate_tree_decomposition(cycle, dec) == []
+        stats = {}
+        assert rank_based_pchc(cycle, col, dec, stats=stats)
+        assert naive_pchc(cycle, col, dec) and brute_pchc(cycle, col)
+        assert stats["dead_groups"] > 0
 
 
 def test_cut_rows_have_rank_c_t_minus_1_choose_half():
@@ -557,27 +625,69 @@ def test_reduce_representatives_matches_the_full_width_elimination():
 
 def test_triple_wheel_families_are_pinned():
     # the largest family after any node of the rank engine on criterion 5's
-    # width-4 wheels, as the dict-state DP with full-width elimination kept,
-    # and the largest an edge or join node made before its reduction
-    for l, family, before in ((5, 614, 679), (50, 910, 1203), (500, 896, 1217)):
+    # width-4 wheels, and the largest an edge or join node made before it
+    # dropped the dead groups and reduced.  History: before the dead groups
+    # were dropped and a bag's edges ordered tightest first, these were
+    # 614/910/896 and 679/1203/1217, as the dict-state DP with full-width
+    # elimination also kept them
+    for l, family, before in ((5, 190, 282), (50, 238, 381), (500, 236, 390)):
         g, col, dec = _triple_wheel(40, l, 1)
         stats = {}
         assert rank_based_pchc(g, col, dec, stats=stats)
         assert (stats["max_family"], stats["max_family_before_prune"]) == (family, before)
 
 
-def test_wheel_rooted_at_its_middle_is_reduced_at_the_join():
+def test_wheel_rooted_at_its_middle_is_reduced_at_the_join(monkeypatch):
     # rooted at its middle bag, the wheel's path decomposition has one join,
     # where both halves meet with full families; at l = 50 and 500 the join
-    # puts groups over their cap that no later edge node grows, and only
-    # the reduction after the join brings them back under it
-    for l, family, before in ((5, 488, 543), (50, 808, 1060), (500, 863, 1250)):
+    # leaves one group over its cap once the dead groups are gone, and only
+    # the reduction after the join brings it back under.  History: before
+    # the dead groups were dropped, the join also set max_family (488/808/863,
+    # before the reduction 543/1060/1250), so the pins alone showed that the
+    # reduction ran; now later edge nodes set it, so the over-cap groups the
+    # reduction after the join receives are counted directly
+    over_cap = []
+    joined = []
+    join_family, prune_rank = pchc._join_family, pchc._prune_rank
+
+    def join(*args):
+        joined.append(True)
+        return join_family(*args)
+
+    def prune(family, bag, keys, field):
+        if joined:
+            joined.clear()
+            over_cap[-1] += sum(
+                len(family[deg, closed]) > 1 << (2 * deg.count(1) - 1)
+                for deg, closed in keys
+                if not closed and deg.count(1)
+            )
+        return prune_rank(family, bag, keys, field)
+
+    monkeypatch.setattr(pchc, "_join_family", join)
+    monkeypatch.setattr(pchc, "_prune_rank", prune)
+    for l, family, before, over in ((5, 154, 241, 0), (50, 214, 823, 1), (500, 213, 956, 1)):
         g, col, dec = _triple_wheel(40, l, 1)
         dec = DecompositionFile(len(dec.bags) // 2, dec.tree_edges, dec.bags)
         assert sum(nd.kind == "join" for nd in build_nice_tree(g, dec)) == 1
         stats = {}
+        over_cap.append(0)
         assert rank_based_pchc(g, col, dec, stats=stats)
         assert (stats["max_family"], stats["max_family_before_prune"]) == (family, before)
+        assert over_cap[-1] == over
+
+
+def test_dead_group_counts_are_pinned():
+    # deterministic counts beside criterion 5's timings on its 200-vertex
+    # wheels: the largest family an edge or join node built and the dead
+    # groups dropped barely move from 5 to 500 colors, and equal runs give
+    # equal counts
+    for l, before, dead in ((5, 394, 3691), (50, 396, 3713), (500, 408, 3713)):
+        g, col, dec = _triple_wheel(200, l, 1)
+        for _ in range(2):
+            stats = {}
+            assert rank_based_pchc(g, col, dec, stats=stats)
+            assert (stats["max_family_before_prune"], stats["dead_groups"]) == (before, dead)
 
 
 def elimination_decomposition(g, order, root):
@@ -602,9 +712,11 @@ def elimination_decomposition(g, order, root):
 
 def test_families_at_join_nodes_are_pinned():
     # summed largest families of both engines on 40 seeded graphs whose
-    # decompositions have 53 join nodes between them, as the dict-state DP
-    # with full-width elimination kept them; a join that loses states can
-    # still answer right, so the answers alone would not show it
+    # decompositions have 53 join nodes between them; a join that loses
+    # states can still answer right, so the answers alone would not show it.
+    # History: the rank total was 25566, as the dict-state DP with
+    # full-width elimination kept it, until the rank engine dropped dead
+    # groups; the naive engine drops none, so its total stays
     rng = random.Random(12)
     naive_total = rank_total = yes = joins = 0
     for _ in range(40):
@@ -622,7 +734,7 @@ def test_families_at_join_nodes_are_pinned():
         yes += answer
         naive_total += naive_stats["max_family"]
         rank_total += rank_stats["max_family"]
-    assert (joins, yes, naive_total, rank_total) == (53, 17, 25641, 25566)
+    assert (joins, yes, naive_total, rank_total) == (53, 17, 25641, 1165)
 
 
 @st.composite
