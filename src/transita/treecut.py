@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import Graph, InvariantError, TransitionSystem, components
+from .core import Graph, InvariantError, TransitionSystem
 from .io import DecompositionFile, postorder
 
 
@@ -198,11 +198,7 @@ def terminate(lg: LGraph, inside: Set, groups: Sequence[Sequence[Tuple]], labels
 
     out = LGraph()
     for v in inside:
-        out.add_vertex(v)
-    for v in inside:
-        for w in lg.adj[v]:
-            if w in inside and repr(w) > repr(v):
-                out.add_edge(v, w)
+        out.adj[v] = lg.adj[v] & inside
         out.trans[v] = {p for p in lg.trans[v] if p <= inside}
     if labels is None:
         labels = [("c", i) for i in range(len(groups))]
@@ -229,6 +225,41 @@ def terminate(lg: LGraph, inside: Set, groups: Sequence[Sequence[Tuple]], labels
 
 # ---------------------------------------------------------------------------
 # Treecut decompositions: derived sets, width, niceness.
+
+
+def _suppress_shrunk(adj) -> int:
+    """How many shrunk vertices of a torso survive suppression.
+
+    adj maps each shrunk vertex (a negative label) to its neighbours (shrunk,
+    or bag vertices >= 0) with edge multiplicities, and is consumed.  Shrunk
+    vertices of degree at most two are suppressed until none is left: a
+    degree-2 vertex's two ends are joined, which keeps their degrees (two
+    parallel edges become a loop, counting 2), and a degree-1 vertex lowers
+    its neighbour's degree.  Degrees never rise, so the worklist order does
+    not change the result.
+    """
+    deg = {x: sum(nb.values()) for x, nb in adj.items()}
+    work = [x for x in adj if deg[x] <= 2]
+    while work:
+        x = work.pop()
+        nb = adj.pop(x, None)
+        if nb is None:
+            continue
+        for y in nb:
+            if y < 0:
+                del adj[y][x]
+        ends = [y for y, k in nb.items() for _ in range(k)]
+        if len(ends) == 2 and ends[0] != ends[1]:
+            # a loop is left out: it is never the end of a later drop
+            a, b = ends
+            for p, q in ((a, b), (b, a)):
+                if p < 0:
+                    adj[p][q] = adj[p].get(q, 0) + 1
+        elif len(ends) == 1 and ends[0] < 0:
+            deg[ends[0]] -= 1
+            if deg[ends[0]] <= 2:
+                work.append(ends[0])
+    return len(adj)
 
 
 class TreecutDecomposition:
@@ -296,12 +327,8 @@ class TreecutDecomposition:
         """|V(3-center)| of the torso at t.
 
         Each child subtree, and the rest of the graph above t, shrinks to one
-        vertex; edges inside a shrunk vertex vanish.  Shrunk vertices of
-        degree at most two are then suppressed until none is left: a degree-2
-        vertex's two ends are joined, which keeps their degrees (two parallel
-        edges become a loop, counting 2), and a degree-1 vertex lowers its
-        neighbour's degree.  Degrees never rise, so the worklist order does
-        not change the result.
+        vertex; edges inside a shrunk vertex vanish.  The bag and the shrunk
+        vertices that survive _suppress_shrunk make up the 3-center.
         """
         bag = self.bags[t]
         # shrunk vertices: -1 above t, -2, -3, ... the child subtrees
@@ -321,28 +348,7 @@ class TreecutDecomposition:
                 for x, y in ((a, b), (b, a)):
                     if x < 0:
                         adj[x][y] = adj[x].get(y, 0) + 1
-        deg = {x: sum(nb.values()) for x, nb in adj.items()}
-        work = [x for x in adj if deg[x] <= 2]
-        while work:
-            x = work.pop()
-            nb = adj.pop(x, None)
-            if nb is None:
-                continue
-            for y in nb:
-                if y < 0:
-                    del adj[y][x]
-            ends = [y for y, k in nb.items() for _ in range(k)]
-            if len(ends) == 2 and ends[0] != ends[1]:
-                # a loop is left out: it is never the end of a later drop
-                a, b = ends
-                for p, q in ((a, b), (b, a)):
-                    if p < 0:
-                        adj[p][q] = adj[p].get(q, 0) + 1
-            elif len(ends) == 1 and ends[0] < 0:
-                deg[ends[0]] -= 1
-                if deg[ends[0]] <= 2:
-                    work.append(ends[0])
-        return len(bag) + len(adj)
+        return len(bag) + _suppress_shrunk(adj)
 
     def width(self) -> int:
         w = 0
@@ -414,6 +420,37 @@ def make_nice(g: Graph, dec: DecompositionFile) -> Tuple[TreecutDecomposition, i
 EXHAUSTIVE_MAX_N = 10
 
 
+def _bits(mask):
+    """The vertices of a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _two_level_width(nbr, s: int, leaves) -> int:
+    """Width of the decomposition with root bag s and one leaf per entry of
+    leaves, all vertex bitmasks, for the graph with neighbour bitmasks nbr.
+
+    A leaf's torso is the leaf plus the rest of the graph shrunk to one
+    vertex of degree cut, which suppression keeps only when cut > 2.  The
+    root's cut is empty, and its torso is s plus one shrunk vertex per leaf.
+    """
+    owner = {v: ~i for i, leaf in enumerate(leaves) for v in _bits(leaf)}
+    width = 0
+    adj = {}
+    for i, leaf in enumerate(leaves):
+        ends = {}
+        for v in _bits(leaf):
+            for w in _bits(nbr[v] & ~leaf):
+                x = owner.get(w, w)
+                ends[x] = ends.get(x, 0) + 1
+        cut = sum(ends.values())
+        width = max(width, cut, leaf.bit_count() + (cut > 2))
+        adj[~i] = ends
+    return max(width, s.bit_count() + _suppress_shrunk(adj))
+
+
 def exhaustive_treecut_decomposition(
     g: Graph, k_max: int
 ) -> Optional[DecompositionFile]:
@@ -425,45 +462,66 @@ def exhaustive_treecut_decomposition(
     candidate of minimum width if that width is at most k_max, else None;
     guarded to n <= EXHAUSTIVE_MAX_N.
 
-    Branch and bound: a candidate's width is at least its root bag size (the
-    root torso holds the bag) and each leaf's size and cut size, and it is
-    evaluated only when that bound is at most k_max and below the best width
-    found so far.  A mask whose |S| alone fails the test is skipped before
-    G-S is split.  A skipped candidate is wider than k_max or no narrower
-    than an earlier one, so the result is the one that evaluating every
-    candidate gives.
+    Vertex sets are bitmasks, and each candidate is scored directly by
+    _two_level_width, which agrees with evaluate_width on two-level trees;
+    only the winner becomes a DecompositionFile.  Branch and bound: a
+    candidate's width is at least |S| (the root torso holds the bag) and
+    each leaf's size and cut size, and it is scored only when that bound is
+    at most k_max and below the best width found so far.  A mask whose |S|
+    alone fails the test is skipped before G-S is split.  A skipped
+    candidate is wider than k_max or no narrower than an earlier one, so the
+    result is the one that scoring every candidate gives.
     """
     if g.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive search is guarded to n <= {EXHAUSTIVE_MAX_N}")
     if g.n == 0:
         return DecompositionFile(0, (), ((),))
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    full = (1 << g.n) - 1
     best = None
     best_width = k_max + 1  # only a candidate narrower than this counts
 
-    def consider(bound, bags):
+    def consider(s, leaves):
         nonlocal best, best_width
-        if bound >= best_width:
-            return
-        dec = DecompositionFile(0, tuple((0, i) for i in range(1, len(bags))), tuple(bags))
-        w, _ = evaluate_width(g, dec)
+        w = _two_level_width(nbr, s, leaves)
         if w < best_width:
-            best, best_width = dec, w
+            best, best_width = (s, leaves), w
 
-    consider(g.n, [tuple(range(g.n))])
-    for mask in range(1 << g.n):
-        s = tuple(v for v in range(g.n) if mask >> v & 1)
-        rest = [v for v in range(g.n) if not mask >> v & 1]
-        if not rest or len(s) >= best_width:
+    if g.n < best_width:
+        consider(full, [])
+    for s in range(full):  # s = full leaves no rest
+        size = s.bit_count()
+        if size >= best_width:
             continue
-        consider(max(len(s), *map(g.degree, rest)), [s] + [(v,) for v in rest])
-        comps = components(g, set(rest))
-        if len(comps) != len(rest):
-            cut = [sum(w not in c for v in c for w, _ in g.adj(v)) for c in comps]
-            consider(
-                max(len(s), *map(len, comps), *cut),
-                [s] + [tuple(sorted(c)) for c in comps],
-            )
-    return best
+        # one flood over G-S gives its components, in order of their lowest
+        # vertex, each one's size and cut (all of whose edges end in S), and
+        # the largest degree in G-S, which is the largest singleton cut
+        comps, left, top_single, top_comp = [], full ^ s, 0, 0
+        while left:
+            comp = frontier = left & -left
+            cut = 0
+            while frontier:
+                low = frontier & -frontier
+                nb = nbr[low.bit_length() - 1]
+                top_single = max(top_single, nb.bit_count())
+                cut += (nb & s).bit_count()
+                new = nb & left & ~comp
+                comp |= new
+                frontier = frontier ^ low | new
+            comps.append(comp)
+            top_comp = max(top_comp, cut, comp.bit_count())
+            left ^= comp
+        if top_single < best_width:
+            consider(s, [1 << v for v in _bits(full ^ s)])
+        if len(comps) != g.n - size and top_comp < best_width:
+            consider(s, comps)
+    if best is None:
+        return None
+    bags = [tuple(_bits(m)) for m in [best[0], *best[1]]]
+    return DecompositionFile(0, tuple((0, i) for i in range(1, len(bags))), tuple(bags))
 
 
 def single_bag_treecut(g: Graph) -> DecompositionFile:

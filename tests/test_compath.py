@@ -5,8 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transita.compath import SlotGraph, compath, family_for_bound, verify_k_perfect
-from transita.core import Endpoint, Graph, TransitionSystem, all_transitions, is_compatible_walk
+import transita.compath
+from transita.compath import (
+    SlotGraph, compath, family_for_bound, oriented_compath, verify_k_perfect,
+)
+from transita.core import (
+    Endpoint, Graph, TransitionSystem, Walk, all_transitions, is_compatible_walk,
+)
 from transita.genred import gen_random_ftg
 from transita.oracle import brute_compatible_path
 
@@ -222,3 +227,25 @@ def test_family_for_bound_reuses_cache():
     a = family_for_bound(10, 4, seed=0)
     b = family_for_bound(10, 4, seed=0)
     assert a is b
+
+
+def test_oriented_compath_answers_a_goal_equal_to_the_start(monkeypatch):
+    g = Graph(3, [(0, 1), (1, 2)])
+    t = all_transitions(g)
+    fam = family_for_bound(g.n, 3)
+    res, wits = oriented_compath(g, t, ("v", 0), [("v", 0), ("v", 2)], 3, fam, witness=True)
+    assert res == [0, 2]
+    assert wits[0] == Walk((0,), ()) and wits[1].vertices == (0, 1, 2)
+    # with the start as the only goal, no member is swept
+    runs = [0]
+    real = transita.compath._colorful_run
+
+    def counted(*args):
+        runs[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(transita.compath, "_colorful_run", counted)
+    assert oriented_compath(g, t, ("v", 1), [("v", 1)], 3, fam) == [0]
+    assert runs[0] == 0
+    # a start outside the allowed vertices is no path, not even to itself
+    assert oriented_compath(g, t, ("v", 0), [("v", 0)], 3, fam, allowed_vertices={1, 2}) == [None]

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transita.core import (
     DiGraph, TransitionSystem, Walk, all_transitions, dijkstra, is_compatible_walk,
@@ -240,6 +242,50 @@ def check_witnesses(g, t, pairs, paths, mode):
         assert not set(w1.edge_ids) & set(w2.edge_ids)
     else:
         assert not set(w1.vertices) & set(w2.vertices)
+
+
+LENGTHS = (0, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+
+
+@st.composite
+def dspp_instances(draw):
+    """A digraph on 4-7 vertices with zero and fractional lengths, drawn
+    turns and two terminal pairs, which share a vertex in some draws.  The
+    digraph comes from a drawn seed: plain draws were mostly digraphs in
+    which some target is unreachable."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 7))
+    p = draw(st.sampled_from((0.3, 0.45, 0.6)))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    g = DiGraph(n, arcs, [rng.choice(LENGTHS) for _ in arcs])
+    t = random_transitions(rng, g, keep=draw(st.sampled_from((0.5, 0.8, 1.0))))
+    if draw(st.booleans()):
+        ends = rng.sample(range(n), 4)
+    else:
+        ends = rng.sample(range(n), 2) + rng.sample(range(n), 2)
+    return g, t, tuple(ends)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=dspp_instances())
+def test_2dspp_agrees_with_the_oracle_on_drawn_digraphs(case):
+    g, t, ends = case
+    pairs = [ends[:2], ends[2:]]
+    try:
+        check_positive_cycles(g)
+    except PositivityError:
+        for fn in (edge_disjoint_2dspp, vertex_disjoint_2dspp):
+            with pytest.raises(PositivityError):
+                fn(g, t, *ends)
+        return
+    for fn, mode in ((edge_disjoint_2dspp, "edge"), (vertex_disjoint_2dspp, "vertex")):
+        res = fn(g, t, *ends)
+        assert res.yes == brute_2dspp(g, t, pairs, mode)
+        if res.yes:
+            check_witnesses(g, t, pairs, res.paths, mode)
+        # the arcs on shortest paths keep a shortest path of each pair, and
+        # splitting the vertices keeps its length
+        assert res.diagnostic != "a target is unreachable after splitting"
 
 
 def test_2dspp_matches_oracle_on_grids_of_benchmark_size():

@@ -145,9 +145,9 @@ def small_graphs(draw, max_n=8):
     return Graph(n, edges)
 
 
-def _unpruned_search(g, k_max):
-    """First minimum-width candidate of the search space, every one evaluated."""
-    cands = [DecompositionFile(0, (), (tuple(range(g.n)),))]
+def _two_level_candidates(g):
+    """The search space, in the search's order, as DecompositionFiles."""
+    yield DecompositionFile(0, (), (tuple(range(g.n)),))
     for mask in range(1 << g.n):
         s = tuple(v for v in range(g.n) if mask >> v & 1)
         rest = [v for v in range(g.n) if not mask >> v & 1]
@@ -169,19 +169,97 @@ def _unpruned_search(g, k_max):
             leaf_sets.append(comps)
         for leaves in leaf_sets:
             edges = tuple((0, i + 1) for i in range(len(leaves)))
-            cands.append(DecompositionFile(0, edges, (s, *leaves)))
+            yield DecompositionFile(0, edges, (s, *leaves))
+
+
+def _unpruned_best(g):
+    """First minimum-width candidate of the search space, every one
+    evaluated, and its width."""
     best, best_width = None, None
-    for dec in cands:
+    for dec in _two_level_candidates(g):
         w, _ = evaluate_width(g, dec)
         if best_width is None or w < best_width:
             best, best_width = dec, w
+    return best, best_width
+
+
+def _unpruned_search(g, k_max):
+    best, best_width = _unpruned_best(g)
     return best if best_width <= k_max else None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(g=small_graphs(), k_max=st.integers(0, 6))
+@given(g=small_graphs(max_n=9), k_max=st.integers(0, 6))
 def test_pruned_search_returns_the_unpruned_result(g, k_max):
     assert exhaustive_treecut_decomposition(g, k_max) == _unpruned_search(g, k_max)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=small_graphs(max_n=7))
+def test_two_level_width_matches_evaluate_width(g):
+    # the search scores candidates on bitmasks; every candidate of the
+    # search space must score what the general evaluator gives
+    nbr = [sum(1 << w for w, _ in g.adj(v)) for v in range(g.n)]
+    for dec in _two_level_candidates(g):
+        s, *leaves = (sum(1 << v for v in bag) for bag in dec.bags)
+        assert treecut._two_level_width(nbr, s, leaves) == evaluate_width(g, dec)[0]
+
+
+def test_search_returns_the_unpruned_result_on_sparse_graphs():
+    # graphs shaped like the vdp-search benchmark's: n = 6-10 and at most
+    # four vertices of degree three or more
+    rng = random.Random(40)
+    widths = set()
+    for n in range(6, 11):
+        found = 0
+        while found < 2:
+            g, _ = gen_random_ftg(n, 2.6 / (n - 1), 0.75, rng.getrandbits(32))
+            if sum(g.degree(v) >= 3 for v in range(n)) > 4:
+                continue
+            found += 1
+            best, width = _unpruned_best(g)
+            widths.add(width)
+            for k_max in range(2, 6):
+                expected = best if width <= k_max else None
+                assert exhaustive_treecut_decomposition(g, k_max) == expected
+    assert len(widths) >= 2
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def _wheel(rim):
+    return Graph(rim + 1, [(0, i) for i in range(1, rim + 1)]
+                 + [(i, i % rim + 1) for i in range(1, rim + 1)])
+
+
+def test_search_scores_a_pinned_number_of_candidates(monkeypatch):
+    # a load-free witness of the search's work: the candidates it scores,
+    # counted around _two_level_width, equal over two runs
+    calls = [0]
+    real = treecut._two_level_width
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(treecut, "_two_level_width", counted)
+    cases = [(_petersen(), 8), (_wheel(7), 5), (_triangle_chain(3)[0], 4)]
+
+    def scored():
+        out = []
+        for g, k_max in cases:
+            calls[0] = 0
+            assert exhaustive_treecut_decomposition(g, k_max) is not None
+            out.append(calls[0])
+        return out
+
+    first = scored()
+    assert first == [727, 80, 32]
+    assert scored() == first
 
 
 def _torso_by_definition(g, tc, t):
@@ -315,6 +393,47 @@ def test_terminate_rejects_bad_families():
         _terminate_edges(g, t, [0], [[0, 1]])  # same inside endpoint twice
     with pytest.raises(TerminationError):
         _terminate_edges(g, t, [0, 1], [[0]])  # edge does not cross
+    # every check, by its message; a rejected family leaves the input as it was
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (2, 3), (3, 4)])
+    lg = LGraph.from_core(g, all_transitions(g))
+    before = _lgraph_contents(lg)
+    cases = [
+        ([[]], "size must be 1 or 2"),
+        ([[(0, 3), (0, 4), (2, 3)]], "size must be 1 or 2"),
+        ([[(3, 0)]], "does not cross"),  # the first end is outside
+        ([[(0, 1)]], "does not cross"),  # the second end is inside
+        ([[(1, 3)]], "not present"),
+        ([[(0, 3), (0, 4)]], "pair endpoints inside must differ"),
+        ([[(0, 3)], [(2, 3), (0, 3)]], "groups are not disjoint"),
+    ]
+    for groups, message in cases:
+        with pytest.raises(TerminationError, match=message):
+            terminate(lg, {0, 1, 2}, groups)
+    assert _lgraph_contents(lg) == before
+
+
+@st.composite
+def kept_subgraphs(draw):
+    g = draw(small_graphs())
+    turns = sorted(all_transitions(g).pairs)
+    pairs = draw(st.lists(st.sampled_from(turns), unique=True)) if turns else []
+    inside = draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    return LGraph.from_core(g, TransitionSystem(pairs)), inside
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=kept_subgraphs())
+def test_terminate_without_groups_keeps_the_induced_subgraph(case):
+    lg, inside = case
+    before = _lgraph_contents(lg)
+    out, labels = terminate(lg, inside, [])
+    assert labels == [] and set(out.adj) == set(out.trans) == inside
+    for v in inside:
+        assert out.adj[v] == {w for w in lg.adj[v] if w in inside}
+        assert out.adj[v] is not lg.adj[v]
+        assert all(v in out.adj[w] for w in out.adj[v])  # symmetric
+        assert out.trans[v] == {p for p in lg.trans[v] if p <= inside}
+    assert _lgraph_contents(lg) == before
 
 
 def test_terminate_path_crossing_observation():
@@ -412,10 +531,12 @@ def test_corresponding_instance_shapes():
     assert len(flat) == len(set(flat))  # added pairs are disjoint
 
 
+def _lgraph_contents(lg):
+    return {v: set(nb) for v, nb in lg.adj.items()}, {v: set(ps) for v, ps in lg.trans.items()}
+
+
 def _frame_contents(frame):
-    adj = {v: set(nb) for v, nb in frame.lg.adj.items()}
-    trans = {v: set(ps) for v, ps in frame.lg.trans.items()}
-    return adj, trans, dict(frame.realized)
+    return (*_lgraph_contents(frame.lg), dict(frame.realized))
 
 
 @pytest.mark.parametrize("pairs", [[], [(3, 7)], [(3, 8), (6, 9)]])
@@ -669,19 +790,25 @@ def _triangle_chain(k):
 def test_comvdp_graph_work_grows_linearly_on_a_chain(monkeypatch):
     # vertices and edges added to LGraphs plus vertices copied, over one
     # comvdp run: each record's instance is built from its node's frame, so
-    # the work per node is bounded by the width and the total is linear in n
+    # the work per node is bounded by the width and the total is linear in n.
+    # terminate copies the kept vertices and the edges among them by set
+    # intersection, not through add_vertex and add_edge; they count the same
     count = [0]
 
     def counted(method, cost):
         def wrapper(self, *args):
-            count[0] += cost(self)
+            count[0] += cost(self, *args)
             return method(self, *args)
 
         return wrapper
 
-    monkeypatch.setattr(LGraph, "add_vertex", counted(LGraph.add_vertex, lambda lg: 1))
-    monkeypatch.setattr(LGraph, "add_edge", counted(LGraph.add_edge, lambda lg: 1))
+    def kept(lg, inside, *rest):
+        return len(inside) + sum(len(lg.adj[v] & inside) for v in inside) // 2
+
+    monkeypatch.setattr(LGraph, "add_vertex", counted(LGraph.add_vertex, lambda lg, v: 1))
+    monkeypatch.setattr(LGraph, "add_edge", counted(LGraph.add_edge, lambda lg, u, v: 1))
     monkeypatch.setattr(LGraph, "copy", counted(LGraph.copy, lambda lg: len(lg.adj)))
+    monkeypatch.setattr(treecut, "terminate", counted(terminate, kept))
     counts = []
     for n in (96, 192, 384, 768):
         count[0] = 0
