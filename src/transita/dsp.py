@@ -523,7 +523,7 @@ def _two_dspp(g, t, s1, t1, s2, t2, mode, witness, stats):
         dg = build_split_graph(dg.restriction(set(e1) | set(e2)))
         e1, e2 = _tight_pairs(dg, a_ids)
         if a_ids["A1"] not in e1 or a_ids["A2"] not in e2:
-            return DspResult(False, diagnostic="a target is unreachable after splitting")
+            raise InvariantError("a target is unreachable after splitting")
         # parallel-arc property: with one incoming arc of v- in Ei', all the
         # parallel arcs at v are
         par = [a for a in dg.arcs if not isinstance(a, int) and a[0] == "par"]

@@ -19,6 +19,10 @@ which t's record or the child's simplification drops before the instance is
 decided.  Until then it only appears in transitions at vertices dropped with
 it, so leaving it out changes nothing, and the work per record is bounded by
 the width, not by n.
+
+Y_t and Z_t are never built whole: each node takes the sides it drops once,
+over its frame and the terminals, by the postorder interval test of
+TreecutDecomposition.y_part.  Gateways are made later, so they lie on neither.
 """
 
 from __future__ import annotations
@@ -265,6 +269,9 @@ def _suppress_shrunk(adj) -> int:
 class TreecutDecomposition:
     """A rooted tree with a (possibly empty-bag) partition of the vertices.
 
+    Postorder makes each subtree an interval: v lies in Y_t iff
+    _first[t] <= _pos[v's node] <= _pos[t] (y_part), and a gateway, not a
+    vertex of g, lies on neither side.
     Cuts are built leaf to root: cut(t) is the symmetric difference of the
     edges at t's bag vertices and the cuts of t's children.  An edge with an
     end in a part that the torso at t shrinks lies in the cut of t or of a
@@ -276,40 +283,40 @@ class TreecutDecomposition:
         self.root = dec.root
         self.children = {k: sorted(v) for k, v in dec.children_map().items()}
         self.bags = {i: frozenset(b) for i, b in enumerate(dec.bags)}
-        seen = [0] * g.n
-        for b in self.bags.values():
+        self._node_of = [None] * g.n
+        for t, b in self.bags.items():
             for v in b:
                 if not (0 <= v < g.n):
                     raise ValueError(f"bag vertex {v} out of range")
-                seen[v] += 1
-        if any(c != 1 for c in seen):
+                self._node_of[v] = t
+        if None in self._node_of or sum(map(len, self.bags.values())) != g.n:
             raise ValueError("bags must partition the vertex set")
         self.parent = {c: t for t, cs in self.children.items() for c in cs}
-        self.postorder = postorder(self.children, self.root)
-        self._y = {}
-        self._z = {}  # filled on first use: O(n) each
+        self._number()
         self._cut = {}
         for tnode in self.postorder:
-            y = set(self.bags[tnode])
             cut = set()
             for c in self.children[tnode]:
-                y |= self._y[c]
                 cut.symmetric_difference_update(self._cut[c])
             for v in self.bags[tnode]:
                 cut ^= {e for _, e in g.adj(v)}
-            self._y[tnode] = frozenset(y)
             self._cut[tnode] = tuple(sorted(cut))
 
     def nodes(self):
         return self.postorder
 
-    def y_set(self, t) -> frozenset:
-        return self._y[t]
+    def _number(self):
+        """Number the nodes in postorder; t's subtree spans _first[t].._pos[t]."""
+        self.postorder = postorder(self.children, self.root)
+        self._pos, self._first = [0] * len(self.bags), [0] * len(self.bags)
+        for i, t in enumerate(self.postorder):
+            self._pos[t] = i
+            self._first[t] = self._first[self.children[t][0]] if self.children[t] else i
 
-    def z_set(self, t) -> frozenset:
-        if t not in self._z:
-            self._z[t] = frozenset(range(self.g.n)) - self._y[t]
-        return self._z[t]
+    def y_part(self, t, vertices) -> set:
+        """Those of vertices that lie in Y_t."""
+        lo, hi, pos, node_of = self._first[t], self._pos[t], self._pos, self._node_of
+        return {v for v in vertices if lo <= pos[node_of[v]] <= hi}
 
     def cut_edges(self, t) -> tuple:
         return self._cut[t]
@@ -336,9 +343,8 @@ class TreecutDecomposition:
         edges = set(self._cut[t])
         for i, c in enumerate(self.children[t]):
             edges.update(self._cut[c])
-            for e in self._cut[c]:
-                u, v = self.g.edges[e]
-                shrunk[u if u in self._y[c] else v] = -2 - i
+            for v in self.y_part(c, [v for e in self._cut[c] for v in self.g.edges[e]]):
+                shrunk[v] = -2 - i
         adj = {x: {} for x in range(-1 - len(self.children[t]), 0)}
         for e in sorted(edges):
             u, v = self.g.edges[e]
@@ -362,22 +368,14 @@ class TreecutDecomposition:
         for t in self.postorder:
             if not self.is_thin(t):
                 continue
-            yt = self._y[t]
-            nbrs = {w for e in self._cut[t] for w in self.g.edges[e] if w not in yt}
+            ends = {w for e in self._cut[t] for w in self.g.edges[e]}  # Y_b misses Y_t
             for b in self.children[self.parent[t]]:
-                if b != t and nbrs & self._y[b]:
+                if b != t and self.y_part(b, ends):
                     return t, b
         return None
 
     def is_nice(self) -> bool:
         return self._violation() is None
-
-    def to_file(self) -> DecompositionFile:
-        ids = sorted(self.bags)
-        edges = tuple((self.parent[t], t) for t in ids if t != self.root)
-        return DecompositionFile(
-            self.root, edges, tuple(tuple(sorted(self.bags[t])) for t in ids)
-        )
 
 
 def evaluate_width(g: Graph, dec: DecompositionFile):
@@ -403,10 +401,12 @@ def make_nice(g: Graph, dec: DecompositionFile) -> Tuple[TreecutDecomposition, i
         move = cur._violation()
         if move is None:
             break
-        t, b = move
-        f = cur.to_file()
-        edges = tuple((b, c) if c == t else (p, c) for p, c in f.tree_edges)
-        cur = TreecutDecomposition(g, replace(f, tree_edges=edges))
+        t, b = move  # in place: Y_t, Y_b are disjoint, so only cut(b) changes
+        cur.children[cur.parent[t]].remove(t)
+        cur.children[b] = sorted([*cur.children[b], t])
+        cur.parent[t] = b
+        cur._cut[b] = tuple(sorted(set(cur._cut[b]).symmetric_difference(cur._cut[t])))
+        cur._number()
     else:  # pragma: no cover
         raise NicenessError("make_nice did not converge")
     if not cur.is_nice():
@@ -569,7 +569,7 @@ def _matchings(edges: Sequence[int], side_of, distinct_required: bool):
 
 
 def unmatched_terminals(dec: TreecutDecomposition, t, pairs) -> list:
-    y = dec.y_set(t)
+    y = dec.y_part(t, [v for p in pairs for v in p])
     out = []
     for a, b in pairs:
         if a in y and b not in y:
@@ -584,7 +584,7 @@ def enumerate_records(
 ) -> list:
     """All records for node t, each satisfying the degree and matching rules."""
     cut = dec.cut_edges(t)
-    y = dec.y_set(t)
+    y = dec.y_part(t, [v for e in cut for v in g.edges[e]])
     uts = unmatched_terminals(dec, t, pairs)
     y_side = {e: (g.edges[e][0] if g.edges[e][0] in y else g.edges[e][1]) for e in cut}
     z_side = {e: (g.edges[e][1] if g.edges[e][0] in y else g.edges[e][0]) for e in cut}
@@ -659,7 +659,7 @@ def _lookup_partner(pairs, a):
     return None
 
 
-def _terminate_state(ws: WorkState, drop_set: frozenset, groups_edges: List[List[int]], tag):
+def _terminate_state(ws: WorkState, drop_set: Set, groups_edges: List[List[int]], tag):
     """Terminate groups (given as original edge ids) w.r.t. everything
     outside drop_set.  The graph, realized edges and pairs are replaced, not
     changed in place, so a frame that ws started from stays as it was."""
@@ -701,10 +701,9 @@ def _kept_end(ws: WorkState, e: int, dropped):
     return v if u in dropped else u
 
 
-def _apply_record(
-    ws: WorkState, dec: TreecutDecomposition, t, rec: Record, keep_y: bool, tag
-) -> bool:
-    """Replace one side of node t's cut by gateways, as rec says.
+def _apply_record(ws: WorkState, drop: Set, rec: Record, keep_y: bool, tag) -> bool:
+    """Replace drop, the labels ws holds on one side of node t's cut, by
+    gateways, as rec says.
 
     With keep_y, Z_t is dropped (the corresponding instance): each I-pair
     becomes one pair gateway, each F and L edge a single gateway, each
@@ -716,7 +715,6 @@ def _apply_record(
     pair group's two kept-side ends coincide, or a terminal's partner is
     gone.  ws gets a new graph, so the one it had is never changed.
     """
-    drop = dec.z_set(t) if keep_y else dec.y_set(t)
     if keep_y:
         gated, paired, single = rec.ipairs, rec.fpairs, F
     else:
@@ -753,17 +751,16 @@ def node_frame(whole: LGraph, g: Graph, dec: TreecutDecomposition, t) -> WorkSta
     return WorkState(lg, set(), realized, itertools.count())
 
 
-def build_corresponding_state(
-    frame: WorkState, pairs, dec: TreecutDecomposition, t, rec: Record
-) -> WorkState:
-    """The corresponding instance of record rec at node t, as a WorkState.
+def build_corresponding_state(frame: WorkState, pairs, z_t: Set, rec: Record) -> WorkState:
+    """The corresponding instance of record rec at node t, as a WorkState;
+    z_t covers the labels of Z_t in the frame and the pairs.
 
     It shares t's frame without a copy: every later step replaces the graph,
     the realized map and the pairs instead of changing them, so the frame
     is only read.  Deep vertices are not in it and are never needed.
     """
     ws = replace(frame, pairs={frozenset(p) for p in pairs}, fresh=itertools.count())
-    _apply_record(ws, dec, t, rec, True, "R")
+    _apply_record(ws, z_t, rec, True, "R")
     return ws
 
 
@@ -861,8 +858,8 @@ def _records_effective(ws: WorkState, cut: Sequence[int], d_records) -> list:
     return out
 
 
-def reduce_thin_child(ws: WorkState, dec: TreecutDecomposition, s, d_records, pairs_orig) -> bool:
-    """Apply the thin-child reduction for child s in place.
+def reduce_thin_child(ws: WorkState, dec: TreecutDecomposition, s, drop, d_records, pairs) -> bool:
+    """Apply the thin-child reduction for child s, whose side is drop, in place.
 
     The candidate records label deleted cut edges U.  With no unmatched
     terminal they are all-F, all-U and all-I on the present edges; otherwise
@@ -875,7 +872,7 @@ def reduce_thin_child(ws: WorkState, dec: TreecutDecomposition, s, d_records, pa
     """
     cut = dec.cut_edges(s)
     present = [e for e in cut if ws.realized[e] is not None]
-    uts = unmatched_terminals(dec, s, pairs_orig)
+    uts = unmatched_terminals(dec, s, pairs)
 
     def sigma(lbl, edges):
         return tuple((e, lbl if e in edges else U) for e in cut)
@@ -896,7 +893,6 @@ def reduce_thin_child(ws: WorkState, dec: TreecutDecomposition, s, d_records, pa
     valid = [r for r in cands if r in d_records]
     if len(present) == 2 and uts and len(valid) == len(cands):
         # every assignment is valid: keep the choice of exit open
-        drop = dec.y_set(s)
         partners = [_lookup_partner(ws.pairs, a) for a in uts]
         if None in partners:
             return False
@@ -931,7 +927,7 @@ def reduce_thin_child(ws: WorkState, dec: TreecutDecomposition, s, d_records, pa
                     ws.lg.trans[zj].add(frozenset((w, lbl)))
             ws.pairs.add(frozenset((lbl, partners[0])))
             return True
-    return any(_apply_record(ws, dec, s, r, False, f"s{s}") for r in valid)
+    return any(_apply_record(ws, drop, r, False, f"s{s}") for r in valid)
 
 
 # ---------------------------------------------------------------------------
@@ -951,17 +947,20 @@ def solve_node(whole: LGraph, pairs, dec: TreecutDecomposition, t, d, width) -> 
     if len(bold) > 2 * width + 1:
         raise InvariantError("a nice decomposition has at most 2w+1 bold children")
     frame = node_frame(whole, dec.g, dec, t)
+    held = [*frame.lg.adj, *(v for p in pairs for v in p)]
+    y = {s: dec.y_part(s, held) for s in dec.children[t]}
+    z_t = set(held) - dec.y_part(t, held)
     core = set(dec.bags[t])
     out = []
     for rec in enumerate_records(dec.g, dec, t, pairs, width):
-        base = build_corresponding_state(frame, pairs, dec, t, rec)
-        if not all(reduce_thin_child(base, dec, s, d[s], pairs) for s in thin):
+        base = build_corresponding_state(frame, pairs, z_t, rec)
+        if not all(reduce_thin_child(base, dec, s, y[s], d[s], pairs) for s in thin):
             continue
         eff = [_records_effective(base, dec.cut_edges(s), d[s]) for s in bold]
         for combo in itertools.product(*eff):
             ws = replace(base)  # _apply_record leaves base as it was
             if not all(
-                _apply_record(ws, dec, s, rec_s, False, f"Q{s}")
+                _apply_record(ws, y[s], rec_s, False, f"Q{s}")
                 for s, rec_s in zip(bold, combo)
             ):
                 continue
@@ -1009,7 +1008,7 @@ def correspondence_record(
     paths into internal, foreign and leaving edges.
     """
     cut = set(dec.cut_edges(t))
-    y = dec.y_set(t)
+    y = dec.y_part(t, [v for w in walks for v in (w.vertices[0], w.vertices[-1])])
     labels = {}
     ipairs = set()
     fpairs = set()

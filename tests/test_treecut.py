@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from transita.core import Graph, TransitionSystem, all_transitions
+from transita.core import Graph, TransitionSystem, Walk, all_transitions
 from transita.genred import gen_random_ftg
 from transita.io import DecompositionFile
 from transita import treecut
@@ -23,12 +23,33 @@ from transita.treecut import (
     NicenessError,
     make_nice,
     node_frame,
+    reduce_thin_child,
     scomvdp_state,
     single_bag_treecut,
     suppress_vertex,
     terminate,
     unmatched_terminals,
 )
+
+
+def _subtree_vertices(tc, t):
+    """Y_t by its definition: the vertices in the bags of t's subtree."""
+    out, stack = set(), [t]
+    while stack:
+        s = stack.pop()
+        out |= tc.bags[s]
+        stack.extend(tc.children[s])
+    return out
+
+
+def _as_file(tc):
+    """The tree and bags of tc as a DecompositionFile, nodes in id order."""
+    ids = sorted(tc.bags)
+    return DecompositionFile(
+        tc.root,
+        tuple((tc.parent[t], t) for t in ids if t != tc.root),
+        tuple(tuple(sorted(tc.bags[t])) for t in ids),
+    )
 
 
 def k4():
@@ -108,7 +129,7 @@ def test_make_nice_properties():
             tuple(tuple(b) for b in bags),
         )
         before, was_nice = evaluate_width(g, dec)
-        nice = make_nice(g, dec)[0].to_file()
+        nice = _as_file(make_nice(g, dec)[0])
         after, is_nice = evaluate_width(g, nice)
         assert is_nice and after <= before
         assert nice.num_nodes == dec.num_nodes
@@ -264,9 +285,9 @@ def test_search_scores_a_pinned_number_of_candidates(monkeypatch):
 
 def _torso_by_definition(g, tc, t):
     """|V(3-center)| of the torso at t, suppressing one vertex at a time."""
-    parts = [tc.y_set(c) for c in tc.children[t]]
+    parts = [_subtree_vertices(tc, c) for c in tc.children[t]]
     if t != tc.root:
-        parts.append(tc.z_set(t))
+        parts.append(set(range(g.n)) - _subtree_vertices(tc, t))
     cls = {v: v for v in tc.bags[t]}
     for i, part in enumerate(parts):
         cls.update((v, ("part", i)) for v in part)
@@ -300,10 +321,10 @@ def _violation_by_definition(g, tc):
     for t in tc.nodes():
         if not tc.is_thin(t):
             continue
-        y = tc.y_set(t)
+        y = _subtree_vertices(tc, t)
         nbrs = {w for v in y for w, _ in g.adj(v)} - y
         for b in tc.children[tc.parent[t]]:
-            if b != t and nbrs & tc.y_set(b):
+            if b != t and nbrs & _subtree_vertices(tc, b):
                 return t, b
     return None
 
@@ -311,16 +332,27 @@ def _violation_by_definition(g, tc):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=decompositions())
 def test_torso_size_matches_the_definition(case):
-    # cuts, torsos and violations are derived from the children's cut
-    # edges; each must equal the whole-graph scan that defines it
+    # sides, cuts, torsos and violations are derived from postorder
+    # intervals and the children's cut edges; each must equal the
+    # whole-graph scan that defines it
     g, dec = case
     tc = TreecutDecomposition(g, dec)
     for t in tc.nodes():
-        y = tc.y_set(t)
+        y = _subtree_vertices(tc, t)
+        assert tc.y_part(t, range(g.n)) == y
         cut = tuple(e for e, (u, v) in enumerate(g.edges) if (u in y) != (v in y))
         assert tc.cut_edges(t) == cut
         assert tc.torso_size(t) == _torso_by_definition(g, tc, t)
     assert tc._violation() == _violation_by_definition(g, tc)
+    # make_nice moves nodes in place; the same tree built from scratch is
+    # the reference for the cuts and numbering it updates
+    nice, _ = make_nice(g, dec)
+    fresh = TreecutDecomposition(g, _as_file(nice))
+    assert nice.children == fresh.children and nice.postorder == fresh.postorder
+    for t in fresh.nodes():
+        assert nice.cut_edges(t) == fresh.cut_edges(t)
+        assert nice.torso_size(t) == fresh.torso_size(t)
+        assert nice.y_part(t, range(g.n)) == _subtree_vertices(fresh, t)
 
 
 def test_suppress_vertex_cases():
@@ -520,10 +552,11 @@ def test_corresponding_instance_shapes():
     by = {tuple(l for _, l in r.sigma): r for r in recs}
     frame = node_frame(LGraph.from_core(g, TransitionSystem()), g, dec, 1)
     # all-unused: no gateway vertices are added
-    ws = build_corresponding_state(frame, [], dec, 1, by[("U", "U")])
+    z_1 = set(range(g.n)) - dec.y_part(1, range(g.n))
+    ws = build_corresponding_state(frame, [], z_1, by[("U", "U")])
     assert set(ws.lg.adj) == {0, 2}
     # the pair of foreign edges adds a terminal pair of gateways
-    ws = build_corresponding_state(frame, [], dec, 1, by[("F", "F")])
+    ws = build_corresponding_state(frame, [], z_1, by[("F", "F")])
     gateways = [v for v in ws.lg.adj if v not in (0, 2)]
     assert len(gateways) == 2
     assert len(ws.pairs) == 1
@@ -678,7 +711,8 @@ def test_records_duality_and_simplification_safety():
                 {e: tuple(g.edges[e]) for e in range(g.m)},
                 itertools.count(),
             )
-            if tn != tc.root and _apply_record(ws, tc, tn, rec, False, f"Q{tn}"):
+            y = tc.y_part(tn, range(g.n))
+            if tn != tc.root and _apply_record(ws, y, rec, False, f"Q{tn}"):
                 g2, t2, labels = ws.lg.to_core()
                 idx = {l: i for i, l in enumerate(labels)}
                 new_pairs = [tuple(idx[v] for v in p) for p in ws.pairs]
@@ -694,6 +728,64 @@ def test_unmatched_terminal_counts():
     )
     assert unmatched_terminals(dec, 1, [(0, 3)]) == [0]
     assert unmatched_terminals(dec, 1, [(0, 1)]) == []
+
+
+def test_apply_record_refuses_a_terminal_whose_partner_is_gone():
+    # terminal vertex 1 is leaf node 1's bag, with one cut edge; dropping
+    # Y_1 hands the gateway to its partner, so with the pair gone the
+    # record is refused before any change
+    g = Graph(2, [(0, 1)])
+    dec = TreecutDecomposition(g, DecompositionFile(0, ((0, 1),), ((0,), (1,))))
+    (rec,) = enumerate_records(g, dec, 1, [(1, 0)])
+    ws = WorkState(LGraph.from_core(g, TransitionSystem()), set(), {0: (0, 1)}, itertools.count())
+    before = _frame_contents(ws)
+    assert not _apply_record(ws, {1}, rec, False, "Q1")
+    assert _frame_contents(ws) == before and ws.pairs == set()
+    ws.pairs = {frozenset((1, 0))}
+    assert _apply_record(ws, {1}, rec, False, "Q1")
+    assert set(ws.lg.adj) == {0, ("c", "Q1", 0)}
+    assert ws.pairs == {frozenset((0, ("c", "Q1", 0)))}
+
+
+def test_thin_child_with_two_exits_refuses_a_terminal_whose_partner_is_gone():
+    # terminal vertex 2 may leave leaf node 1 by either cut edge, so the
+    # exit stays open in one pair gateway for its partner; with the pair
+    # gone the reduction fails before any change
+    g = Graph(3, [(0, 2), (1, 2)])
+    dec = TreecutDecomposition(g, DecompositionFile(0, ((0, 1),), ((0, 1), (2,))))
+    pairs = [(2, 0)]
+    d = enumerate_records(g, dec, 1, pairs)
+    lg = LGraph.from_core(g, TransitionSystem())
+    ws = WorkState(lg, set(), {0: (0, 2), 1: (1, 2)}, itertools.count())
+    before = _frame_contents(ws)
+    assert not reduce_thin_child(ws, dec, 1, {2}, d, pairs)
+    assert _frame_contents(ws) == before and ws.pairs == set()
+    ws.pairs = {frozenset(pairs[0])}
+    assert reduce_thin_child(ws, dec, 1, {2}, d, pairs)
+    gate = ("c", "s1", 0)
+    assert ws.lg.adj[gate] == {0, 1} and ws.pairs == {frozenset((gate, 0))}
+
+
+@pytest.mark.parametrize(
+    "leaf, sigma, ipairs, fpairs, lam",
+    [
+        ((0, 2), "LFF", (), ((1, 2),), ((0, 0),)),  # Y to Z, three crossings
+        ((0, 2, 4), "IIII", ((0, 1), (2, 3)), (), ()),  # Y to Y, four crossings
+    ],
+)
+def test_correspondence_record_of_a_path_crossing_one_cut_repeatedly(
+    leaf, sigma, ipairs, fpairs, lam
+):
+    # the path 0-1-2-3-4 alternates between leaf 1 and the root bag
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    rest = tuple(v for v in range(5) if v not in leaf)
+    dec = TreecutDecomposition(g, DecompositionFile(0, ((0, 1),), (rest, leaf)))
+    rec = correspondence_record(g, dec, 1, [(0, 4)], [Walk((0, 1, 2, 3, 4), (0, 1, 2, 3))])
+    assert rec == treecut.Record(
+        tuple(enumerate(sigma)), frozenset(map(frozenset, ipairs)),
+        frozenset(map(frozenset, fpairs)), lam,
+    )
+    assert rec in enumerate_records(g, dec, 1, [(0, 4)])
 
 
 def _twin_instance(rng):
@@ -846,10 +938,34 @@ def test_make_nice_graph_reads_grow_linearly_on_a_chain(monkeypatch):
         g.edges = CountedEdges(g.edges)
         count[0] = 0
         nice, width = make_nice(g, dec)
-        assert width == 3 and nice.to_file() == dec
+        assert width == 3 and _as_file(nice) == dec
         counts.append(count[0])
     assert counts == [344, 696, 1400, 2808]
     assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:]))
+
+
+def test_make_nice_reads_the_graph_once_on_a_path_with_leaves(monkeypatch):
+    # the path 0-1-...-(n-1) with one leaf per vertex under an empty root
+    # needs n - 1 moves into a chain; each changes the one tree in place,
+    # so the only Graph.adj calls are the build's, one per vertex
+    count = [0]
+
+    def counted_adj(self, v):
+        count[0] += 1
+        return self._adj[v]
+
+    monkeypatch.setattr(Graph, "adj", counted_adj)
+    counts = []
+    for n in (50, 100, 200):
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        dec = DecompositionFile(
+            0, tuple((0, v + 1) for v in range(n)), ((),) + tuple((v,) for v in range(n))
+        )
+        count[0] = 0
+        nice, width = make_nice(g, dec)
+        counts.append(count[0])
+        assert width == 1 and nice.parent == {**{v: v + 1 for v in range(1, n)}, n: 0}
+    assert counts == [50, 100, 200]
 
 
 @st.composite
