@@ -5,14 +5,16 @@ runs a dynamic program over (color set, last directed edge) states; a path
 is found iff some family member colors its vertices injectively.  Endpoints
 may be vertices or edges (the path then starts/ends with that edge).  The
 one family construction, `family_for_bound`, is certified perfect for
-n <= 32; above that it is seeded random, and a "no" is only probable.
+n <= 32: it walks the C(n, j-2) prefixes of the j-subsets, j = bound - 1,
+and tests each prefix's C(n, 2) completions at once, as an AND of n*n-bit
+pair masks over the members injective on the prefix.  Above n = 32 the
+family is seeded random and a "no" is only probable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,7 +67,9 @@ def family_for_bound(n: int, bound: int, seed: int = 0) -> HashFamily:
     injectively gets one seeded random function over 2j colors, repaired
     to be injective on it.  Doubling the range makes a random member split
     a fixed j-set with constant probability, so few repairs are needed.
-    Above n = 32 the C(n, j) walk is too slow, and the family is
+    The walk costs C(n, j-2) prefixes, each an AND of n*n-bit pair masks
+    over the kept members injective on the prefix that usually reaches 0
+    after a few of them.  Above n = 32 there is no walk: the family is
     ceil(e^j * j * ln n) + 8 seeded random functions over j colors,
     uncertified.
     """
@@ -79,49 +83,66 @@ def family_for_bound(n: int, bound: int, seed: int = 0) -> HashFamily:
         trials = math.ceil(math.e**j * j * math.log(n)) + 8
         fns = tuple(tuple(rng.randrange(j) for _ in range(n)) for _ in range(trials))
         return HashFamily(n, j, fns, j, False)
-    # The walk visits the (j-1)-prefixes in lexicographic order and scans
-    # the last vertex of each subset.  alive[i] is the bitmask of kept
-    # members injective on sub[:i]; clash[i][v] is the bitmask of kept
-    # members that give v the color of some vertex of sub[:i], built from
-    # eq[w], whose entry v marks the members with f[w] == f[v].  The next
-    # prefix recomputes both only from its first changed position d on, so
-    # each subset costs one mask test.
-    p = j - 1
+    # The walk visits the (j-2)-prefixes in lexicographic order and tests
+    # all of a prefix's completions (a, b), sub[-1] < a < b, at once as bits
+    # a*n + b of n*n-bit pair masks; the lowest set bit is the
+    # lexicographically first pair.  level[i] holds (used, fail, cv, rc) for
+    # each kept member injective on sub[:i]: used marks the vertices whose
+    # color sub[:i] uses, fail the pairs the member does not split together
+    # with sub[:i].  cv[v] marks the vertices colored like v and rc[v] the
+    # pairs that touch one, so a prefix vertex grows both masks by one OR.
+    # Each prefix ANDs its members' fail masks and usually stops at 0; every
+    # bit left is an unsplit j-subset, repaired in order.
+    m = j - 2
+    full = (1 << n) - 1
+    col = sum(1 << (a * n) for a in range(n))
+    lines = [full << (w * n) | col << w for w in range(n)]  # pairs holding w
+    above = [0] * (n + 1)  # above[s]: the pairs (a, b) with s <= a < b
+    for a in reversed(range(n)):
+        above[a] = above[a + 1] | full >> (a + 1) << (a + 1 + a * n)
     fns = []
-    eq = [[0] * n for _ in range(n)]
-    alive = [0] * j
-    clash = [[0] * n for _ in range(j)]
-    sub = list(range(p))
+    level = [[] for _ in range(m)]
+    sub = list(range(m))
     d = 0
     while True:
-        for i in range(d, p):
-            alive[i + 1] = alive[i] & ~clash[i][sub[i]]
-            clash[i + 1] = list(map(operator.or_, clash[i], eq[sub[i]]))
-        last = sub[-1]
-        while True:
-            live, row = alive[p], clash[p]
-            last = next((v for v in range(last + 1, n) if not live & ~row[v]), n)
-            if last == n:
-                break
+        for i in range(d, m - 1):
+            v = sub[i]
+            level[i + 1] = [(u | cv[v], fl | rc[v], cv, rc)
+                            for u, fl, cv, rc in level[i] if not u >> v & 1]
+        if m:
+            v = sub[-1]
+            acc = above[v + 1]
+            for u, fl, cv, rc in level[m - 1]:
+                if not u >> v & 1:
+                    acc &= fl | rc[v]
+                    if not acc:
+                        break
+        else:  # j = 2: the one prefix is empty and comes before any member
+            acc = above[0]
+        while acc:
+            a, b = divmod((acc & -acc).bit_length() - 1, n)
             f = [rng.randrange(2 * j) for _ in range(n)]
-            for i, v in enumerate(sub + [last]):
+            for i, v in enumerate(sub + [a, b]):
                 f[v] = i
-            bit = 1 << len(fns)
             fns.append(tuple(f))
-            for i in range(j):
-                alive[i] |= bit
-            for v in range(n):
-                for w in range(n):
-                    if f[w] == f[v]:
-                        eq[v][w] |= bit
-                for i in range(f[v] + 1, j):  # sub[:i] has the colors 0..i-1
-                    clash[i][v] |= bit
-        d = p - 1
+            cls = [0] * (2 * j)
+            touch = [0] * (2 * j)
+            for v, c in enumerate(f):
+                cls[c] |= 1 << v
+                touch[c] |= lines[v]
+            cv = [cls[c] for c in f]
+            rc = [touch[c] for c in f]
+            u, fl = 0, sum(cv[v] << (v * n) for v in range(n))
+            for i, v in enumerate(sub):
+                level[i].append((u, fl, cv, rc))
+                u, fl = u | cv[v], fl | rc[v]
+            acc &= fl
+        d = m - 1
         while d >= 0 and sub[d] == d + n - j:
             d -= 1
         if d < 0:
             return HashFamily(n, 2 * j, tuple(fns), j, True)
-        sub[d:] = range(sub[d] + 1, sub[d] + 1 + p - d)
+        sub[d:] = range(sub[d] + 1, sub[d] + 1 + m - d)
 
 
 class SlotGraph:

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -36,8 +38,14 @@ def test_family_certified_small():
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 12), bound=st.integers(0, 6), seed=st.integers(0, 50))
-def test_family_for_bound_is_certified_perfect(n, bound, seed):
+@given(
+    n_bound=st.integers(0, 6).flatmap(
+        lambda bound: st.tuples(st.integers(1, 20 if bound <= 5 else 12), st.just(bound))
+    ),
+    seed=st.integers(0, 50),
+)
+def test_family_for_bound_is_certified_perfect(n_bound, seed):
+    n, bound = n_bound
     fam = family_for_bound(n, bound, seed)
     assert fam.certified and fam.n == n
     assert fam.perfect_for == max(bound - 1, 1)
@@ -71,6 +79,80 @@ def test_prefix_walk_keeps_the_subset_walk_family():
                 fam = family_for_bound(n, bound, seed)
                 assert fam.functions == _subset_walk_family(n, bound, seed), (n, bound, seed)
                 assert fam.certified
+
+
+def _prefix_walk_family(n, bound, seed):
+    """The certifying walk over (j-1)-prefixes, one member bitmask test per subset."""
+    j = max(bound - 1, 1)
+    rng = random.Random(f"{seed}/splitter/{n}/{j}")
+    # alive[i] is the bitmask of kept members injective on sub[:i];
+    # clash[i][v] marks the kept members that give v the color of some
+    # vertex of sub[:i], built from eq[w], whose entry v marks the members
+    # with f[w] == f[v].  Each prefix recomputes both from its first changed
+    # position d on.
+    p = j - 1
+    fns = []
+    eq = [[0] * n for _ in range(n)]
+    alive = [0] * j
+    clash = [[0] * n for _ in range(j)]
+    sub = list(range(p))
+    d = 0
+    while True:
+        for i in range(d, p):
+            alive[i + 1] = alive[i] & ~clash[i][sub[i]]
+            clash[i + 1] = list(map(operator.or_, clash[i], eq[sub[i]]))
+        last = sub[-1]
+        while True:
+            live, row = alive[p], clash[p]
+            last = next((v for v in range(last + 1, n) if not live & ~row[v]), n)
+            if last == n:
+                break
+            f = [rng.randrange(2 * j) for _ in range(n)]
+            for i, v in enumerate(sub + [last]):
+                f[v] = i
+            bit = 1 << len(fns)
+            fns.append(tuple(f))
+            for i in range(j):
+                alive[i] |= bit
+            for v in range(n):
+                for w in range(n):
+                    if f[w] == f[v]:
+                        eq[v][w] |= bit
+                for i in range(f[v] + 1, j):  # sub[:i] has the colors 0..i-1
+                    clash[i][v] |= bit
+        d = p - 1
+        while d >= 0 and sub[d] == d + n - j:
+            d -= 1
+        if d < 0:
+            return tuple(fns)
+        sub[d:] = range(sub[d] + 1, sub[d] + 1 + p - d)
+
+
+def test_pair_mask_walk_keeps_the_prefix_walk_family():
+    # the pair-mask walk must keep the members the prefix walk keeps, drawn
+    # from the same rng calls, so the families are identical
+    for seed in (0, 1, 7):
+        for n in range(4, 25):
+            for bound in range(3, 8):
+                if n <= bound - 1:
+                    continue
+                fam = family_for_bound(n, bound, seed)
+                assert fam.functions == _prefix_walk_family(n, bound, seed), (n, bound, seed)
+                assert fam.certified
+
+
+@pytest.mark.parametrize("n, bound, members, digest", [
+    (24, 7, 35, "59ce9f74af8fdfdad9a6b3fc893a33a3feddb0ce43395d08c203281137424e8b"),
+    (28, 6, 29, "50b6b0d871d42e98fc63c6408f5da36437d9884583dc05888056f87dc8153297"),
+    (28, 8, 59, "478d6b376960d165bc15f6e00aa41661498d779b5bd590fff7ccbf2a846d2027"),
+    (32, 7, 50, "9e4a2e266934129032fe05fb0ff13bac7d50e6a814780189628b4a25bac72430"),
+])
+def test_large_families_are_pinned(n, bound, members, digest):
+    # families too slow for a reference walk, pinned by the sha256 of the
+    # members the prefix walk kept
+    fam = family_for_bound(n, bound, 0)
+    assert fam.certified and len(fam) == members
+    assert hashlib.sha256(repr(fam.functions).encode()).hexdigest() == digest
 
 
 def test_slot_graph_heads_and_tails():
