@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .core import Endpoint, Graph, TransitionSystem, Walk, INF
+from .core import (
+    Endpoint, Graph, InvariantError, TransitionSystem, Walk, INF, is_compatible_walk,
+)
 
 
 @dataclass(frozen=True)
@@ -464,7 +466,8 @@ def compath(
 
     Wraps the colorful dynamic program over all members of a perfect hash
     family, taking the minimum over members and endpoint orientations.
-    With witness=True returns (length, Walk) instead.
+    With witness=True returns (length, Walk) instead, after checking that
+    the walk is a compatible x-y path of that length.
     """
     x = x if isinstance(x, Endpoint) else Endpoint.vertex(x)
     y = y if isinstance(y, Endpoint) else Endpoint.vertex(y)
@@ -493,4 +496,20 @@ def compath(
                 best = r
                 if witness:
                     best_w = ws[i]
+    if best_w is not None:
+        _check_witness(g, t, x, y, best, best_w)
     return (best, best_w) if witness else best
+
+
+def _check_witness(g, t, x: Endpoint, y: Endpoint, length: int, w: Walk) -> None:
+    """Raise InvariantError unless w is a compatible x-y path of the given
+    length; an edge endpoint must be the walk's first or last edge."""
+
+    def ends_at(ep, i):
+        items = w.vertices if ep.kind == "vertex" else w.edge_ids
+        return bool(items) and items[i] == ep.ident
+
+    if not (ends_at(x, 0) and ends_at(y, -1) and w.length == length):
+        raise InvariantError("compath witness has the wrong ends or length")
+    if not (w.is_path() and is_compatible_walk(g, t, w)):
+        raise InvariantError("compath witness is not a compatible path")

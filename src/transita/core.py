@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 INF = math.inf
@@ -101,7 +102,10 @@ class DiGraph:
     """Directed graph on vertices 0..n-1; parallel arcs are permitted.
 
     ``weights``, when present, are nonnegative ints, floats or Fractions,
-    one per arc.
+    one per arc.  Lengths are exact: a float means its exact binary value
+    and is stored as that Fraction, so sums and the tight-arc test
+    dist(u) + w == dist(v) never round.  NaN and infinite lengths are
+    rejected.
     """
 
     __slots__ = ("n", "arcs", "m", "weights", "_out", "_in")
@@ -129,8 +133,11 @@ class DiGraph:
             if len(weights) != self.m:
                 raise ValueError("one weight per arc required")
             for i, w in enumerate(weights):
+                if isinstance(w, float) and not math.isfinite(w):
+                    raise ValueError(f"arc {i}: weight must be finite")
                 if w < 0:
                     raise ValueError(f"arc {i}: negative weight")
+            weights = tuple(Fraction(w) if isinstance(w, float) else w for w in weights)
         self.weights = weights
         self._out = tuple(tuple(a) for a in out)
         self._in = tuple(tuple(a) for a in inc)

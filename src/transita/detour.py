@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Graph, InvariantError, TransitionSystem, Walk, bfs_dist, is_compatible_walk, INF,
+    Endpoint, Graph, InvariantError, TransitionSystem, Walk, bfs_dist, is_compatible_walk, INF,
 )
 from .compath import SlotGraph, _slot_walk_dists, family_for_bound, oriented_compath
 
@@ -94,6 +94,8 @@ def comdetour(
     STAT_KEYS: the oriented ComPath calls made and the total length of the
     goal lists passed to them.
     """
+    Endpoint.vertex(s).validate(g)
+    Endpoint.vertex(tgt).validate(g)
     if k < 0:
         raise ValueError("k must be nonnegative")
     stats = {} if stats is None else stats

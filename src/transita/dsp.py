@@ -1,11 +1,15 @@
 """Directed two disjoint shortest paths under transition restrictions.
 
 Both variants reduce to path search in a product digraph over pairs of
-shortest-path arcs: tight arcs toward each target are computed, arcs common
-to both terminals' shortest-path sets are contracted, the second side is
-reversed, and product arcs are pruned by compatibility tests inside the
-contracted blobs.  Every positive answer is backed by two reconstructed,
-independently re-validated witness paths.
+shortest-path arcs.  E1 and E2, the arcs on shortest s_i-t_i paths, are
+computed once on the input, and the one working graph is built from just
+their arcs and four sentinel arcs, so no later pass reads another arc.
+Vertex mode splits that graph and derives E1' and E2' from E1 and E2:
+splitting keeps every distance on them and adds only zero-length arcs.
+Arcs common to both sets are contracted, the second side is reversed, and
+product arcs are pruned by compatibility tests inside the contracted blobs.
+Every positive answer is backed by two reconstructed, independently
+re-validated witness paths.
 
 _BlobRouter is the one compatible-route search on acyclic graphs: a line
 sweep (dag_compatible_path_raw) for one route through a blob and a
@@ -14,12 +18,12 @@ Perl-Shiloach product sweep (_dag_two_disjoint) for two disjoint routes.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Optional
 
 from .core import (
-    DiGraph, InvariantError, TransitionSystem, Walk, INF, dijkstra, is_compatible_walk,
+    DiGraph, Endpoint, InvariantError, TransitionSystem, Walk, INF, dijkstra,
+    is_compatible_walk,
 )
 
 
@@ -86,39 +90,31 @@ def _labels(parent, node) -> list:
 
 class DArcGraph:
     """Directed multigraph with labeled vertices, explicit arc ids and
-    an unordered permitted-transition set over arc ids."""
+    an unordered permitted-transition set over arc ids.
 
-    __slots__ = ("vertices", "arcs", "out", "inc", "trans")
+    arcs maps each arc id to (tail, head, weight).  The arcs are added in
+    repr order of their ids, which fixes the order of every out- and
+    in-list, and so of every sweep, the witnesses and the counters.  The
+    vertices, the keys of out and inc, are the arcs' ends.  Of trans, pairs
+    of arc ids, only those of two kept arcs are stored.
+    """
 
-    def __init__(self):
-        self.vertices: Set = set()
-        self.arcs: Dict = {}  # aid -> (tail, head, weight)
-        self.out: Dict = {}
-        self.inc: Dict = {}
-        self.trans: Set[frozenset] = set()
+    __slots__ = ("arcs", "out", "inc", "trans")
 
-    @staticmethod
-    def from_core(g: DiGraph, t: TransitionSystem) -> "DArcGraph":
-        dg = DArcGraph()
-        for v in range(g.n):
-            dg.add_vertex(v)
-        for a, (u, v) in enumerate(g.arcs):
-            dg.add_arc(a, u, v, g.weight(a))
-        dg.trans = set(frozenset(p) for p in t.pairs)
-        return dg
-
-    def add_vertex(self, v):
-        if v not in self.vertices:
-            self.vertices.add(v)
-            self.out[v] = []
-            self.inc[v] = []
-
-    def add_arc(self, aid, u, v, w=0):
-        if aid in self.arcs:
-            raise ValueError(f"arc id {aid!r} exists")
-        self.arcs[aid] = (u, v, w)
-        self.out[u].append(aid)
-        self.inc[v].append(aid)
+    def __init__(self, arcs: dict, trans):
+        self.arcs = {}  # aid -> (tail, head, weight)
+        self.out = {}
+        self.inc = {}
+        for a in sorted(arcs, key=repr):
+            u, v, _ = self.arcs[a] = arcs[a]
+            for x in (u, v):
+                if x not in self.out:
+                    self.out[x] = []
+                    self.inc[x] = []
+            self.out[u].append(a)
+            self.inc[v].append(a)
+        keep = set(self.arcs)
+        self.trans = {frozenset(p) for p in trans if keep.issuperset(p)}
 
     def tail(self, a):
         return self.arcs[a][0]
@@ -126,41 +122,8 @@ class DArcGraph:
     def head(self, a):
         return self.arcs[a][1]
 
-    def weight(self, a):
-        return self.arcs[a][2]
-
     def permits(self, a, b) -> bool:
         return frozenset((a, b)) in self.trans
-
-    def restriction(self, arc_ids) -> "DArcGraph":
-        sub = DArcGraph()
-        keep = set(arc_ids)
-        for a in sorted(keep, key=repr):
-            u, v, w = self.arcs[a]
-            sub.add_vertex(u)
-            sub.add_vertex(v)
-            sub.add_arc(a, u, v, w)
-        sub.trans = {p for p in self.trans if p <= keep}
-        return sub
-
-
-def _dijkstra_labels(dg: DArcGraph, s) -> dict:
-    dist = {v: INF for v in dg.vertices}
-    dist[s] = 0
-    heap = [(0, repr(s), s)]
-    done = set()
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        for a in dg.out[v]:
-            w = dg.head(a)
-            nd = d + dg.weight(a)
-            if w not in done and nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, repr(w), w))
-    return dist
 
 
 def check_positive_cycles(g: DiGraph) -> None:
@@ -173,18 +136,15 @@ def check_positive_cycles(g: DiGraph) -> None:
         raise PositivityError("zero-length directed cycle")
 
 
-def _tight_reaching(dg: DArcGraph, s, t):
-    """Arcs on some shortest s-t path: tight arcs from which t stays
-    reachable inside the tight subgraph.  Returns (arc id list, dist map)."""
-    dist = _dijkstra_labels(dg, s)
-    tight = [
-        a
-        for a, (u, v, w) in dg.arcs.items()
-        if dist[u] != INF and dist[u] + w == dist[v]
-    ]
-    radj = {}
-    for a in tight:
-        radj.setdefault(dg.head(a), []).append(dg.tail(a))
+def _shortest_arcs(g: DiGraph, s: int, t: int) -> list:
+    """The arcs on some shortest s-t path of g: the tight arcs whose head
+    reaches t over tight arcs.  Empty when t is unreachable from s."""
+    dist = dijkstra(g, s)
+    tight, radj = [], {}
+    for a, (u, v) in enumerate(g.arcs):
+        if dist[u] != INF and dist[u] + g.weight(a) == dist[v]:
+            tight.append(a)
+            radj.setdefault(v, []).append(u)
     reach = {t}
     stack = [t]
     while stack:
@@ -193,32 +153,30 @@ def _tight_reaching(dg: DArcGraph, s, t):
             if u not in reach:
                 reach.add(u)
                 stack.append(u)
-    return sorted((a for a in tight if dg.head(a) in reach), key=repr), dist
+    return [a for a in tight if g.head(a) in reach]
 
 
-def _add_sentinels(dg: DArcGraph, s1, t1, s2, t2) -> dict:
-    """Zero-length sentinel arcs ("sa", "A_i") into s_i and ("sa", "B_i") out
-    of t_i, each with a fresh outer end labelled like the arc itself (see
-    SENT_LABELS).
+def _working_graph(g: DiGraph, t: TransitionSystem, arc_ids, ends) -> DArcGraph:
+    """The arcs arc_ids of g plus zero-length sentinel arcs ("sa", "A_i")
+    into s_i and ("sa", "B_i") out of t_i, each with a fresh outer end
+    labelled like the arc itself (see SENT_LABELS); ends is (s1, t1, s2, t2).
 
-    Every continuation out of s_i and into t_i is permitted; the update is a
-    union, so transitions of other paths passing through a terminal survive.
-    Returns the arc ids by name.
+    Every continuation out of s_i and into t_i is permitted, beside the
+    input's own transitions, so transitions of other paths passing through
+    a terminal survive.
     """
-    ids = {}
-    for name, v in (("A1", s1), ("B1", t1), ("A2", s2), ("B2", t2)):
-        aid = ids[name] = ("sa", name)
-        dg.add_vertex(aid)
-        dg.add_vertex(v)
-        if name[0] == "A":
-            dg.add_arc(aid, aid, v, 0)
-        else:
-            dg.add_arc(aid, v, aid, 0)
-    for name, v in (("A1", s1), ("A2", s2)):
-        dg.trans.update(frozenset((ids[name], b)) for b in dg.out[v])
-    for name, v in (("B1", t1), ("B2", t2)):
-        dg.trans.update(frozenset((a, ids[name])) for a in dg.inc[v])
-    return ids
+    s1, t1, s2, t2 = ends
+    into = {("sa", "A1"): s1, ("sa", "A2"): s2}
+    out_of = {("sa", "B1"): t1, ("sa", "B2"): t2}
+    arcs = {a: (*g.arcs[a], g.weight(a)) for a in arc_ids}
+    arcs.update({aid: (aid, v, 0) for aid, v in into.items()})
+    arcs.update({aid: (v, aid, 0) for aid, v in out_of.items()})
+    dg = DArcGraph(arcs, t.pairs)
+    for aid, v in into.items():
+        dg.trans.update(frozenset((aid, b)) for b in dg.out[v])
+    for aid, v in out_of.items():
+        dg.trans.update(frozenset((a, aid)) for a in dg.inc[v])
+    return dg
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +201,10 @@ def dag_compatible_path_raw(line: dict, starts) -> dict:
 
 def _levels(dg: DArcGraph) -> dict:
     """Length of the longest directed path starting at each vertex."""
-    order = _kahn({v: [dg.head(a) for a in dg.out[v]] for v in dg.vertices})
-    if len(order) != len(dg.vertices):
+    order = _kahn({v: [dg.head(a) for a in outs] for v, outs in dg.out.items()})
+    if len(order) != len(dg.out):
         raise InvariantError("a blob graph has a directed cycle")
-    lvl = {v: 0 for v in dg.vertices}
+    lvl = dict.fromkeys(dg.out, 0)
     for v in reversed(order):
         for a in dg.out[v]:
             lvl[v] = max(lvl[v], 1 + lvl[dg.head(a)])
@@ -295,10 +253,16 @@ def _dag_two_disjoint(dg: DArcGraph, line, lvl, start, vertex_mode) -> dict:
 
 
 class ContractedStar:
-    """The acyclic digraph on E1* u reversed(E2*) after contracting E0."""
+    """The acyclic digraph on E1* u reversed(E2*) after contracting E0.
+
+    dg is the working graph, or its split graph in vertex mode; its arcs
+    are exactly E1 u E2.
+    """
 
     def __init__(self, dg: DArcGraph, e1, e2):
-        self.dg = dg.restriction(set(e1) | set(e2))
+        if dg.arcs.keys() != set(e1) | set(e2):
+            raise InvariantError("the working graph's arcs are not E1 u E2")
+        self.dg = dg
         self.e0 = sorted(set(e1) & set(e2), key=repr)
         self.e1_star = sorted(set(e1) - set(e2), key=repr)
         self.e2_star = sorted(set(e2) - set(e1), key=repr)
@@ -320,7 +284,7 @@ class ContractedStar:
                     par[ry] = rx
                 else:
                     par[rx] = ry
-        self.cls = {v: find(v) for v in self.dg.vertices}
+        self.cls = {v: find(v) for v in dg.out}
         self.members = {}
         for v, c in self.cls.items():
             self.members.setdefault(c, set()).add(v)
@@ -393,19 +357,14 @@ class _BlobRouter:
     """
 
     def __init__(self, sdg: DArcGraph, members, vertex_mode: bool, stats: dict):
-        gs = DArcGraph()
-        for a, (u, v, w) in sdg.arcs.items():
-            if u in members or v in members:
-                u = u if u in members else ("bnd", a)
-                v = v if v in members else ("bnd", a)
-                gs.add_vertex(u)
-                gs.add_vertex(v)
-                gs.add_arc(a, u, v, w)
-        keep = set(gs.arcs)
-        gs.trans = {p for p in sdg.trans if p <= keep}
-        self.dg = gs
-        self.line = _line_digraph(gs)
-        self.lvl = _levels(gs)
+        arcs = {
+            a: (u if u in members else ("bnd", a), v if v in members else ("bnd", a), w)
+            for a, (u, v, w) in sdg.arcs.items()
+            if u in members or v in members
+        }
+        self.dg = DArcGraph(arcs, sdg.trans)
+        self.line = _line_digraph(self.dg)
+        self.lvl = _levels(self.dg)
         self.vertex_mode = vertex_mode
         self.stats = stats
         self.singles = {}  # entry arc -> parent map of its line sweep
@@ -499,13 +458,10 @@ def vertex_disjoint_2dspp(
     return _two_dspp(g, t, s1, t1, s2, t2, "vertex", witness, stats)
 
 
-def _tight_pairs(dg: DArcGraph, ids) -> tuple:
-    """E1 and E2: the arcs on shortest sentinel-to-sentinel paths per pair."""
-    return tuple(_tight_reaching(dg, ids["A" + i], ids["B" + i])[0] for i in "12")
-
-
 def _two_dspp(g, t, s1, t1, s2, t2, mode, witness, stats):
     """The 2-DSPP pipeline; vertex mode runs it on the split graph."""
+    for v in (s1, t1, s2, t2):
+        Endpoint.vertex(v).validate(g)
     if s1 == t1 or s2 == t2:
         raise ValueError("terminal pairs must have distinct endpoints")
     stats = {} if stats is None else stats
@@ -514,24 +470,15 @@ def _two_dspp(g, t, s1, t1, s2, t2, mode, witness, stats):
     check_positive_cycles(g)
     if mode == "vertex" and {s1, t1} & {s2, t2}:
         return DspResult(False, diagnostic="terminal pairs share a vertex")
-    dg = DArcGraph.from_core(g, t)
-    a_ids = _add_sentinels(dg, s1, t1, s2, t2)
-    e1, e2 = _tight_pairs(dg, a_ids)
-    if a_ids["A1"] not in e1 or a_ids["A2"] not in e2:
+    e1, e2 = _shortest_arcs(g, s1, t1), _shortest_arcs(g, s2, t2)
+    if not (e1 and e2):
         return DspResult(False, diagnostic="a target is unreachable")
+    dg = _working_graph(g, t, e1 + e2, (s1, t1, s2, t2))
+    e1 += [("sa", "A1"), ("sa", "B1")]
+    e2 += [("sa", "A2"), ("sa", "B2")]
     if mode == "vertex":
-        dg = build_split_graph(dg.restriction(set(e1) | set(e2)))
-        e1, e2 = _tight_pairs(dg, a_ids)
-        if a_ids["A1"] not in e1 or a_ids["A2"] not in e2:
-            raise InvariantError("a target is unreachable after splitting")
-        # parallel-arc property: with one incoming arc of v- in Ei', all the
-        # parallel arcs at v are
-        par = [a for a in dg.arcs if not isinstance(a, int) and a[0] == "par"]
-        for ei in (set(e1), set(e2)):
-            split = {p[1] for p in par if p in ei} & {p[1] for p in par if p not in ei}
-            if split:
-                v = min(split, key=repr)
-                raise InvariantError(f"parallel arcs at {v!r} split across E_i'")
+        e1, e2 = _split_arcs(dg, e1), _split_arcs(dg, e2)
+        dg = build_split_graph(dg)
     star = ContractedStar(dg, e1, e2)
     routers = {}
 
@@ -565,7 +512,7 @@ def _two_dspp(g, t, s1, t1, s2, t2, mode, witness, stats):
             return False
         return v not in star.v0 or (e1n, e2a) in router(v).pair(e1a, e2n)
 
-    start, goal = (a_ids["A1"], a_ids["B2"]), (a_ids["B1"], a_ids["A2"])
+    start, goal = (("sa", "A1"), ("sa", "B2")), (("sa", "B1"), ("sa", "A2"))
     parent = _product_path(star, start, goal, arc_ok)
     stats["product_nodes"] += len(parent)
     if goal not in parent:
@@ -611,7 +558,7 @@ def _reconstruct(star, routers, steps, start):
 # Vertex-disjoint variant via vertex splitting.
 
 
-# the outer ends of the working graph's sentinel arcs (see _add_sentinels)
+# the outer ends of the working graph's sentinel arcs (see _working_graph)
 SENT_LABELS = {("sa", name) for name in ("A1", "B1", "A2", "B2")}
 
 
@@ -623,35 +570,36 @@ def build_split_graph(dg: DArcGraph) -> DArcGraph:
     with incoming arc a at v has id ("par", v, a).  Sentinel vertices are
     not split.
     """
-    gp = DArcGraph()
 
-    def minus(v):
-        return v if v in SENT_LABELS else ("m", v)
+    def end(v, side):
+        return v if v in SENT_LABELS else (side, v)
 
-    def plus(v):
-        return v if v in SENT_LABELS else ("p", v)
-
-    for v in sorted(dg.vertices, key=repr):
-        if v in SENT_LABELS:
-            gp.add_vertex(v)
-        else:
-            gp.add_vertex(("m", v))
-            gp.add_vertex(("p", v))
-    for a, (u, v, w) in sorted(dg.arcs.items(), key=lambda kv: repr(kv[0])):
-        gp.add_arc(a, plus(u), minus(v), w)
-    for v in sorted(dg.vertices, key=repr):
+    arcs = {a: (end(u, "p"), end(v, "m"), w) for a, (u, v, w) in dg.arcs.items()}
+    trans = []
+    for v, inc in dg.inc.items():
         if v in SENT_LABELS:
             continue
-        for a_in in sorted(dg.inc[v], key=repr):
+        for a_in in inc:
             pid = ("par", v, a_in)
-            gp.add_arc(pid, ("m", v), ("p", v), 0)
-            gp.trans.add(frozenset((a_in, pid)))
+            arcs[pid] = (("m", v), ("p", v), 0)
+            trans.append((a_in, pid))
     for pair in dg.trans:
         a, b = tuple(pair)
         for x, y in ((a, b), (b, a)):
-            if dg.head(x) == dg.tail(y):
-                v = dg.head(x)
-                if v in SENT_LABELS:
-                    continue
-                gp.trans.add(frozenset((("par", v, x), y)))
-    return gp
+            v = dg.head(x)
+            if v == dg.tail(y) and v not in SENT_LABELS:
+                trans.append((("par", v, x), y))
+    return DArcGraph(arcs, trans)
+
+
+def _split_arcs(dg: DArcGraph, ei) -> list:
+    """E_i' on the split graph of dg: E_i and every parallel arc at the
+    head of an E_i arc.
+
+    On E1 u E2 the split graph keeps G's distances and its parallel arcs
+    have length 0, so they are all tight there, and an arc tight in the
+    split graph that reaches B_i lies on a shortest s_i-t_i path of G,
+    which puts it in E_i already.
+    """
+    heads = {dg.head(a) for a in ei} - SENT_LABELS
+    return ei + [("par", v, a) for v in heads for a in dg.inc[v]]

@@ -8,7 +8,11 @@ Instance::
      "transitions": [[e, f], ...],
      "terminals": [[a, b], ...]?}
 
-Edge index = position in "edges".  Decomposition::
+Edge index = position in "edges".  Weights are exact lengths (see
+core.DiGraph): a float such as 0.1 means its exact binary value, which the
+graph keeps as a Fraction, and serialize_instance writes that value, like
+every Fraction, as ["p", "q"], so parse(serialize(x)) == x.  NaN and
+infinite weights are rejected.  Decomposition::
 
     {"root": int, "tree_edges": [[t, t'], ...], "bags": [[v, ...], ...]}
 """
@@ -16,6 +20,7 @@ Edge index = position in "edges".  Decomposition::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -91,6 +96,8 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         _expect(len(raw) == len(edges), "weights", "one weight per edge required")
         weights = [_parse_weight(w, f"weights[{i}]") for i, w in enumerate(raw)]
         for i, w in enumerate(weights):
+            finite = not isinstance(w, float) or math.isfinite(w)
+            _expect(finite, f"weights[{i}]", "must be finite")
             _expect(w >= 0, f"weights[{i}]", "must be nonnegative")
     try:
         if directed:

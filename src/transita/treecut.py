@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import Graph, InvariantError, TransitionSystem
+from .core import Endpoint, Graph, InvariantError, TransitionSystem
 from .io import DecompositionFile, postorder
 
 
@@ -982,6 +982,8 @@ def comvdp(g: Graph, tsys: TransitionSystem, pairs, dec: DecompositionFile):
     """
     pairs = [tuple(p) for p in pairs]
     flat = [v for p in pairs for v in p]
+    for v in flat:
+        Endpoint.vertex(v).validate(g)
     if len(flat) != len(set(flat)):
         return False, {"reason": "overlapping terminal pairs"}
     tc, width = make_nice(g, dec)

@@ -66,6 +66,15 @@ def test_comdetour_unreachable_target():
     assert not res.yes and res.diagnostic is not None
 
 
+def test_comdetour_rejects_terminals_out_of_range():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    t = all_transitions(g)
+    for s, tgt in ((-1, 0), (0, 7), (4, 0)):
+        for witness in (False, True):
+            with pytest.raises(ValueError, match="out of range"):
+                comdetour(g, t, s, tgt, 1, witness=witness)
+
+
 def test_comdetour_forced_two_edge_bypass():
     # forbidden straight turn with a two-edge bypass: exactly detour 2
     g = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 2)])

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from transita.dsp import (
     DArcGraph,
     PositivityError,
     _BlobRouter,
-    _tight_reaching,
+    _shortest_arcs,
     check_positive_cycles,
     edge_disjoint_2dspp,
     vertex_disjoint_2dspp,
@@ -39,9 +40,9 @@ def random_transitions(rng, g, keep=0.7):
 
 
 def test_shortest_edge_sets_examples():
-    # the arcs on some shortest path, as _tight_reaching computes E1 and E2
+    # the arcs on some shortest path, as _shortest_arcs computes E1 and E2
     def shortest_edge_set(g, s, t):
-        return sorted(_tight_reaching(DArcGraph.from_core(g, TransitionSystem()), s, t)[0])
+        return sorted(_shortest_arcs(g, s, t))
 
     g = DiGraph(4, [(0, 1), (1, 2), (2, 3)], (1, 1, 1))
     assert shortest_edge_set(g, 0, 3) == [0, 1, 2]
@@ -244,12 +245,13 @@ def check_witnesses(g, t, pairs, paths, mode):
         assert not set(w1.vertices) & set(w2.vertices)
 
 
-LENGTHS = (0, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+LENGTHS = (0, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), 0.1, 0.2, 0.3, 0.7)
 
 
 @st.composite
 def dspp_instances(draw):
-    """A digraph on 4-7 vertices with zero and fractional lengths, drawn
+    """A digraph on 4-7 vertices with zero, fractional and decimal float
+    lengths (exact values of the floats, see DiGraph), drawn
     turns and two terminal pairs, which share a vertex in some draws.  The
     digraph comes from a drawn seed: plain draws were mostly digraphs in
     which some target is unreachable."""
@@ -284,9 +286,99 @@ def test_2dspp_agrees_with_the_oracle_on_drawn_digraphs(case):
         if res.yes:
             check_witnesses(g, t, pairs, res.paths, mode)
         # the arcs on shortest paths keep a shortest path of each pair, and
-        # splitting the vertices keeps its length; the check after splitting
-        # raises InvariantError, so it gives no diagnostic
+        # splitting the vertices keeps its length, so the only diagnostics
+        # are those given before any graph is built
         assert res.diagnostic in (None, "terminal pairs share a vertex", "a target is unreachable")
+
+
+def split_graph_reference(sdg, a, b) -> set:
+    """The arcs of the DArcGraph sdg on some shortest a-b path, found by a
+    label Dijkstra from a and a backward reach from b over tight arcs,
+    independently of the solver's own derivation."""
+    dist = {a: 0}
+    heap = [(0, repr(a), a)]
+    done = set()
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        for x in sdg.out[v]:
+            w = sdg.head(x)
+            nd = d + sdg.arcs[x][2]
+            if w not in done and nd < dist.get(w, nd + 1):
+                dist[w] = nd
+                heapq.heappush(heap, (nd, repr(w), w))
+    tight = [x for x, (u, v, w) in sdg.arcs.items() if u in dist and dist[u] + w == dist.get(v)]
+    reach, stack = {b}, [b]
+    while stack:
+        v = stack.pop()
+        for x in tight:
+            if sdg.head(x) == v and sdg.tail(x) not in reach:
+                reach.add(sdg.tail(x))
+                stack.append(sdg.tail(x))
+    return {x for x in tight if sdg.head(x) in reach}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=dspp_instances())
+def test_split_edge_sets_match_a_search_on_the_split_graph(case):
+    # E1' and E2' are derived from E1 and E2, not searched for again; they
+    # must equal a fresh shortest-path search on the split graph, and in
+    # both modes the graph handed to ContractedStar has exactly E1 u E2
+    from transita import dsp
+
+    g, t, ends = case
+    try:
+        check_positive_cycles(g)
+    except PositivityError:
+        return
+    seen = []
+
+    class Spy(dsp.ContractedStar):
+        def __init__(self, dg, e1, e2):
+            seen.append((dg, set(e1), set(e2)))
+            super().__init__(dg, e1, e2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsp, "ContractedStar", Spy)
+        for fn, mode in ((edge_disjoint_2dspp, "edge"), (vertex_disjoint_2dspp, "vertex")):
+            seen.clear()
+            fn(g, t, *ends)
+            for dg, e1, e2 in seen:
+                assert set(dg.arcs) == e1 | e2
+                if mode == "vertex":
+                    assert e1 == split_graph_reference(dg, ("sa", "A1"), ("sa", "B1"))
+                    assert e2 == split_graph_reference(dg, ("sa", "A2"), ("sa", "B2"))
+
+
+def test_float_lengths_are_exact():
+    # with float arithmetic the tight-arc test rounded and vertex mode
+    # raised InvariantError here; with the floats' exact values it answers
+    # as the oracle does
+    g = DiGraph(
+        7,
+        [(0, 3), (1, 0), (1, 5), (1, 6), (2, 0), (2, 5), (3, 0), (3, 1), (3, 5), (4, 0), (4, 1),
+         (5, 1), (5, 6), (6, 0), (6, 2), (6, 4)],
+        [0.7, 0.2, 0.0, 0.0, 1.0, 0.1, 0.2, 0.3, 0.1, 1.0, 1.0, 0.2, 0.2, 0.7, 0.2, 0.1],
+    )
+    t = TransitionSystem(
+        [(3, 7), (12, 13), (3, 13), (8, 12), (2, 11), (10, 15), (3, 15), (5, 12), (0, 1), (1, 11),
+         (12, 14), (3, 11), (3, 14), (5, 11), (5, 14), (0, 6), (9, 15), (1, 7), (2, 12)]
+    )
+    assert g.weights[5] == Fraction(0.1) and isinstance(g.weights[0], Fraction)
+    for fn, mode in ((edge_disjoint_2dspp, "edge"), (vertex_disjoint_2dspp, "vertex")):
+        assert fn(g, t, 3, 4, 0, 1).yes == brute_2dspp(g, t, [(3, 4), (0, 1)], mode)
+    assert not vertex_disjoint_2dspp(g, t, 3, 4, 0, 1).yes
+
+
+def test_2dspp_rejects_terminals_out_of_range():
+    g = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    t = all_transitions(g)
+    for fn in (edge_disjoint_2dspp, vertex_disjoint_2dspp):
+        for ends in ((0, 3, 1, 9), (-1, 3, 1, 2), (0, 4, 1, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                fn(g, t, *ends)
 
 
 def test_2dspp_matches_oracle_on_grids_of_benchmark_size():
@@ -402,7 +494,8 @@ def test_router_matches_per_route_search_on_the_reanchored_subgraph():
 
         for mode in ("edge", "vertex"):
             stats = dict.fromkeys(STAT_KEYS, 0)
-            router = _BlobRouter(DArcGraph.from_core(g, t), members, mode == "vertex", stats)
+            dg = DArcGraph({a: (u, v, g.weight(a)) for a, (u, v) in enumerate(arcs)}, t.pairs)
+            router = _BlobRouter(dg, members, mode == "vertex", stats)
             for a_in in entries:
                 for a_out in exits:
                     h, th, ends = reanchored([(a_in, a_out)])

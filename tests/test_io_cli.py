@@ -317,6 +317,54 @@ def test_failed_solver_check_writes_an_internal_error_report(tmp_path, monkeypat
     assert "misses its target" in report["error"]["message"]
 
 
+def test_corrupt_compath_witness_writes_an_internal_error_report(tmp_path, monkeypatch):
+    # a witness one edge short of its goal fails compath's own check
+    import transita.compath
+    from transita.core import Graph, TransitionSystem, Walk, all_transitions
+
+    solve = transita.compath.oriented_compath
+
+    def short_witness(*args, **kwargs):
+        res, ws = solve(*args, **kwargs)
+        return res, [w and Walk(w.vertices[:-1], w.edge_ids[:-1]) for w in ws]
+
+    monkeypatch.setattr(transita.compath, "oriented_compath", short_witness)
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    path = tmp_path / "p4.json"
+    path.write_bytes(serialize_instance(Instance(g, all_transitions(g))))
+    code, out = run_cli(
+        ["compath", "--instance", str(path), "--from", "0", "--to", "3",
+         "--max-len", "4", "--witness"]
+    )
+    report = _assert_error_report(code, out, "internal")
+    assert "compath witness" in report["error"]["message"]
+
+
+def test_infinite_weight_is_an_input_format_error(tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"directed": true, "n": 3, "edges": [[0, 1], [1, 2]], "weights": [Infinity, 1],'
+        ' "transitions": [[0, 1]]}'
+    )
+    code, out = run_cli(["dsp", "--instance", str(path), "--mode", "edge", "--pairs", "0,2,1,2"])
+    report = _assert_error_report(code, out, "input-format")
+    assert "must be finite" in report["error"]["message"]
+
+
+def test_float_weights_round_trip_as_exact_values():
+    from fractions import Fraction
+
+    from transita.core import DiGraph, TransitionSystem
+
+    g = DiGraph(3, [(0, 1), (1, 2), (0, 2)], [0.1, 0.2, 0.3])
+    inst = Instance(g, TransitionSystem([(0, 1)]))
+    assert all(isinstance(w, Fraction) for w in inst.graph.weights)
+    assert inst.graph.weights == tuple(map(Fraction, (0.1, 0.2, 0.3)))
+    assert parse_instance(serialize_instance(inst)) == inst
+    assert parse_instance(b'{"directed": true, "n": 2, "edges": [[0, 1]], "weights": [0.1]}'
+                          ).graph.weights == (Fraction(0.1),)
+
+
 def test_pchc_report_carries_the_rank_counters(tmp_path):
     # the rank engine's counters, equal to its stats; null for the naive
     # engine, which reduces and drops nothing

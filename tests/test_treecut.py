@@ -661,6 +661,14 @@ def test_comvdp_trivial_cases():
     assert comvdp(g, TransitionSystem(), [], dec)[0]
 
 
+def test_comvdp_rejects_terminals_out_of_range():
+    g = Graph(3, [(0, 1), (1, 2)])
+    dec = single_bag_treecut(g)
+    for pairs in ([(0, 99)], [(-1, 0)], [(0, 1), (2, 3)]):
+        with pytest.raises(ValueError, match="out of range"):
+            comvdp(g, TransitionSystem(), pairs, dec)
+
+
 def test_comvdp_root_only_equals_scomvdp_semantics():
     rng = random.Random(17)
     for _ in range(40):
