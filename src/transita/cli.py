@@ -24,9 +24,11 @@ exactly one report, with ``"answer": null`` and
 
 ``compath`` and ``detour`` reports carry "certified": false when the hash
 family swept was seeded random rather than certified perfect (n > 32), so
-that a "no" is only probable.  A ``detour`` report's "stats" also holds
-the solver's counters ``oriented_calls`` and ``goals`` (see
-``detour.comdetour``).  A ``pchc`` report carries ``max_family`` and, from
+that a "no" is only probable.  A ``detour`` report is uncertified only when
+the layered search swept such a family: an answer from the shortest
+compatible walk sweeps none (see ``detour``).  A ``detour`` report's
+"stats" also holds the solver's counters ``oriented_calls`` and ``goals``
+(see ``detour.comdetour``).  A ``pchc`` report carries ``max_family`` and, from
 the rank engine (null for ``--engine naive``), ``max_family_before_prune``
 and ``dead_groups`` (see ``pchc.rank_based_pchc``).
 

@@ -266,6 +266,31 @@ def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed, backward=Fals
     return dist
 
 
+def _shortest_walk(sg: SlotGraph, s: int, tgt: int) -> Optional[Walk]:
+    """One shortest compatible s-tgt walk, s != tgt, or None when none exists.
+
+    One forward `_slot_walk_dists` search from the slots leaving s picks the
+    lowest-numbered nearest slot into tgt, then walks back along sg.pred,
+    each time to the lowest-numbered slot one edge nearer s.
+    """
+    dist = _slot_walk_dists(sg, _start_slots(sg, ("v", s), None), None)
+    goals = _goal_slots(sg, ("v", tgt), None)
+    sid = min(goals, key=lambda x: (dist[x], x), default=None)
+    if sid is None or dist[sid] == INF:
+        return None
+    slots = [sid]
+    for d in range(dist[sid] - 1, 0, -1):
+        slots.append(next(p for p in sg.pred[slots[-1]] if dist[p] == d))
+    slots.reverse()
+    return _walk_of(sg, slots)
+
+
+def _walk_of(sg: SlotGraph, slots) -> Walk:
+    """The walk that traverses the slots in order."""
+    return Walk((sg.tails[slots[0]],) + tuple(sg.heads[sid] for sid in slots),
+                tuple(sid // 2 for sid in slots))
+
+
 def _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
                   allowed, bwd, witness):
     """One DP sweep under a fixed coloring; updates results/wits in place.
@@ -340,12 +365,7 @@ def _rebuild(sg: SlotGraph, parents, state) -> Walk:
         slots.append(cur[1])
         cur = parents[cur]
     slots.reverse()
-    verts = [sg.tails[slots[0]]]
-    eids = []
-    for sid in slots:
-        verts.append(sg.heads[sid])
-        eids.append(sid // 2)
-    return Walk(tuple(verts), tuple(eids))
+    return _walk_of(sg, slots)
 
 
 def oriented_compath(

@@ -1,17 +1,30 @@
 """ComDetour: compatible s-t paths of length at most dist(s,t) + k.
 
-The solver classifies vertices into BFS layers, seeds a table over
-inter-layer edges near the target with direct ComPath calls, and fills
-earlier layers by joining short ComPath segments with already-computed
-entries across permitted transitions.  The join runs one multi-goal ComPath
-sweep per (x, layer du, start edge), so one sweep serves every vertex u of
-the layer.  Its goals are only the edges (f, u) into layer du that can join:
-some inter-layer edge g2 leaves u upward, is already in the table, and
-t.permits(f, g2).  Each layer's list of such goals is built once, the first
-time a join needs it.  The filter is exact: table entries whose lower end
-lies at layer du are written only by the seeding or by the join at m = du,
-and the join visits m in descending order, so they are final before any
-m < du reads them.
+A walk step answers first.  Compatible walks, unlike compatible paths, are
+found by one BFS over the edge slots (`compath._shortest_walk`).  With
+d = dist(s, t): when no compatible walk has length <= d + k, no path has
+either, an exact "no"; when the shortest walk found is a path, it is the
+answer and its witness.  No hash family is swept, so both answers are
+certified.  Within slack 2 of d one of the two always holds.  Across BFS
+layers a walk of length d + j has (flat steps) + 2 (down steps) = j, while
+a repeated vertex needs a closed sub-walk of at least three edges, as a
+U-turn on one edge is never a permitted transition, and that sub-walk alone
+costs at least 3.
+
+Only when the shortest walk repeats a vertex, so k >= 3, does colour
+coding run: one ComPath call within d + k when d <= k, else the layered
+search (`_layered`).  The layered search classifies vertices into BFS
+layers, seeds a table over inter-layer edges near the target with direct
+ComPath calls, and fills earlier layers by joining short ComPath segments
+with already-computed entries across permitted transitions.  The join runs
+one multi-goal ComPath sweep per (x, layer du, start edge), so one sweep
+serves every vertex u of the layer.  Its goals are only the edges (f, u)
+into layer du that can join: some inter-layer edge g2 leaves u upward, is
+already in the table, and t.permits(f, g2).  Each layer's list of such
+goals is built once, the first time a join needs it.  The filter is exact:
+table entries whose lower end lies at layer du are written only by the
+seeding or by the join at m = du, and the join visits m in descending
+order, so they are final before any m < du reads them.
 
 Calls that provably find nothing are not made.  A path inside G_(x, hi]
 visits x only as its first vertex, so after its first edge it is a
@@ -35,26 +48,27 @@ from typing import Optional
 from .core import (
     Endpoint, Graph, InvariantError, TransitionSystem, Walk, bfs_dist, is_compatible_walk, INF,
 )
-from .compath import SlotGraph, _slot_walk_dists, family_for_bound, oriented_compath
+from .compath import (
+    SlotGraph, _shortest_walk, _slot_walk_dists, family_for_bound, oriented_compath,
+)
 
 
 @dataclass(frozen=True)
 class LayerStructure:
     """BFS layers from s."""
 
-    dist: tuple
     layers: tuple  # layers[i] = tuple of vertices at distance i
 
     @staticmethod
-    def build(g: Graph, s: int) -> "LayerStructure":
-        dist = bfs_dist(g, s)
+    def build(dist) -> "LayerStructure":
+        """The layers of bfs_dist(g, s)."""
         finite = [int(d) for d in dist if d != INF]
         top = max(finite) if finite else 0
         layers = [[] for _ in range(top + 1)]
-        for v in range(g.n):
-            if dist[v] != INF:
-                layers[int(dist[v])].append(v)
-        return LayerStructure(tuple(dist), tuple(tuple(l) for l in layers))
+        for v, dv in enumerate(dist):
+            if dv != INF:
+                layers[int(dv)].append(v)
+        return LayerStructure(tuple(tuple(l) for l in layers))
 
     def band(self, lo: int, hi: int) -> set:
         """Vertex set of the layers lo..hi; G_(x, hi] is {x} | band(dist(x)+1, hi)."""
@@ -72,8 +86,9 @@ class DetourResult:
     dist: Optional[int]
     witness: Optional[Walk] = None
     diagnostic: Optional[str] = None
-    # False when the hash family swept was uncertified, so a "no" is only
-    # probable (see compath.family_for_bound)
+    # False only when the layered search swept an uncertified hash family,
+    # so that a "no" is only probable (see compath.family_for_bound); the
+    # walk step's answers sweep none and are exact
     certified: bool = True
 
 
@@ -90,9 +105,12 @@ def comdetour(
     """Decide whether a compatible s-tgt path of length <= dist(s,tgt)+k exists.
 
     Returns the achieved shortest such length nu when one exists, and a
-    reconstructed witness path on request.  When given, stats gains
-    STAT_KEYS: the oriented ComPath calls made and the total length of the
-    goal lists passed to them.
+    witness path on request.  The walk step answers first (module
+    docstring): no compatible walk of length <= d + k is an exact "no", and
+    a shortest walk that is a path is the answer and its witness.  Only
+    otherwise, never at k <= 2, does the layered search run.  When given,
+    stats gains STAT_KEYS: the oriented ComPath calls made and the total
+    length of the goal lists passed to them, both 0 when the walk answers.
     """
     Endpoint.vertex(s).validate(g)
     Endpoint.vertex(tgt).validate(g)
@@ -103,11 +121,27 @@ def comdetour(
         stats.setdefault(key, 0)
     if s == tgt:
         return DetourResult(True, 0, 0, Walk((s,), ()) if witness else None)
-    ls = LayerStructure.build(g, s)
-    if ls.dist[tgt] == INF:
+    dist = bfs_dist(g, s)
+    if dist[tgt] == INF:
         return DetourResult(False, None, None, diagnostic="target unreachable from source")
-    d = int(ls.dist[tgt])
+    d = int(dist[tgt])
     sg = SlotGraph(g, t)
+    walk = _shortest_walk(sg, s, tgt)
+    if walk is None or walk.length > d + k:
+        return DetourResult(False, None, d)
+    if walk.is_path():
+        if not witness:
+            return DetourResult(True, walk.length, d)
+        if not is_compatible_walk(g, t, walk):
+            raise InvariantError("shortest compatible walk breaks a transition")
+        return DetourResult(True, walk.length, d, walk)
+    return _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats)
+
+
+def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
+    """The layered colour-coding search, for d = dist[tgt] > 0 finite and
+    sg = SlotGraph(g, t); adds its calls and goals to stats' STAT_KEYS."""
+    d = int(dist[tgt])
 
     def sweep(start, goals, bound, region):
         stats["oriented_calls"] += 1
@@ -126,6 +160,7 @@ def comdetour(
             return DetourResult(False, None, d, certified=fam.certified)
         return DetourResult(True, ln, d, w, certified=fam.certified)
 
+    ls = LayerStructure.build(dist)
     hi = d + k
     # Both the seeding calls and the join segments need length bound 2k+1:
     # an x..u prefix spans up to k+1 layers plus k slack, and a join with a
@@ -136,7 +171,6 @@ def comdetour(
     table = {}  # inter-layer edge id -> best known length of an e..tgt path
     pieces = {}  # edge id -> witness walk (seed) or (prefix walk, next edge)
 
-    dist = ls.dist
     inter = {}  # inter-layer edge id inside layers 0..hi -> its lower end
     for e, (u, v) in enumerate(g.edges):
         if dist[u] != dist[v] and dist[u] <= hi and dist[v] <= hi:

@@ -163,7 +163,8 @@ def _working_graph(g: DiGraph, t: TransitionSystem, arc_ids, ends) -> DArcGraph:
 
     Every continuation out of s_i and into t_i is permitted, beside the
     input's own transitions, so transitions of other paths passing through
-    a terminal survive.
+    a terminal survive.  A self-pair (e, e) names no transition and is
+    dropped, as compath.SlotGraph drops it.
     """
     s1, t1, s2, t2 = ends
     into = {("sa", "A1"): s1, ("sa", "A2"): s2}
@@ -171,7 +172,7 @@ def _working_graph(g: DiGraph, t: TransitionSystem, arc_ids, ends) -> DArcGraph:
     arcs = {a: (*g.arcs[a], g.weight(a)) for a in arc_ids}
     arcs.update({aid: (aid, v, 0) for aid, v in into.items()})
     arcs.update({aid: (v, aid, 0) for aid, v in out_of.items()})
-    dg = DArcGraph(arcs, t.pairs)
+    dg = DArcGraph(arcs, (p for p in t.pairs if p[0] != p[1]))
     for aid, v in into.items():
         dg.trans.update(frozenset((aid, b)) for b in dg.out[v])
     for aid, v in out_of.items():

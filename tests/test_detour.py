@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +9,21 @@ import transita.detour
 from transita.core import (
     Graph, TransitionSystem, all_transitions, bfs_dist, is_compatible_walk, validate_walk, INF,
 )
-from transita.detour import comdetour
+from transita.detour import STAT_KEYS, SlotGraph, comdetour
 from transita.genred import gen_random_ftg
 from transita.oracle import brute_compatible_path
+
+
+def layered(g, t, s, tgt, k, seed=0, witness=False, stats=None):
+    """comdetour without its walk step: the layered search answers every
+    query with s != tgt and tgt reachable, whatever the slack."""
+    stats = {} if stats is None else stats
+    for key in STAT_KEYS:
+        stats.setdefault(key, 0)
+    dist = bfs_dist(g, s)
+    if s == tgt or dist[tgt] == INF:
+        return comdetour(g, t, s, tgt, k, seed, witness, stats)
+    return transita.detour._layered(g, t, s, tgt, k, dist, SlotGraph(g, t), seed, witness, stats)
 
 
 def grid3():
@@ -153,23 +166,87 @@ def test_witness_layer_identity():
 
 def test_comdetour_says_whether_its_family_is_certified():
     # a path 0-1-...-(n-1): the layered branch (dist > k) and the delegated
-    # branch (dist <= k) both report the family they swept
+    # branch (dist <= k) both report the family they swept; comdetour
+    # answers both from its walk step, which sweeps no family
     for n, certified in ((20, True), (40, False)):
         g = Graph(n, [(v, v + 1) for v in range(n - 1)])
         t = all_transitions(g)
-        far = comdetour(g, t, 0, n - 1, 2)
-        near = comdetour(g, t, 0, 2, 2)
+        far = layered(g, t, 0, n - 1, 2)
+        near = layered(g, t, 0, 2, 2)
         assert far.yes and far.nu == n - 1 and far.certified is certified
         assert near.yes and near.nu == 2 and near.certified is certified
+        assert comdetour(g, t, 0, n - 1, 2) == replace(far, certified=True)
+        assert comdetour(g, t, 0, 2, 2) == replace(near, certified=True)
     assert comdetour(Graph(40, []), TransitionSystem(), 0, 3, 1).certified
 
 
+def test_walk_step_answers_every_query_within_slack_two():
+    # across BFS layers a walk of length d + j has (flat steps) + 2 (down
+    # steps) = j, and a repeated vertex needs a closed sub-walk of at least
+    # three edges (a U-turn on one edge is never a transition), which costs
+    # at least 3: within slack 2 the shortest compatible walk is a path
+    rng = random.Random(2512)
+    detours = answered = 0
+    for i in range(160):
+        n = rng.randint(6, 14) if i % 8 else rng.randint(36, 40)
+        g, t = gen_random_ftg(n, 3 / (n - 1), rng.choice([0.4, 0.6, 0.8]), rng.randrange(10**6))
+        s, tgt = rng.sample(range(n), 2)
+        dist = bfs_dist(g, s)
+        if dist[tgt] == INF:
+            continue
+        for k in range(3):
+            ref = brute_compatible_path(g, t, s, tgt, int(dist[tgt]) + k, size_guard=False)
+            for witness in (False, True):
+                stats = {}
+                res = comdetour(g, t, s, tgt, k, witness=witness, stats=stats)
+                assert stats == {"oriented_calls": 0, "goals": 0}
+                assert res.certified and (res.yes, res.nu) == (ref is not None, ref)
+                if witness and res.yes:
+                    w = res.witness
+                    assert w.is_path() and is_compatible_walk(g, t, w)
+                    assert (w.vertices[0], w.vertices[-1], w.length) == (s, tgt, ref)
+            answered += ref is not None
+            detours += ref is not None and ref > dist[tgt]
+    assert answered > 300 and detours > 40
+
+
+def uturn_graph():
+    # the path 0-1-...-6 with its straight turn at 3 forbidden, the triangle
+    # 3-7-8 at 3 and the bypass 2-9-10-11-12-13-4, four edges longer than
+    # the path's 2-3-4
+    edges = [(v, v + 1) for v in range(6)] + [(3, 7), (7, 8), (3, 8)]
+    edges += [(2, 9), (9, 10), (10, 11), (11, 12), (12, 13), (4, 13)]
+    g = Graph(14, edges)
+    straight = tuple(sorted((g.edge_id(2, 3), g.edge_id(3, 4))))
+    return g, TransitionSystem(p for p in all_transitions(g).pairs if p != straight)
+
+
+def test_layered_search_runs_when_the_shortest_walk_turns_round_a_triangle():
+    g, t = uturn_graph()
+    walk = transita.detour._shortest_walk(SlotGraph(g, t), 0, 6)
+    assert walk.length == 9 and not walk.is_path()
+    assert walk.vertices[3:6] in ((3, 7, 8), (3, 8, 7)) and walk.vertices[6] == 3
+    for k, nu in ((2, None), (3, None), (4, 10)):
+        assert brute_compatible_path(g, t, 0, 6, 6 + k) == nu
+        for witness in (False, True):
+            stats = {}
+            res = comdetour(g, t, 0, 6, k, witness=witness, stats=stats)
+            assert (res.yes, res.nu, res.dist, res.certified) == (nu is not None, nu, 6, True)
+            # slack 2 rules the walk out; from slack 3 the layered search runs
+            assert (stats["oriented_calls"] > 0) == (k >= 3)
+            if witness and res.yes:
+                assert res.witness.vertices == (0, 1, 2, 9, 10, 11, 12, 13, 4, 5, 6)
+                assert is_compatible_walk(g, t, res.witness)
+
+
 def test_comdetour_witness_on_a_long_path():
-    # the witness is assembled along a join chain of 1,199 pieces in a loop
+    # the layered witness is assembled along a join chain of 1,199 pieces
+    # in a loop; comdetour's walk step gives the same one
     n = 1200
     g = Graph(n, [(v, v + 1) for v in range(n - 1)])
     t = TransitionSystem([(e, e + 1) for e in range(n - 2)])
-    res = comdetour(g, t, 0, n - 1, 0, witness=True)
+    res = layered(g, t, 0, n - 1, 0, witness=True)
+    assert comdetour(g, t, 0, n - 1, 0, witness=True) == res
     assert res.yes and res.nu == n - 1
     assert res.witness.vertices == tuple(range(n))
     assert is_compatible_walk(g, t, res.witness)
@@ -191,7 +268,7 @@ def test_join_makes_one_sweep_per_start_edge_and_layer(monkeypatch):
     monkeypatch.setattr(transita.detour, "oriented_compath", counted)
     for k in range(3):
         calls.clear()
-        res = comdetour(g, t, 0, tgt, k, seed=2)
+        res = layered(g, t, 0, tgt, k, seed=2)
         ref = brute_compatible_path(g, t, 0, tgt, int(dist[tgt]) + k, size_guard=False)
         assert res.nu == ref
         joins = [(start, goals) for start, goals in calls if goals[0][0] == "e"]
@@ -248,7 +325,7 @@ def test_join_asks_only_for_goals_that_can_join(monkeypatch):
         tgt = max(range(n), key=lambda v: (dist[v] != INF, dist[v]))
         for k in range(4):
             calls.clear()
-            res = comdetour(g, t, 0, tgt, k, seed=6)
+            res = layered(g, t, 0, tgt, k, seed=6)
             ref = brute_compatible_path(g, t, 0, tgt, int(dist[tgt]) + k, size_guard=False)
             assert res.yes == (ref is not None) and res.nu == ref
             for goals in calls:
@@ -276,12 +353,17 @@ def test_comdetour_counts_its_calls_and_goals(monkeypatch):
     for witness in (False, True):
         seen[:] = [0, 0]
         stats = {}
-        assert comdetour(g, t, 0, tgt, 2, seed=2, witness=witness, stats=stats).yes
+        assert layered(g, t, 0, tgt, 2, seed=2, witness=witness, stats=stats).yes
         assert stats == {"oriented_calls": seen[0], "goals": seen[1]}
         # asking for every edge into each layer made 52 calls with 356 goals;
         # asking only for joinable edges, but from every start edge, made 44
         # calls with 66 goals
         assert stats == {"oriented_calls": 28, "goals": 45}
+        # at slack 2 the walk step answers with no call at all
+        seen[:] = [0, 0]
+        stats = {}
+        assert comdetour(g, t, 0, tgt, 2, seed=2, witness=witness, stats=stats).yes
+        assert stats == {"oriented_calls": 0, "goals": 0} and seen == [0, 0]
 
 
 def test_start_filter_changes_no_result(monkeypatch):
@@ -309,7 +391,7 @@ def test_start_filter_changes_no_result(monkeypatch):
             for i, admit in enumerate((filtered, lambda *args: True)):
                 monkeypatch.setattr(transita.detour, "_may_reach", admit)
                 stats = {}
-                runs.append(comdetour(g, t, s, tgt, k, seed=3, witness=witness, stats=stats))
+                runs.append(layered(g, t, s, tgt, k, seed=3, witness=witness, stats=stats))
                 calls[i] += stats["oriented_calls"]
                 runs.append(stats["oriented_calls"])
             res, made, ref, unfiltered = runs
@@ -367,8 +449,11 @@ def test_comdetour_agrees_with_the_oracle_on_drawn_graphs(query):
     dist = bfs_dist(g, s)
     ref = None if dist[tgt] == INF else brute_compatible_path(g, t, s, tgt, int(dist[tgt]) + k)
     for witness in (False, True):
-        res = comdetour(g, t, s, tgt, k, witness=witness)
+        stats = {}
+        res = comdetour(g, t, s, tgt, k, witness=witness, stats=stats)
         assert res.certified
+        if k <= 2:
+            assert stats["oriented_calls"] == 0
         assert (res.yes, res.nu) == (ref is not None, ref)
         if witness and res.yes:
             w = res.witness

@@ -87,6 +87,18 @@ def test_2dspp_transitions_flip_answer():
     assert edge_disjoint_2dspp(g, all_transitions(g), 0, 2, 3, 5).yes
 
 
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_2dspp_ignores_a_self_pair(mode):
+    # the pair (1, 1) names no transition; it once crashed the split graph
+    g = DiGraph(5, [(0, 1), (1, 2), (3, 4)])
+    for t in (TransitionSystem([(0, 1), (1, 1)]), TransitionSystem([(1, 1)])):
+        solve = edge_disjoint_2dspp if mode == "edge" else vertex_disjoint_2dspp
+        res = solve(g, t, 0, 2, 3, 4)
+        assert res.yes == brute_2dspp(g, t, [(0, 2), (3, 4)], mode) == (len(t.pairs) == 2)
+        if res.yes:
+            assert [w.vertices for w in res.paths] == [(0, 1, 2), (3, 4)]
+
+
 def test_2dspp_shared_midpoint_vertex():
     g = DiGraph(5, [(0, 2), (2, 3), (1, 2), (2, 4)], (1, 1, 1, 1))
     t = all_transitions(g)

@@ -104,10 +104,28 @@ def test_reports_are_deterministic_modulo_timing(instance_file):
     assert r1["seed"] == 9
 
 
-def test_detour_report_carries_solver_counters(instance_file):
+@pytest.fixture()
+def uturn_file(tmp_path):
+    # 40 vertices, most of them isolated: the path 0-1-2 with its straight
+    # turn at 1 forbidden, the triangle 1-3-4 at 1 and the bypass
+    # 0-5-6-7-8-9-2.  The shortest compatible 0-2 walk 0-1-3-4-1-2 repeats
+    # vertex 1, so ComDetour runs its colour-coding search, over a random
+    # family (n > 32); the shortest compatible path is the bypass, slack 4
+    from transita.core import Graph, TransitionSystem, all_transitions
+
+    g = Graph(40, [(0, 1), (1, 2), (1, 3), (3, 4), (1, 4)] + [(v, v + 1) for v in range(5, 9)]
+              + [(0, 5), (2, 9)])
+    straight = tuple(sorted((g.edge_id(0, 1), g.edge_id(1, 2))))
+    path = tmp_path / "uturn.json"
+    t = TransitionSystem(p for p in all_transitions(g).pairs if p != straight)
+    path.write_bytes(serialize_instance(Instance(g, t)))
+    return str(path)
+
+
+def test_detour_report_carries_solver_counters(uturn_file):
     # two runs print the same bytes once the elapsed time is blanked
-    argv = ["detour", "--instance", instance_file, "--from", "0", "--to", "5",
-            "--slack", "1", "--seed", "4"]
+    argv = ["detour", "--instance", uturn_file, "--from", "0", "--to", "2",
+            "--slack", "3", "--seed", "4"]
     outs = [re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', run_cli(argv)[1])
             for _ in range(2)]
     assert outs[0] == outs[1]
@@ -271,7 +289,7 @@ def test_failures_write_one_error_report(cli_inputs, argv, kind):
     assert report["solver"].startswith(argv[0])
 
 
-def test_reports_say_when_the_family_is_uncertified(tmp_path):
+def test_reports_say_when_the_family_is_uncertified(tmp_path, uturn_file):
     from transita.core import Graph, all_transitions
 
     g = Graph(40, [(v, v + 1) for v in range(39)])
@@ -286,7 +304,13 @@ def test_reports_say_when_the_family_is_uncertified(tmp_path):
         ["detour", "--instance", str(path), "--from", "0", "--to", "39", "--slack", "1"]
     )
     report = json.loads(out)
-    assert code == 0 and report["nu"] == 39 and report["certified"] is False
+    # answered by the shortest compatible walk, a path: no family is swept
+    assert code == 0 and report["nu"] == 39 and report["certified"] is True
+    code, out = run_cli(
+        ["detour", "--instance", uturn_file, "--from", "0", "--to", "2", "--slack", "4"]
+    )
+    report = json.loads(out)
+    assert code == 0 and report["nu"] == 6 and report["certified"] is False
 
 
 def test_dsp_vertex_witness_through_a_contracted_blob(tmp_path):
