@@ -154,17 +154,19 @@ class SlotGraph:
     Successors follow permitted transitions at the head.  Compatible walks
     are exactly the walks of this digraph, which makes it the shared
     substrate for walk prefilters and the colorful DP.  heads[sid] and
-    tails[sid] are the slot's head and tail vertices.
+    tails[sid] are the slot's head and tail vertices.  Transitions are
+    unordered, so slot s ^ 1 is s reversed and s -> s2 exactly when
+    s2 ^ 1 -> s ^ 1: a backward search is a forward one over reversed
+    slots, and only successors are stored.
     """
 
-    __slots__ = ("g", "t", "succ", "pred", "heads", "tails")
+    __slots__ = ("g", "t", "succ", "heads", "tails")
 
     def __init__(self, g: Graph, t: TransitionSystem):
         self.g = g
         self.t = t
         edges, m = g.edges, g.m
         succ = [[] for _ in range(2 * m)]
-        pred = [[] for _ in range(2 * m)]
         # A permitted pair (e, f) meeting at w links in(e, w) -> out(f, w)
         # and in(f, w) -> out(e, w), where in(e, w) is 2e + (edges[e][1] != w)
         # and out(f, w) is 2f + (edges[f][0] != w).  Pairs that are no
@@ -180,17 +182,12 @@ class SlotGraph:
                 w = b
             else:
                 continue
-            ie, oe = 2 * e + (b != w), 2 * e + (a != w)
-            i_f, of = 2 * f + (d != w), 2 * f + (c != w)
-            succ[ie].append(of)
-            pred[of].append(ie)
-            succ[i_f].append(oe)
-            pred[oe].append(i_f)
+            succ[2 * e + (b != w)].append(2 * f + (c != w))
+            succ[2 * f + (d != w)].append(2 * e + (a != w))
         # in increasing slot id, which is adjacency order at the head
-        for links in succ + pred:
+        for links in succ:
             links.sort()
         self.succ = tuple(map(tuple, succ))
-        self.pred = tuple(map(tuple, pred))
         heads, tails = [], []
         for u, v in edges:
             heads += (v, u)
@@ -224,24 +221,14 @@ def _start_slots(sg: SlotGraph, start, allowed) -> list:
 
 
 def _goal_slots(sg: SlotGraph, goal, allowed) -> list:
-    g = sg.g
-    if goal[0] == "v":
-        y = goal[1]
-        if allowed is not None and y not in allowed:
-            return []
-        return [
-            sg.slot(e, y)
-            for _, e in g.adj(y)
-            if allowed is None or g.other_end(e, y) in allowed
-        ]
-    _, e, last = goal
-    tail = g.other_end(e, last)
-    if allowed is not None and (last not in allowed or tail not in allowed):
+    """The slots a path to goal can end on: the reversed start slots of goal
+    read as a start, when the goal's named vertex is allowed."""
+    if allowed is not None and goal[-1] not in allowed:
         return []
-    return [sg.slot(e, last)]
+    return [s ^ 1 for s in _start_slots(sg, goal, allowed)]
 
 
-def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed, backward=False) -> list:
+def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed) -> list:
     """Minimal compatible-walk edge counts per slot (1 at the seed slots)."""
     dist = [INF] * (2 * sg.g.m)
     queue = []
@@ -249,12 +236,11 @@ def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed, backward=Fals
         if dist[s] == INF:
             dist[s] = 1
             queue.append(s)
-    nbr = sg.pred if backward else sg.succ
-    heads, tails = sg.heads, sg.tails
+    succ, heads, tails = sg.succ, sg.heads, sg.tails
     while queue:
         nxt = []
         for s in queue:
-            for u in nbr[s]:
+            for u in succ[s]:
                 if dist[u] == INF:
                     if allowed is not None and (
                         heads[u] not in allowed or tails[u] not in allowed
@@ -270,8 +256,9 @@ def _shortest_walk(sg: SlotGraph, s: int, tgt: int) -> Optional[Walk]:
     """One shortest compatible s-tgt walk, s != tgt, or None when none exists.
 
     One forward `_slot_walk_dists` search from the slots leaving s picks the
-    lowest-numbered nearest slot into tgt, then walks back along sg.pred,
-    each time to the lowest-numbered slot one edge nearer s.
+    lowest-numbered nearest slot into tgt, then walks back, each time to the
+    lowest-numbered slot one edge nearer s: the predecessors of slot p are
+    the reversed successors of p ^ 1, in increasing order.
     """
     dist = _slot_walk_dists(sg, _start_slots(sg, ("v", s), None), None)
     goals = _goal_slots(sg, ("v", tgt), None)
@@ -280,7 +267,7 @@ def _shortest_walk(sg: SlotGraph, s: int, tgt: int) -> Optional[Walk]:
         return None
     slots = [sid]
     for d in range(dist[sid] - 1, 0, -1):
-        slots.append(next(p for p in sg.pred[slots[-1]] if dist[p] == d))
+        slots.append(next(p ^ 1 for p in sg.succ[slots[-1] ^ 1] if dist[p ^ 1] == d))
     slots.reverse()
     return _walk_of(sg, slots)
 
@@ -292,37 +279,24 @@ def _walk_of(sg: SlotGraph, slots) -> Walk:
 
 
 def _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
-                  allowed, bwd, witness):
+                  allowed, back, witness):
     """One DP sweep under a fixed coloring; updates results/wits in place.
 
     States are (colorset mask, slot); the frontier at round L holds all
-    states whose walk is a colorful compatible path of length L.  bwd gives
-    per-slot lower bounds on the remaining walk length, used as an
-    admissible prune.
+    states whose walk is a colorful compatible path of length L.  back[s ^ 1]
+    is a lower bound on the slots of a walk from slot s to a goal slot,
+    counting both, used as an admissible prune.
     """
-    g = sg.g
-    heads, succ = sg.heads, sg.succ
-    starts = _start_slots(sg, start, allowed)
+    heads, tails, succ = sg.heads, sg.tails, sg.succ
     parents = {} if witness else None
     frontier = {}
-    if start[0] == "v":
-        c0 = col[start[1]]
-        for sid in starts:
-            h = heads[sid]
-            if col[h] == c0:
-                continue
-            key = ((1 << c0) | (1 << col[h]), sid)
-            frontier.setdefault(key[0], set()).add(sid)
-            if witness:
-                parents[key] = None
-    else:
-        u = start[2]
-        v = g.other_end(start[1], start[2])
-        if col[u] != col[v] and starts:
-            key = ((1 << col[u]) | (1 << col[v]), starts[0])
-            frontier[key[0]] = {starts[0]}
-            if witness:
-                parents[key] = None
+    # special colours are distinct and below base, and a slot's head is never
+    # its tail, so a start slot's two colours always differ
+    for sid in _start_slots(sg, start, allowed):
+        mask = (1 << col[tails[sid]]) | (1 << col[heads[sid]])
+        frontier.setdefault(mask, set()).add(sid)
+        if witness:
+            parents[(mask, sid)] = None
     seen = {(m, s) for m, ss in frontier.items() for s in ss}
     length = 1
     while frontier and length <= bound:
@@ -342,7 +316,7 @@ def _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
                     h = heads[s2]
                     if allowed is not None and h not in allowed:
                         continue
-                    if bwd[s2] == INF or length + 1 + bwd[s2] > bound:
+                    if length + back[s2 ^ 1] > bound:
                         continue
                     b = 1 << col[h]
                     if mask & b:
@@ -431,11 +405,8 @@ def oriented_compath(
     if not pending:
         return (results, wits) if witness else results
 
-    seeds = {s for s, ids in slot_goal.items()}
-    bwd = _slot_walk_dists(sg, seeds, allowed, backward=True)
-    # bwd counts the goal slot itself; remaining length from a state already
-    # standing on a slot is bwd - 1.
-    bwd = [d if d == INF else d - 1 for d in bwd]
+    # back[s ^ 1]: fewest slots of a walk from s to a goal slot, counting both
+    back = _slot_walk_dists(sg, [s ^ 1 for s in slot_goal], allowed)
 
     special = {}
     if start[0] == "v":
@@ -458,7 +429,7 @@ def oriented_compath(
         for v in range(g.n):
             col[v] = special[v] if v in special else base + fn[v]
         _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
-                      allowed, bwd, witness)
+                      allowed, back, witness)
         if all(results[i] is not None and results[i] <= lower[i] for i in pending):
             break
     return (results, wits) if witness else results

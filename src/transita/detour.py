@@ -31,7 +31,9 @@ visits x only as its first vertex, so after its first edge it is a
 compatible walk inside the layers dist(x)+1..hi.  One backward walk search
 over those layers, from the goal slots with both ends in them, bounds that
 walk's length from below for every start vertex x of the layer at once
-(one search per seeding layer, and one per (m, du) for the join).  A start
+(one search per seeding layer, and one per (m, du) for the join).  It runs
+forward over reversed slots (`compath.SlotGraph`), from the reversed goal
+slots, so its distance for slot s is read at s ^ 1.  A start
 edge whose slot is not itself a goal and has no successor within the
 remaining bound is skipped (`_may_reach`).  The colorful DP finds only
 paths, so a skipped call would have returned no length for any goal, and
@@ -186,8 +188,8 @@ def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
         if lx not in seeded:
             band = ls.band(lx + 1, hi)
             seeded[lx] = (band, _walks_back(sg, into_tgt, band))
-        band, bwd = seeded[lx]
-        if not _may_reach(sg, sg.slot(e, g.other_end(e, x)), into_tgt, bwd, bound):
+        band, back = seeded[lx]
+        if not _may_reach(sg, sg.slot(e, g.other_end(e, x)), into_tgt, back, bound):
             continue
         (ln,), (w,) = sweep(("e", e, x), [("v", tgt)], bound, band | {x})
         if ln is not None and lx + ln <= hi:
@@ -224,11 +226,11 @@ def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
                 band = ls.band(m + 1, du)
                 reach.append((du, band, _walks_back(sg, join_slots[du], band)))
         for x in ls.layers[m]:
-            for du, band, bwd in reach:
+            for du, band, back in reach:
                 starts = [
                     e
                     for w, e in g.adj(x)
-                    if w in band and _may_reach(sg, sg.slot(e, w), join_slots[du], bwd, bound)
+                    if w in band and _may_reach(sg, sg.slot(e, w), join_slots[du], back, bound)
                 ]
                 if not starts:
                     continue
@@ -269,21 +271,25 @@ def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
 
 def _walks_back(sg: SlotGraph, goal_slots, band: set) -> list:
     """Fewest edges of a compatible walk inside band from each slot to a goal
-    slot, counting both (compath._slot_walk_dists); INF where none exists."""
+    slot, counting both (compath._slot_walk_dists); INF where none exists.
+
+    The search runs forward over reversed slots from the reversed goal
+    slots, so slot s's count is at index s ^ 1.
+    """
     heads, tails = sg.heads, sg.tails
-    seeds = [s for s in goal_slots if heads[s] in band and tails[s] in band]
-    return _slot_walk_dists(sg, seeds, band, backward=True)
+    seeds = [s ^ 1 for s in goal_slots if heads[s] in band and tails[s] in band]
+    return _slot_walk_dists(sg, seeds, band)
 
 
-def _may_reach(sg: SlotGraph, sid: int, goal_slots, bwd: list, bound: int) -> bool:
+def _may_reach(sg: SlotGraph, sid: int, goal_slots, back: list, bound: int) -> bool:
     """Whether a call from start slot sid can reach a goal slot within bound.
 
-    bwd comes from `_walks_back` over the layers above the start vertex x.
+    back comes from `_walks_back` over the layers above the start vertex x.
     A path that the call finds is sid alone, when sid is a goal slot, or
     sid followed by a walk from a successor s2 inside those layers, of at
-    least bwd[s2] edges.
+    least back[s2 ^ 1] edges.
     """
-    return sid in goal_slots or any(bwd[s2] < bound for s2 in sg.succ[sid])
+    return sid in goal_slots or any(back[s2 ^ 1] < bound for s2 in sg.succ[sid])
 
 
 def _assemble(pieces, e: int) -> Walk:

@@ -68,26 +68,6 @@ class LGraph:
             lg.trans[v].add(frozenset((g.other_end(e, v), g.other_end(f, v))))
         return lg
 
-    def to_core(self):
-        """Relabel to a core Graph; returns (graph, transitions, labels)."""
-        labels = sorted(self.adj, key=repr)
-        index = {lbl: i for i, lbl in enumerate(labels)}
-        edges = sorted(
-            tuple(sorted((index[u], index[v])))
-            for u in self.adj
-            for v in self.adj[u]
-            if index[u] < index[v]
-        )
-        g = Graph(len(labels), edges)
-        pairs = []
-        for v, ps in self.trans.items():
-            for p in ps:
-                u, w = tuple(p)
-                e = g.edge_id(index[u], index[v])
-                f = g.edge_id(index[w], index[v])
-                pairs.append((e, f))
-        return g, TransitionSystem(pairs), labels
-
     def copy(self) -> "LGraph":
         lg = LGraph()
         lg.adj = {v: set(nb) for v, nb in self.adj.items()}

@@ -12,8 +12,9 @@ from transita.compath import (
     SlotGraph, compath, family_for_bound, oriented_compath, verify_k_perfect,
 )
 from transita.core import (
-    Endpoint, Graph, TransitionSystem, Walk, all_transitions, is_compatible_walk,
+    Endpoint, Graph, TransitionSystem, Walk, all_transitions, bfs_dist, is_compatible_walk,
 )
+from transita.detour import _walks_back
 from transita.genred import gen_random_ftg
 from transita.oracle import brute_compatible_path
 
@@ -184,8 +185,8 @@ def _reference_slot_graph(g, t):
     return succ, pred, heads, tails
 
 
-def test_slot_graph_matches_a_reference_built_with_permits():
-    rng = random.Random(2009)
+def _slot_graph_cases(rng):
+    """200 random graphs, then one graph with all, no and junk transitions."""
     cases = []
     for _ in range(200):
         n = rng.randint(2, 14)
@@ -203,11 +204,100 @@ def test_slot_graph_matches_a_reference_built_with_permits():
     junk = disjoint + [(0, 0), (3, 3), (-1, 0), (0, g.m), (g.m, g.m + 1), (-2, -1)]
     cases += [(g, TransitionSystem(junk)),
               (g, TransitionSystem(list(all_transitions(g).pairs) + junk))]
+    return cases
+
+
+def test_slot_graph_matches_a_reference_built_with_permits():
+    cases = _slot_graph_cases(random.Random(2009))
     for g, t in cases:
         sg = SlotGraph(g, t)
-        assert (sg.succ, sg.pred, sg.heads, sg.tails) == _reference_slot_graph(g, t)
+        succ, pred, heads, tails = _reference_slot_graph(g, t)
+        assert (sg.succ, sg.heads, sg.tails) == (succ, heads, tails)
+        # slot s ^ 1 is s reversed, so reversed successors are predecessors
+        assert tuple(tuple(p ^ 1 for p in sg.succ[s ^ 1]) for s in range(2 * g.m)) == pred
+    g, _ = cases[-1]
     assert any(SlotGraph(g, all_transitions(g)).succ)
     assert not any(SlotGraph(g, TransitionSystem()).succ)
+
+
+def _reference_walks_back(pred, heads, tails, seeds, allowed):
+    # fewest slots of a walk from each slot to a seed slot, counting both,
+    # by a BFS over predecessor lists
+    dist = [math.inf] * len(pred)
+    queue = list(dict.fromkeys(seeds))
+    for s in queue:
+        dist[s] = 1
+    for s in queue:
+        for p in pred[s]:
+            if dist[p] == math.inf and (
+                allowed is None or (heads[p] in allowed and tails[p] in allowed)
+            ):
+                dist[p] = dist[s] + 1
+                queue.append(p)
+    return dist
+
+
+def _reference_goal_slots(g, goal, allowed):
+    # the slots entering the goal's named vertex from an allowed vertex
+    def ok(v):
+        return allowed is None or v in allowed
+
+    if goal[0] == "v":
+        y = goal[1]
+        return [2 * e + (g.edges[e][1] != y) for _, e in g.adj(y)
+                if ok(y) and ok(g.other_end(e, y))]
+    _, e, last = goal
+    return [2 * e + (g.edges[e][1] != last)] if ok(last) and ok(g.other_end(e, last)) else []
+
+
+def test_backward_searches_match_a_bfs_over_reference_predecessors(monkeypatch):
+    # goal slots, _walks_back and the backward bound of oriented_compath run
+    # over reversed slots; on the random and junk-pair graphs, unrestricted
+    # and inside a band of BFS layers, they agree with the reference built
+    # from predecessor lists
+    rng = random.Random(1226)
+    bounds = []
+    real = transita.compath._colorful_run
+
+    def recorded(sg, col, start, goals, bound, results, wits, slot_goal, allowed, back,
+                 witness):
+        bounds.append((list(slot_goal), allowed, back))
+        return real(sg, col, start, goals, bound, results, wits, slot_goal, allowed, back,
+                    witness)
+
+    monkeypatch.setattr(transita.compath, "_colorful_run", recorded)
+    checked = 0
+    for g, t in _slot_graph_cases(rng):
+        if not g.m:
+            continue
+        sg = SlotGraph(g, t)
+        _, pred, heads, tails = _reference_slot_graph(g, t)
+        dist = bfs_dist(g, rng.randrange(g.n))
+        top = max(d for d in dist if d != math.inf)
+        lo = rng.randint(0, top)
+        band = {v for v in range(g.n) if lo <= dist[v] <= rng.randint(lo, top)}
+        for allowed in (None, band):
+            goals = [("v", rng.randrange(g.n)) for _ in range(2)]
+            for e in rng.sample(range(g.m), min(2, g.m)):
+                goals.append(("e", e, g.edges[e][rng.randrange(2)]))
+            slots = set()
+            for goal in goals:
+                gs = transita.compath._goal_slots(sg, goal, allowed)
+                assert gs == _reference_goal_slots(g, goal, allowed)
+                slots.update(gs)
+            region = set(range(g.n)) if allowed is None else allowed
+            back = _walks_back(sg, slots, region)
+            seeds = [s for s in slots if heads[s] in region and tails[s] in region]
+            ref = _reference_walks_back(pred, heads, tails, seeds, region)
+            assert [back[s ^ 1] for s in range(2 * g.m)] == ref
+            bounds.clear()
+            oriented_compath(g, t, ("v", rng.randrange(g.n)), goals, 4,
+                             family_for_bound(g.n, 4), allowed_vertices=allowed)
+            for slot_goal, allowed_, back in bounds[:1]:
+                ref = _reference_walks_back(pred, heads, tails, slot_goal, allowed_)
+                assert [back[s ^ 1] for s in range(2 * g.m)] == ref
+                checked += allowed_ is not None and any(d != math.inf for d in ref)
+    assert checked >= 20
 
 
 def test_family_random_mode_size():

@@ -410,13 +410,13 @@ def test_may_reach_admits_a_start_slot_exactly_within_the_bound():
     goals = {sg.slot(2, 3), sg.slot(3, 3)}
     start = sg.slot(0, 1)
     may_reach = transita.detour._may_reach
-    bwd = transita.detour._walks_back(sg, goals, {1, 2, 3})
-    assert may_reach(sg, start, goals, bwd, 3)
-    assert not may_reach(sg, start, goals, bwd, 2)
+    back = transita.detour._walks_back(sg, goals, {1, 2, 3})
+    assert may_reach(sg, start, goals, back, 3)
+    assert not may_reach(sg, start, goals, back, 2)
     # vertex 2 outside the layers: no walk is left, only a start goal slot
-    bwd = transita.detour._walks_back(sg, goals, {1, 3})
-    assert not may_reach(sg, start, goals, bwd, 5)
-    assert may_reach(sg, sg.slot(2, 3), goals, bwd, 1)
+    back = transita.detour._walks_back(sg, goals, {1, 3})
+    assert not may_reach(sg, start, goals, back, 5)
+    assert may_reach(sg, sg.slot(2, 3), goals, back, 1)
 
 
 @st.composite

@@ -194,6 +194,45 @@ def test_oracle_cli_matches_solver(tmp_path):
     assert json.loads(solver_out)["length"] == json.loads(oracle_out)["length"] == 2
 
 
+def test_unreachable_targets_are_diagnosed(tmp_path):
+    # detour and dsp answer no, and say why, when a target cannot be reached
+    from transita.core import DiGraph, Graph, all_transitions
+
+    g = Graph(4, [(0, 1), (2, 3)])
+    path = tmp_path / "two.json"
+    path.write_bytes(serialize_instance(Instance(g, all_transitions(g))))
+    code, out = run_cli(
+        ["detour", "--instance", str(path), "--from", "0", "--to", "3", "--slack", "1"]
+    )
+    report = json.loads(out)
+    assert code == 0 and report["answer"] is False and report["nu"] is None
+    assert report["diagnostic"] == "target unreachable from source"
+    dg = DiGraph(4, [(0, 1), (2, 3)])
+    path = tmp_path / "arcs.json"
+    path.write_bytes(serialize_instance(Instance(dg, all_transitions(dg))))
+    for mode in ("edge", "vertex"):
+        code, out = run_cli(["dsp", "--instance", str(path), "--mode", mode, "--pairs", "1,0,2,3"])
+        report = json.loads(out)
+        assert code == 0 and report["answer"] is False and "paths" not in report
+        assert report["diagnostic"] == "a target is unreachable"
+
+
+def test_oracle_pchc_answers_on_small_coloured_cycles(tmp_path):
+    # the 4-cycle has a properly coloured Hamiltonian cycle exactly when its
+    # colours alternate
+    from transita.core import EdgeColoring, Graph, TransitionSystem
+
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for colors, yes in (((1, 2, 1, 2), True), ((1, 1, 2, 2), False)):
+        path = tmp_path / "c4.json"
+        inst = Instance(g, TransitionSystem(), EdgeColoring(colors, 2))
+        path.write_bytes(serialize_instance(inst))
+        code, out = run_cli(["oracle", "pchc", "--instance", str(path)])
+        report = json.loads(out)
+        assert code == 0 and "error" not in report
+        assert report["answer"] is report["yes"] is yes
+
+
 def _assert_error_report(code, out, kind):
     assert code == 2
     assert out.count("\n") == 1
