@@ -24,9 +24,11 @@ exactly one report, with ``"answer": null`` and
 
 ``compath`` and ``detour`` reports carry "certified": false when the hash
 family swept was seeded random rather than certified perfect (n > 32), so
-that a "no" is only probable.  A ``detour`` report is uncertified only when
-the layered search swept such a family: an answer from the shortest
-compatible walk sweeps none (see ``detour``).  A ``detour`` report's
+that a "no" is only probable.  Neither is uncertified unless colour coding
+swept such a family: an answer from the shortest compatible walk sweeps
+none (see ``compath`` and ``detour``).  A ``compath`` report's
+"family_size" is the size of the family swept, 0 when none was.  A
+``detour`` report's
 "stats" also holds the solver's counters ``oriented_calls`` and ``goals``
 (see ``detour.comdetour``).  A ``pchc`` report carries ``max_family`` and, from
 the rank engine (null for ``--engine naive``), ``max_family_before_prune``
@@ -50,7 +52,8 @@ import time
 from contextlib import contextmanager
 
 from . import io as tio
-from .compath import compath, family_for_bound
+from . import compath as _compath
+from .compath import compath
 from .core import Endpoint, InvariantError, TransitionSystem, validate_transition_system
 from .detour import comdetour
 from .dsp import (
@@ -77,6 +80,11 @@ from .pchc import naive_pchc, rank_based_pchc, validate_tree_decomposition
 from .treecut import EXHAUSTIVE_MAX_N, comvdp, exhaustive_treecut_decomposition
 
 SCHEMA = "transita-report/1"
+
+# compath() builds the family it sweeps, and reports it through its stats;
+# the name stays here because the benchmark's tracer wraps
+# transita.cli.family_for_bound (bench/tracing.py)
+family_for_bound = _compath.family_for_bound
 
 
 class CliError(Exception):
@@ -194,15 +202,15 @@ def cmd_compath(args, report) -> None:
     g = inst.graph
     x = _endpoint(getattr(args, "from"), g, "--from")
     y = _endpoint(args.to, g, "--to")
-    fam = family_for_bound(g.n, args.max_len, args.seed)
+    stats = {}
     res = compath(
         g, inst.transitions, x, y, args.max_len,
-        seed=args.seed, witness=args.witness,
+        seed=args.seed, witness=args.witness, stats=stats,
     )
     length, wit = res if args.witness else (res, None)
     report.update(
         answer=length is not None, length=length,
-        family_size=len(fam), certified=fam.certified,
+        family_size=stats["family_size"], certified=stats["certified"],
     )
     if args.witness and wit is not None:
         report["witness"] = list(wit.vertices)

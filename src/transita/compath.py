@@ -3,8 +3,17 @@
 The solver colors vertices with functions from a perfect hash family and
 runs a dynamic program over (color set, last directed edge) states; a path
 is found iff some family member colors its vertices injectively.  Endpoints
-may be vertices or edges (the path then starts/ends with that edge).  The
-one family construction, `family_for_bound`, is certified perfect for
+may be vertices or edges (the path then starts/ends with that edge).
+
+Between two vertices a walk step answers first.  Compatible walks, unlike
+compatible paths, are found by one BFS over the edge slots (`SlotGraph`),
+stopped at depth k (`_shortest_walk`): when no compatible walk has length
+<= k, no path has either, an exact "no"; when the shortest walk found is a
+path, it is the answer and its witness.  Neither sweeps a family.  Only a
+shortest walk that repeats a vertex leads to the colour-coding sweep, which
+reuses that search as its walk lower bound (`oriented_compath`).
+
+The one family construction, `family_for_bound`, is certified perfect for
 n <= 32: it walks the C(n, j-2) prefixes of the j-subsets, j = bound - 1,
 and tests each prefix's C(n, 2) completions at once, as an AND of n*n-bit
 pair masks over the members injective on the prefix.  Above n = 32 the
@@ -157,7 +166,9 @@ class SlotGraph:
     tails[sid] are the slot's head and tail vertices.  Transitions are
     unordered, so slot s ^ 1 is s reversed and s -> s2 exactly when
     s2 ^ 1 -> s ^ 1: a backward search is a forward one over reversed
-    slots, and only successors are stored.
+    slots, and only successors are stored, in the order of t.pairs: no
+    answer depends on their order, only which of several shortest paths a
+    sweep returns.
     """
 
     __slots__ = ("g", "t", "succ", "heads", "tails")
@@ -168,32 +179,36 @@ class SlotGraph:
         edges, m = g.edges, g.m
         succ = [[] for _ in range(2 * m)]
         # A permitted pair (e, f) meeting at w links in(e, w) -> out(f, w)
-        # and in(f, w) -> out(e, w), where in(e, w) is 2e + (edges[e][1] != w)
-        # and out(f, w) is 2f + (edges[f][0] != w).  Pairs that are no
-        # transition of g (ids out of range, no shared vertex) add nothing.
+        # and in(f, w) -> out(e, w), where in(e, w) is the slot of e with
+        # head w and out(e, w) = in(e, w) ^ 1: slot 2e has head edges[e][1]
+        # and slot 2e + 1 head edges[e][0].  t stores each pair as (e, f)
+        # with e < f; pairs that are no transition of g (ids out of range,
+        # no shared vertex) add nothing.
         for e, f in t.pairs:
-            if not (0 <= e < m and 0 <= f < m) or e == f:
+            if not 0 <= e < f < m:
                 continue
             a, b = edges[e]
             c, d = edges[f]
-            if a == c or a == d:
-                w = a
-            elif b == c or b == d:
-                w = b
-            else:
-                continue
-            succ[2 * e + (b != w)].append(2 * f + (c != w))
-            succ[2 * f + (d != w)].append(2 * e + (a != w))
-        # in increasing slot id, which is adjacency order at the head
-        for links in succ:
-            links.sort()
-        self.succ = tuple(map(tuple, succ))
-        heads, tails = [], []
-        for u, v in edges:
-            heads += (v, u)
-            tails += (u, v)
+            e2, f2 = 2 * e, 2 * f
+            if a == c:
+                succ[e2 + 1].append(f2)
+                succ[f2 + 1].append(e2)
+            elif a == d:
+                succ[e2 + 1].append(f2 + 1)
+                succ[f2].append(e2)
+            elif b == c:
+                succ[e2].append(f2)
+                succ[f2 + 1].append(e2 + 1)
+            elif b == d:
+                succ[e2].append(f2 + 1)
+                succ[f2].append(e2 + 1)
+        self.succ = succ
+        tails = tuple(itertools.chain.from_iterable(edges))
+        heads = list(tails)
+        heads[::2] = tails[1::2]
+        heads[1::2] = tails[::2]
         self.heads = tuple(heads)
-        self.tails = tuple(tails)
+        self.tails = tails
 
     def slot(self, e: int, head: int) -> int:
         u, v = self.g.edges[e]
@@ -228,8 +243,9 @@ def _goal_slots(sg: SlotGraph, goal, allowed) -> list:
     return [s ^ 1 for s in _start_slots(sg, goal, allowed)]
 
 
-def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed) -> list:
-    """Minimal compatible-walk edge counts per slot (1 at the seed slots)."""
+def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed, limit=INF) -> list:
+    """Minimal compatible-walk edge counts per slot (1 at the seed slots);
+    INF where no walk of at most limit >= 1 edges reaches the slot."""
     dist = [INF] * (2 * sg.g.m)
     queue = []
     for s in seeds:
@@ -237,7 +253,9 @@ def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed) -> list:
             dist[s] = 1
             queue.append(s)
     succ, heads, tails = sg.succ, sg.heads, sg.tails
-    while queue:
+    depth = 1
+    while queue and depth < limit:
+        depth += 1
         nxt = []
         for s in queue:
             for u in succ[s]:
@@ -246,30 +264,31 @@ def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed) -> list:
                         heads[u] not in allowed or tails[u] not in allowed
                     ):
                         continue
-                    dist[u] = dist[s] + 1
+                    dist[u] = depth
                     nxt.append(u)
         queue = nxt
     return dist
 
 
-def _shortest_walk(sg: SlotGraph, s: int, tgt: int) -> Optional[Walk]:
-    """One shortest compatible s-tgt walk, s != tgt, or None when none exists.
+def _shortest_walk(sg: SlotGraph, s: int, tgt: int, limit) -> tuple:
+    """The walk step: one shortest compatible s-tgt walk of at most limit
+    edges, s != tgt, or None when none exists; and the forward search it
+    came from, `_slot_walk_dists` from the slots leaving s, stopped at limit.
 
-    One forward `_slot_walk_dists` search from the slots leaving s picks the
-    lowest-numbered nearest slot into tgt, then walks back, each time to the
-    lowest-numbered slot one edge nearer s: the predecessors of slot p are
-    the reversed successors of p ^ 1, in increasing order.
+    The walk ends in the lowest-numbered nearest slot into tgt, then walks
+    back, each time to the lowest-numbered slot one edge nearer s: the
+    predecessors of slot p are the reversed successors of p ^ 1.
     """
-    dist = _slot_walk_dists(sg, _start_slots(sg, ("v", s), None), None)
+    dist = _slot_walk_dists(sg, _start_slots(sg, ("v", s), None), None, limit)
     goals = _goal_slots(sg, ("v", tgt), None)
     sid = min(goals, key=lambda x: (dist[x], x), default=None)
     if sid is None or dist[sid] == INF:
-        return None
+        return None, dist
     slots = [sid]
     for d in range(dist[sid] - 1, 0, -1):
-        slots.append(next(p ^ 1 for p in sg.succ[slots[-1] ^ 1] if dist[p ^ 1] == d))
+        slots.append(min(p ^ 1 for p in sg.succ[slots[-1] ^ 1] if dist[p ^ 1] == d))
     slots.reverse()
-    return _walk_of(sg, slots)
+    return _walk_of(sg, slots), dist
 
 
 def _walk_of(sg: SlotGraph, slots) -> Walk:
@@ -278,36 +297,46 @@ def _walk_of(sg: SlotGraph, slots) -> Walk:
                 tuple(sid // 2 for sid in slots))
 
 
-def _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
-                  allowed, back, witness):
-    """One DP sweep under a fixed coloring; updates results/wits in place.
+def _colorful_run(sg, col, starts, pending, bound, results, wits, slot_goal,
+                  allowed, back, witness) -> int:
+    """One DP sweep under a fixed coloring from the start slots starts;
+    updates results/wits in place and returns the number of states created.
 
     States are (colorset mask, slot); the frontier at round L holds all
     states whose walk is a colorful compatible path of length L.  back[s ^ 1]
     is a lower bound on the slots of a walk from slot s to a goal slot,
-    counting both, used as an admissible prune.
+    counting both, used as an admissible prune.  A goal's result only
+    falls, so after each round's goal check cap is the longest walk that can
+    still improve a goal of pending: bound while one is open, else one less
+    than the largest result.  The sweep stops once the next round would pass
+    cap, and prunes every successor that reaches a goal slot only beyond it.
     """
     heads, tails, succ = sg.heads, sg.tails, sg.succ
     parents = {} if witness else None
     frontier = {}
     # special colours are distinct and below base, and a slot's head is never
     # its tail, so a start slot's two colours always differ
-    for sid in _start_slots(sg, start, allowed):
+    for sid in starts:
         mask = (1 << col[tails[sid]]) | (1 << col[heads[sid]])
         frontier.setdefault(mask, set()).add(sid)
         if witness:
             parents[(mask, sid)] = None
     seen = {(m, s) for m, ss in frontier.items() for s in ss}
     length = 1
-    while frontier and length <= bound:
+    cap = max(bound if results[i] is None else results[i] - 1 for i in pending)
+    while frontier:
+        found = False
         for mask, ss in frontier.items():
             for sid in ss:
                 for i in slot_goal.get(sid, ()):
                     if results[i] is None or length < results[i]:
                         results[i] = length
+                        found = True
                         if witness:
                             wits[i] = _rebuild(sg, parents, (mask, sid))
-        if length == bound:
+        if found:
+            cap = max(bound if results[i] is None else results[i] - 1 for i in pending)
+        if length >= cap:
             break
         nxt = {}
         for mask, ss in frontier.items():
@@ -316,7 +345,7 @@ def _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
                     h = heads[s2]
                     if allowed is not None and h not in allowed:
                         continue
-                    if length + back[s2 ^ 1] > bound:
+                    if length + back[s2 ^ 1] > cap:
                         continue
                     b = 1 << col[h]
                     if mask & b:
@@ -330,6 +359,7 @@ def _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
                     nxt.setdefault(mask | b, set()).add(s2)
         frontier = nxt
         length += 1
+    return len(seen)
 
 
 def _rebuild(sg: SlotGraph, parents, state) -> Walk:
@@ -352,6 +382,7 @@ def oriented_compath(
     allowed_vertices: Optional[set] = None,
     slot_graph: Optional[SlotGraph] = None,
     witness: bool = False,
+    walk_dists: Optional[list] = None,
 ):
     """Shortest compatible paths from one oriented start to several goals.
 
@@ -359,7 +390,9 @@ def oriented_compath(
     ("e", e, last_vertex), where the named vertex is the path's first/last
     vertex.  Returns optional lengths (<= bound) per goal, plus parallel
     witness walks when witness=True.  Family members are swept with early
-    exit once every reachable goal matches its compatible-walk lower bound.
+    exit once every reachable goal matches its compatible-walk lower bound,
+    read from a forward walk search from the start slots stopped at bound.
+    walk_dists is that search when the caller has already run it.
     """
     sg = slot_graph if slot_graph is not None else SlotGraph(g, t)
     allowed = allowed_vertices
@@ -386,7 +419,9 @@ def oriented_compath(
     starts = _start_slots(sg, start, allowed)
     if not starts:
         return (results, wits) if witness else results
-    fwd = _slot_walk_dists(sg, starts, allowed)
+    fwd = walk_dists
+    if fwd is None:
+        fwd = _slot_walk_dists(sg, starts, allowed, bound)
 
     slot_goal = {}
     lower = {}
@@ -425,10 +460,10 @@ def oriented_compath(
     base = len(special)
 
     for fn in family.functions:
-        col = [0] * g.n
-        for v in range(g.n):
-            col[v] = special[v] if v in special else base + fn[v]
-        _colorful_run(sg, col, start, goals, bound, results, wits, slot_goal,
+        col = [base + c for c in fn]
+        for v, c in special.items():
+            col[v] = c
+        _colorful_run(sg, col, starts, pending, bound, results, wits, slot_goal,
                       allowed, back, witness)
         if all(results[i] is not None and results[i] <= lower[i] for i in pending):
             break
@@ -452,14 +487,24 @@ def compath(
     k: int,
     seed: int = 0,
     witness: bool = False,
+    stats: Optional[dict] = None,
 ):
     """Length of a shortest compatible x-y path of length <= k, or None.
 
-    Wraps the colorful dynamic program over all members of a perfect hash
-    family, taking the minimum over members and endpoint orientations.
+    Between two distinct vertices the walk step answers first (module
+    docstring): one walk search stopped at depth k either finds no walk, an
+    exact "no", or a shortest walk that is a path, the answer.  Otherwise
+    the colorful dynamic program sweeps the members of the hash family
+    `family_for_bound(g.n, k, seed)`, taking the minimum over members and
+    endpoint orientations; between vertices it reuses the walk search.
     With witness=True returns (length, Walk) instead, after checking that
-    the walk is a compatible x-y path of that length.
+    the walk is a compatible x-y path of that length.  When given, stats
+    gains the size of the family swept, "family_size", 0 when none was,
+    and "certified", False only when that family is uncertified, so that a
+    "no" is only probable.
     """
+    stats = {} if stats is None else stats
+    stats.update(family_size=0, certified=True)
     x = x if isinstance(x, Endpoint) else Endpoint.vertex(x)
     y = y if isinstance(y, Endpoint) else Endpoint.vertex(y)
     x.validate(g)
@@ -471,14 +516,26 @@ def compath(
         return (0, w) if witness else 0
     if k < 1:
         return (None, None) if witness else None
-    family = family_for_bound(g.n, k, seed)
     sg = SlotGraph(g, t)
+    fwd = None
+    if x.kind == "vertex" and y.kind == "vertex":
+        walk, fwd = _shortest_walk(sg, x.ident, y.ident, k)
+        if walk is None:
+            return (None, None) if witness else None
+        if walk.is_path():
+            if not witness:
+                return walk.length
+            _check_witness(g, t, x, y, walk.length, walk)
+            return walk.length, walk
+    family = family_for_bound(g.n, k, seed)
+    stats.update(family_size=len(family), certified=family.certified)
     goals = _orientations(g, y, False)
     best = None
     best_w = None
+    # fwd, when set, is the walk search from the one orientation of vertex x
     for st in _orientations(g, x, True):
         res = oriented_compath(
-            g, t, st, goals, k, family, slot_graph=sg, witness=witness
+            g, t, st, goals, k, family, slot_graph=sg, witness=witness, walk_dists=fwd
         )
         if witness:
             res, ws = res

@@ -1,15 +1,15 @@
 """ComDetour: compatible s-t paths of length at most dist(s,t) + k.
 
-A walk step answers first.  Compatible walks, unlike compatible paths, are
-found by one BFS over the edge slots (`compath._shortest_walk`).  With
-d = dist(s, t): when no compatible walk has length <= d + k, no path has
-either, an exact "no"; when the shortest walk found is a path, it is the
-answer and its witness.  No hash family is swept, so both answers are
-certified.  Within slack 2 of d one of the two always holds.  Across BFS
-layers a walk of length d + j has (flat steps) + 2 (down steps) = j, while
-a repeated vertex needs a closed sub-walk of at least three edges, as a
-U-turn on one edge is never a permitted transition, and that sub-walk alone
-costs at least 3.
+The walk step that `compath.compath` takes between two vertices answers
+first (`compath._shortest_walk`, see the compath module): one BFS over the
+edge slots, stopped at depth d + k with d = dist(s, t).  When no compatible
+walk has length <= d + k, no path has either, an exact "no"; when the
+shortest walk found is a path, it is the answer and its witness.  No hash
+family is swept, so both answers are certified.  Within slack 2 of d one
+of the two always holds.  Across BFS layers a walk of length d + j has
+(flat steps) + 2 (down steps) = j, while a repeated vertex needs a closed
+sub-walk of at least three edges, as a U-turn on one edge is never a
+permitted transition, and that sub-walk alone costs at least 3.
 
 Only when the shortest walk repeats a vertex, so k >= 3, does colour
 coding run: one ComPath call within d + k when d <= k, else the layered
@@ -128,8 +128,8 @@ def comdetour(
         return DetourResult(False, None, None, diagnostic="target unreachable from source")
     d = int(dist[tgt])
     sg = SlotGraph(g, t)
-    walk = _shortest_walk(sg, s, tgt)
-    if walk is None or walk.length > d + k:
+    walk, _ = _shortest_walk(sg, s, tgt, d + k)
+    if walk is None:
         return DetourResult(False, None, d)
     if walk.is_path():
         if not witness:

@@ -77,6 +77,8 @@ def brute_compatible_path(
         ln = len(eseq)
         if best[0] is not None and ln >= best[0]:
             return
+        if ln > cap:  # an edge start is one edge long before any check
+            return
         if arrived(vseq, eseq):
             if best[0] is None or ln < best[0]:
                 best[0] = ln

@@ -212,9 +212,12 @@ def test_slot_graph_matches_a_reference_built_with_permits():
     for g, t in cases:
         sg = SlotGraph(g, t)
         succ, pred, heads, tails = _reference_slot_graph(g, t)
-        assert (sg.succ, sg.heads, sg.tails) == (succ, heads, tails)
+        # successor lists keep the order of t.pairs, so compare them sorted
+        assert tuple(tuple(sorted(links)) for links in sg.succ) == succ
+        assert (sg.heads, sg.tails) == (heads, tails)
         # slot s ^ 1 is s reversed, so reversed successors are predecessors
-        assert tuple(tuple(p ^ 1 for p in sg.succ[s ^ 1]) for s in range(2 * g.m)) == pred
+        assert tuple(tuple(sorted(p ^ 1 for p in sg.succ[s ^ 1]))
+                     for s in range(2 * g.m)) == pred
     g, _ = cases[-1]
     assert any(SlotGraph(g, all_transitions(g)).succ)
     assert not any(SlotGraph(g, TransitionSystem()).succ)
@@ -259,10 +262,10 @@ def test_backward_searches_match_a_bfs_over_reference_predecessors(monkeypatch):
     bounds = []
     real = transita.compath._colorful_run
 
-    def recorded(sg, col, start, goals, bound, results, wits, slot_goal, allowed, back,
+    def recorded(sg, col, starts, pending, bound, results, wits, slot_goal, allowed, back,
                  witness):
         bounds.append((list(slot_goal), allowed, back))
-        return real(sg, col, start, goals, bound, results, wits, slot_goal, allowed, back,
+        return real(sg, col, starts, pending, bound, results, wits, slot_goal, allowed, back,
                     witness)
 
     monkeypatch.setattr(transita.compath, "_colorful_run", recorded)
@@ -421,3 +424,129 @@ def test_oriented_compath_answers_a_goal_equal_to_the_start(monkeypatch):
     assert runs[0] == 0
     # a start outside the allowed vertices is no path, not even to itself
     assert oriented_compath(g, t, ("v", 0), [("v", 0)], 3, fam, allowed_vertices={1, 2}) == [None]
+
+
+def _turned_graph(rnd):
+    # the path 0-1-2 with its straight turn at 1 forbidden, the triangle
+    # 1-3-4 at 1, a bypass of 4 or 6 edges from 0 to 2 and a few random
+    # edges, whose turns are kept with probability 0.7, renumbered; the
+    # compatible 0-2 walk 0-1-3-4-1-2 repeats vertex 1 and is often the
+    # shortest.  Returns g, t and vertices 0 and 2
+    by = rnd.choice([4, 6, 6])
+    n = 4 + by
+    edges = {(0, 1), (1, 2), (1, 3), (3, 4), (1, 4)}
+    bypass = [0] + list(range(5, 4 + by)) + [2]
+    edges |= {tuple(sorted(p)) for p in zip(bypass, bypass[1:])}
+    extra = {(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.02} - edges
+    num = rnd.sample(range(n), n)
+    g = Graph(n, sorted(tuple(sorted((num[u], num[v]))) for u, v in edges | extra))
+    straight = tuple(sorted((g.edge_id(num[0], num[1]), g.edge_id(num[1], num[2]))))
+    added = {g.edge_id(num[u], num[v]) for u, v in extra}
+    t = TransitionSystem(p for p in sorted(all_transitions(g).pairs) if p != straight
+                         and (not added & set(p) or rnd.random() < 0.7))
+    return g, t, num[0], num[2]
+
+
+@st.composite
+def compath_queries(draw):
+    # half of the graphs have n <= 10 vertices, a drawn edge density and a
+    # drawn share of kept turns, and each end is a vertex or an edge; the
+    # other half are turned graphs, queried between the ends of the path
+    # that the forbidden turn blocks
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g, t, x, y = _turned_graph(rnd)
+        return g, t, Endpoint.vertex(x), Endpoint.vertex(y), draw(st.integers(4, 6))
+    n = rnd.randint(2, 10)
+    g, t = gen_random_ftg(n, rnd.choice([0.2, 0.35, 0.6]), rnd.choice([0.5, 0.7, 0.9]),
+                          rnd.randrange(10**6))
+    kinds = ["vertex"] + (["edge"] if g.m else [])
+    ends = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(kinds))
+        ends.append(Endpoint(kind, draw(st.integers(0, (n if kind == "vertex" else g.m) - 1))))
+    return g, t, ends[0], ends[1], draw(st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(compath_queries())
+def test_compath_agrees_with_the_oracle_on_drawn_graphs(query):
+    g, t, x, y, k = query
+    ref = brute_compatible_path(g, t, x, y, k)
+    stats = {}
+    ln, w = compath(g, t, x, y, k, seed=3, witness=True, stats=stats)
+    assert ln == ref and stats["certified"]
+    if ln is not None:
+        ends = [w.vertices[0] if x.kind == "vertex" else w.edge_ids[0],
+                w.vertices[-1] if y.kind == "vertex" else w.edge_ids[-1]]
+        assert ends == [x.ident, y.ident] and w.length == ln
+        assert w.is_path() and is_compatible_walk(g, t, w)
+    assert compath(g, t, x, y, k, seed=3) == ref
+
+
+def _counting(monkeypatch, name, calls):
+    real = getattr(transita.compath, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transita.compath, name, counted)
+
+
+def _uturn_graph():
+    # the path 0-1-2 with its straight turn at 1 forbidden, the triangle
+    # 1-3-4 at 1 and the bypass 0-5-6-7-8-9-2: the shortest compatible 0-2
+    # walk 0-1-3-4-1-2 repeats vertex 1, and the shortest path is the bypass
+    g = Graph(10, [(0, 1), (1, 2), (1, 3), (3, 4), (1, 4)] + [(v, v + 1) for v in range(5, 9)]
+              + [(0, 5), (2, 9)])
+    straight = tuple(sorted((g.edge_id(0, 1), g.edge_id(1, 2))))
+    return g, TransitionSystem(p for p in all_transitions(g).pairs if p != straight)
+
+
+def test_walk_step_answers_sweep_no_family(monkeypatch):
+    calls = {}
+    for name in ("family_for_bound", "oriented_compath", "_slot_walk_dists"):
+        _counting(monkeypatch, name, calls)
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    # the shortest compatible walk is a path, and within k = 2 there is none
+    for k, want in ((4, 3), (2, None)):
+        stats = {}
+        assert compath(g, all_transitions(g), 0, 3, k, witness=True, stats=stats)[0] == want
+        assert stats == {"family_size": 0, "certified": True}
+    assert calls == {"_slot_walk_dists": 2}
+
+
+def test_a_walk_that_repeats_a_vertex_still_sweeps(monkeypatch):
+    g, t = _uturn_graph()
+    calls = {}
+    for name in ("oriented_compath", "_slot_walk_dists"):
+        _counting(monkeypatch, name, calls)
+    for k, want in ((5, None), (6, 6)):
+        calls.clear()
+        stats = {}
+        assert compath(g, t, 0, 2, k, stats=stats) == want
+        assert stats == {"family_size": len(family_for_bound(g.n, k)), "certified": True}
+        # one sweep, which reuses the walk step's forward search: the only
+        # other search is the sweep's backward bound
+        assert calls == {"oriented_compath": 1, "_slot_walk_dists": 2}
+
+
+def test_a_sweep_stops_once_no_goal_can_improve(monkeypatch):
+    # on K12 with every turn kept the goal is one edge away; the first sweep
+    # finds it in round 1, and with nothing left to improve it stops there,
+    # after its 11 start states.  Run to the bound of 8 it created 6,387
+    states = []
+    real = transita.compath._colorful_run
+
+    def counted(*args):
+        states.append(real(*args))
+        return states[-1]
+
+    monkeypatch.setattr(transita.compath, "_colorful_run", counted)
+    n = 12
+    g = Graph(n, list(itertools.combinations(range(n), 2)))
+    res, wits = oriented_compath(g, all_transitions(g), ("v", 0), [("v", 1)], 8,
+                                 family_for_bound(n, 8), witness=True)
+    assert res == [1] and wits[0].vertices == (0, 1)
+    assert states == [n - 1]

@@ -223,7 +223,7 @@ def uturn_graph():
 
 def test_layered_search_runs_when_the_shortest_walk_turns_round_a_triangle():
     g, t = uturn_graph()
-    walk = transita.detour._shortest_walk(SlotGraph(g, t), 0, 6)
+    walk, _ = transita.detour._shortest_walk(SlotGraph(g, t), 0, 6, INF)
     assert walk.length == 9 and not walk.is_path()
     assert walk.vertices[3:6] in ((3, 7, 8), (3, 8, 7)) and walk.vertices[6] == 3
     for k, nu in ((2, None), (3, None), (4, 10)):

@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from transita.cli import main
+from transita.compath import family_for_bound
 from transita.genred import gen_random_ftg
 from transita.io import (
     DecompositionFile,
@@ -50,7 +51,8 @@ def test_compath_single_edge(tmp_path):
         ["compath", "--instance", str(path), "--from", "0", "--to", "1", "--max-len", "1"]
     )
     report = json.loads(out)
-    assert report["length"] == 1 and report["family_size"] >= 1
+    # the shortest compatible walk is a path, so no family is swept
+    assert report["length"] == 1 and report["family_size"] == 0
     assert report["certified"] is True
 
 
@@ -104,22 +106,27 @@ def test_reports_are_deterministic_modulo_timing(instance_file):
     assert r1["seed"] == 9
 
 
-@pytest.fixture()
-def uturn_file(tmp_path):
-    # 40 vertices, most of them isolated: the path 0-1-2 with its straight
-    # turn at 1 forbidden, the triangle 1-3-4 at 1 and the bypass
+def _uturn_instance(tmp_path, n):
+    # n >= 10 vertices, those above 9 isolated: the path 0-1-2 with its
+    # straight turn at 1 forbidden, the triangle 1-3-4 at 1 and the bypass
     # 0-5-6-7-8-9-2.  The shortest compatible 0-2 walk 0-1-3-4-1-2 repeats
-    # vertex 1, so ComDetour runs its colour-coding search, over a random
-    # family (n > 32); the shortest compatible path is the bypass, slack 4
+    # vertex 1, so ComPath and ComDetour run colour coding; the shortest
+    # compatible path is the bypass, length 6 and slack 4
     from transita.core import Graph, TransitionSystem, all_transitions
 
-    g = Graph(40, [(0, 1), (1, 2), (1, 3), (3, 4), (1, 4)] + [(v, v + 1) for v in range(5, 9)]
+    g = Graph(n, [(0, 1), (1, 2), (1, 3), (3, 4), (1, 4)] + [(v, v + 1) for v in range(5, 9)]
               + [(0, 5), (2, 9)])
     straight = tuple(sorted((g.edge_id(0, 1), g.edge_id(1, 2))))
-    path = tmp_path / "uturn.json"
+    path = tmp_path / f"uturn{n}.json"
     t = TransitionSystem(p for p in all_transitions(g).pairs if p != straight)
     path.write_bytes(serialize_instance(Instance(g, t)))
     return str(path)
+
+
+@pytest.fixture()
+def uturn_file(tmp_path):
+    # 40 vertices, so the family swept is random (n > 32)
+    return _uturn_instance(tmp_path, 40)
 
 
 def test_detour_report_carries_solver_counters(uturn_file):
@@ -331,6 +338,12 @@ def test_failures_write_one_error_report(cli_inputs, argv, kind):
 def test_reports_say_when_the_family_is_uncertified(tmp_path, uturn_file):
     from transita.core import Graph, all_transitions
 
+    code, out = run_cli(
+        ["compath", "--instance", uturn_file, "--from", "0", "--to", "2", "--max-len", "6"]
+    )
+    report = json.loads(out)
+    assert code == 0 and report["length"] == 6 and report["certified"] is False
+    assert report["family_size"] == len(family_for_bound(40, 6))
     g = Graph(40, [(v, v + 1) for v in range(39)])
     path = tmp_path / "p40.json"
     path.write_bytes(serialize_instance(Instance(g, all_transitions(g))))
@@ -338,7 +351,9 @@ def test_reports_say_when_the_family_is_uncertified(tmp_path, uturn_file):
         ["compath", "--instance", str(path), "--from", "0", "--to", "3", "--max-len", "4"]
     )
     report = json.loads(out)
-    assert code == 0 and report["length"] == 3 and report["certified"] is False
+    # answered by the shortest compatible walk, a path: no family is swept
+    assert code == 0 and report["length"] == 3 and report["certified"] is True
+    assert report["family_size"] == 0
     code, out = run_cli(
         ["detour", "--instance", str(path), "--from", "0", "--to", "39", "--slack", "1"]
     )
@@ -383,7 +398,7 @@ def test_failed_solver_check_writes_an_internal_error_report(tmp_path, monkeypat
 def test_corrupt_compath_witness_writes_an_internal_error_report(tmp_path, monkeypatch):
     # a witness one edge short of its goal fails compath's own check
     import transita.compath
-    from transita.core import Graph, TransitionSystem, Walk, all_transitions
+    from transita.core import Walk
 
     solve = transita.compath.oriented_compath
 
@@ -392,12 +407,10 @@ def test_corrupt_compath_witness_writes_an_internal_error_report(tmp_path, monke
         return res, [w and Walk(w.vertices[:-1], w.edge_ids[:-1]) for w in ws]
 
     monkeypatch.setattr(transita.compath, "oriented_compath", short_witness)
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    path = tmp_path / "p4.json"
-    path.write_bytes(serialize_instance(Instance(g, all_transitions(g))))
+    # the walk there repeats a vertex, so the witness comes from the sweep
     code, out = run_cli(
-        ["compath", "--instance", str(path), "--from", "0", "--to", "3",
-         "--max-len", "4", "--witness"]
+        ["compath", "--instance", _uturn_instance(tmp_path, 10), "--from", "0", "--to", "2",
+         "--max-len", "6", "--witness"]
     )
     report = _assert_error_report(code, out, "internal")
     assert "compath witness" in report["error"]["message"]
