@@ -22,15 +22,17 @@ exactly one report, with ``"answer": null`` and
 - ``internal``: a solver's own result check failed, which is a bug in the
   solver, not in the input.
 
-``compath`` and ``detour`` reports carry "certified": false when the hash
-family swept was seeded random rather than certified perfect (n > 32), so
-that a "no" is only probable.  Neither is uncertified unless colour coding
-swept such a family: an answer from the shortest compatible walk sweeps
-none (see ``compath`` and ``detour``).  A ``compath`` report's
-"family_size" is the size of the family swept, 0 when none was.  A
-``detour`` report's
-"stats" also holds the solver's counters ``oriented_calls`` and ``goals``
-(see ``detour.comdetour``).  A ``pchc`` report carries ``max_family`` and, from
+``compath``, ``detour`` and ``dsp`` build the path behind every "yes" and
+check it before they report; ``--witness`` only adds it to the report, as
+"witness" (``dsp`` always reports its two "paths").  ``compath`` and
+``detour`` reports carry "certified": false when the hash family swept was
+seeded random rather than certified perfect (n > 32), so that a "no" is
+only probable.  Neither is uncertified unless colour coding swept such a
+family: an answer from the shortest compatible walk sweeps none (see
+``compath`` and ``detour``).  A ``compath`` report's "family_size" is the
+size of the family swept, 0 when none was.  A ``detour`` report's "stats"
+also holds the solver's counters ``oriented_calls`` and ``goals`` (see
+``detour.comdetour``).  A ``pchc`` report carries ``max_family`` and, from
 the rank engine (null for ``--engine naive``), ``max_family_before_prune``
 and ``dead_groups`` (see ``pchc.rank_based_pchc``).
 
@@ -203,11 +205,9 @@ def cmd_compath(args, report) -> None:
     x = _endpoint(getattr(args, "from"), g, "--from")
     y = _endpoint(args.to, g, "--to")
     stats = {}
-    res = compath(
-        g, inst.transitions, x, y, args.max_len,
-        seed=args.seed, witness=args.witness, stats=stats,
+    length, wit = compath(
+        g, inst.transitions, x, y, args.max_len, seed=args.seed, witness=True, stats=stats,
     )
-    length, wit = res if args.witness else (res, None)
     report.update(
         answer=length is not None, length=length,
         family_size=stats["family_size"], certified=stats["certified"],

@@ -2,8 +2,9 @@
 
 The solver colors vertices with functions from a perfect hash family and
 runs a dynamic program over (color set, last directed edge) states; a path
-is found iff some family member colors its vertices injectively.  Endpoints
-may be vertices or edges (the path then starts/ends with that edge).
+is found iff some family member colors its vertices injectively, and read
+off the states' back-pointers.  Endpoints may be vertices or edges (the
+path then starts/ends with that edge).  Every answer's path is checked.
 
 Between two vertices a walk step answers first.  Compatible walks, unlike
 compatible paths, are found by one BFS over the edge slots (`SlotGraph`),
@@ -171,11 +172,10 @@ class SlotGraph:
     sweep returns.
     """
 
-    __slots__ = ("g", "t", "succ", "heads", "tails")
+    __slots__ = ("g", "succ", "heads", "tails")
 
     def __init__(self, g: Graph, t: TransitionSystem):
         self.g = g
-        self.t = t
         edges, m = g.edges, g.m
         succ = [[] for _ in range(2 * m)]
         # A permitted pair (e, f) meeting at w links in(e, w) -> out(f, w)
@@ -298,12 +298,14 @@ def _walk_of(sg: SlotGraph, slots) -> Walk:
 
 
 def _colorful_run(sg, col, starts, pending, bound, results, wits, slot_goal,
-                  allowed, back, witness) -> int:
+                  allowed, back) -> int:
     """One DP sweep under a fixed coloring from the start slots starts;
     updates results/wits in place and returns the number of states created.
 
     States are (colorset mask, slot); the frontier at round L holds all
-    states whose walk is a colorful compatible path of length L.  back[s ^ 1]
+    states whose walk is a colorful compatible path of length L, and
+    parents maps each state created to the one it was reached from (None
+    at a start), so a goal's witness is read off it.  back[s ^ 1]
     is a lower bound on the slots of a walk from slot s to a goal slot,
     counting both, used as an admissible prune.  A goal's result only
     falls, so after each round's goal check cap is the longest walk that can
@@ -312,16 +314,14 @@ def _colorful_run(sg, col, starts, pending, bound, results, wits, slot_goal,
     cap, and prunes every successor that reaches a goal slot only beyond it.
     """
     heads, tails, succ = sg.heads, sg.tails, sg.succ
-    parents = {} if witness else None
+    parents = {}
     frontier = {}
     # special colours are distinct and below base, and a slot's head is never
     # its tail, so a start slot's two colours always differ
     for sid in starts:
         mask = (1 << col[tails[sid]]) | (1 << col[heads[sid]])
         frontier.setdefault(mask, set()).add(sid)
-        if witness:
-            parents[(mask, sid)] = None
-    seen = {(m, s) for m, ss in frontier.items() for s in ss}
+        parents[(mask, sid)] = None
     length = 1
     cap = max(bound if results[i] is None else results[i] - 1 for i in pending)
     while frontier:
@@ -332,8 +332,7 @@ def _colorful_run(sg, col, starts, pending, bound, results, wits, slot_goal,
                     if results[i] is None or length < results[i]:
                         results[i] = length
                         found = True
-                        if witness:
-                            wits[i] = _rebuild(sg, parents, (mask, sid))
+                        wits[i] = _rebuild(sg, parents, (mask, sid))
         if found:
             cap = max(bound if results[i] is None else results[i] - 1 for i in pending)
         if length >= cap:
@@ -351,50 +350,45 @@ def _colorful_run(sg, col, starts, pending, bound, results, wits, slot_goal,
                     if mask & b:
                         continue
                     key = (mask | b, s2)
-                    if key in seen:
+                    if key in parents:
                         continue
-                    seen.add(key)
-                    if witness:
-                        parents[key] = (mask, sid)
+                    parents[key] = (mask, sid)
                     nxt.setdefault(mask | b, set()).add(s2)
         frontier = nxt
         length += 1
-    return len(seen)
+    return len(parents)
 
 
 def _rebuild(sg: SlotGraph, parents, state) -> Walk:
     slots = []
-    cur = state
-    while cur is not None:
-        slots.append(cur[1])
-        cur = parents[cur]
-    slots.reverse()
-    return _walk_of(sg, slots)
+    while state is not None:
+        slots.append(state[1])
+        state = parents[state]
+    return _walk_of(sg, slots[::-1])
 
 
 def oriented_compath(
-    g: Graph,
-    t: TransitionSystem,
+    sg: SlotGraph,
     start,
     goals: Sequence,
     bound: int,
     family: HashFamily,
     allowed_vertices: Optional[set] = None,
-    slot_graph: Optional[SlotGraph] = None,
-    witness: bool = False,
     walk_dists: Optional[list] = None,
 ):
-    """Shortest compatible paths from one oriented start to several goals.
+    """Shortest compatible paths from one oriented start to several goals,
+    over the slot graph sg of the instance.
 
     start is ("v", x) or ("e", e, first_vertex); each goal is ("v", y) or
     ("e", e, last_vertex), where the named vertex is the path's first/last
-    vertex.  Returns optional lengths (<= bound) per goal, plus parallel
-    witness walks when witness=True.  Family members are swept with early
-    exit once every reachable goal matches its compatible-walk lower bound,
-    read from a forward walk search from the start slots stopped at bound.
-    walk_dists is that search when the caller has already run it.
+    vertex.  Returns optional lengths (<= bound) per goal and, in parallel,
+    the walk that gave each length, read off the sweep's back-pointers.
+    Family members are swept with early exit once every reachable goal
+    matches its compatible-walk lower bound, read from a forward walk
+    search from the start slots stopped at bound.  walk_dists is that
+    search when the caller has already run it.
     """
-    sg = slot_graph if slot_graph is not None else SlotGraph(g, t)
+    g = sg.g
     allowed = allowed_vertices
     results = [None] * len(goals)
     wits = [None] * len(goals)
@@ -411,17 +405,14 @@ def oriented_compath(
             and goal[2] == g.other_end(start[1], start[2])
             and bound >= 1
         ):
-            ok = allowed is None or (start[2] in allowed and goal[2] in allowed)
-            if ok:
+            if allowed is None or (start[2] in allowed and goal[2] in allowed):
                 results[i] = 1
                 wits[i] = Walk((start[2], goal[2]), (start[1],))
 
     starts = _start_slots(sg, start, allowed)
     if not starts:
-        return (results, wits) if witness else results
-    fwd = walk_dists
-    if fwd is None:
-        fwd = _slot_walk_dists(sg, starts, allowed, bound)
+        return results, wits
+    fwd = walk_dists if walk_dists is not None else _slot_walk_dists(sg, starts, allowed, bound)
 
     slot_goal = {}
     lower = {}
@@ -438,7 +429,7 @@ def oriented_compath(
             slot_goal.setdefault(s, []).append(i)
     pending = [i for i in lower if results[i] != lower[i]]
     if not pending:
-        return (results, wits) if witness else results
+        return results, wits
 
     # back[s ^ 1]: fewest slots of a walk from s to a goal slot, counting both
     back = _slot_walk_dists(sg, [s ^ 1 for s in slot_goal], allowed)
@@ -464,10 +455,10 @@ def oriented_compath(
         for v, c in special.items():
             col[v] = c
         _colorful_run(sg, col, starts, pending, bound, results, wits, slot_goal,
-                      allowed, back, witness)
+                      allowed, back)
         if all(results[i] is not None and results[i] <= lower[i] for i in pending):
             break
-    return (results, wits) if witness else results
+    return results, wits
 
 
 def _orientations(g: Graph, ep: Endpoint, is_start: bool) -> list:
@@ -497,11 +488,12 @@ def compath(
     the colorful dynamic program sweeps the members of the hash family
     `family_for_bound(g.n, k, seed)`, taking the minimum over members and
     endpoint orientations; between vertices it reuses the walk search.
-    With witness=True returns (length, Walk) instead, after checking that
-    the walk is a compatible x-y path of that length.  When given, stats
-    gains the size of the family swept, "family_size", 0 when none was,
-    and "certified", False only when that family is uncertified, so that a
-    "no" is only probable.
+    Every answer comes with the walk it was read from, and that walk is
+    checked to be a compatible x-y path of that length whatever witness
+    says; witness=True only returns (length, Walk) instead of the length.
+    When given, stats gains the size of the family swept, "family_size", 0
+    when none was, and "certified", False only when that family is
+    uncertified, so that a "no" is only probable.
     """
     stats = {} if stats is None else stats
     stats.update(family_size=0, certified=True)
@@ -509,44 +501,38 @@ def compath(
     y = y if isinstance(y, Endpoint) else Endpoint.vertex(y)
     x.validate(g)
     y.validate(g)
+    best, best_w = _answer(g, t, x, y, k, seed, stats)
+    if best_w is not None:
+        _check_witness(g, t, x, y, best, best_w)
+    return (best, best_w) if witness else best
+
+
+def _answer(g, t, x: Endpoint, y: Endpoint, k: int, seed: int, stats: dict) -> tuple:
+    """compath's (length, Walk) answer, or (None, None), before the check."""
     if k < 0:
-        return (None, None) if witness else None
+        return None, None
     if x.kind == "vertex" and y.kind == "vertex" and x.ident == y.ident:
-        w = Walk((x.ident,), ())
-        return (0, w) if witness else 0
+        return 0, Walk((x.ident,), ())
     if k < 1:
-        return (None, None) if witness else None
+        return None, None
     sg = SlotGraph(g, t)
     fwd = None
     if x.kind == "vertex" and y.kind == "vertex":
         walk, fwd = _shortest_walk(sg, x.ident, y.ident, k)
         if walk is None:
-            return (None, None) if witness else None
+            return None, None
         if walk.is_path():
-            if not witness:
-                return walk.length
-            _check_witness(g, t, x, y, walk.length, walk)
             return walk.length, walk
     family = family_for_bound(g.n, k, seed)
     stats.update(family_size=len(family), certified=family.certified)
     goals = _orientations(g, y, False)
-    best = None
-    best_w = None
+    best = best_w = None
     # fwd, when set, is the walk search from the one orientation of vertex x
     for st in _orientations(g, x, True):
-        res = oriented_compath(
-            g, t, st, goals, k, family, slot_graph=sg, witness=witness, walk_dists=fwd
-        )
-        if witness:
-            res, ws = res
-        for i, r in enumerate(res):
+        for r, w in zip(*oriented_compath(sg, st, goals, k, family, walk_dists=fwd)):
             if r is not None and (best is None or r < best):
-                best = r
-                if witness:
-                    best_w = ws[i]
-    if best_w is not None:
-        _check_witness(g, t, x, y, best, best_w)
-    return (best, best_w) if witness else best
+                best, best_w = r, w
+    return best, best_w
 
 
 def _check_witness(g, t, x: Endpoint, y: Endpoint, length: int, w: Walk) -> None:

@@ -26,6 +26,9 @@ table entries whose lower end lies at layer du are written only by the
 seeding or by the join at m = du, and the join visits m in descending
 order, so they are final before any m < du reads them.
 
+Every "yes" carries its path, assembled by the layered search from the
+sweeps' walks, and comdetour checks it as compath checks its own.
+
 Calls that provably find nothing are not made.  A path inside G_(x, hi]
 visits x only as its first vertex, so after its first edge it is a
 compatible walk inside the layers dist(x)+1..hi.  One backward walk search
@@ -44,37 +47,14 @@ too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import (
-    Endpoint, Graph, InvariantError, TransitionSystem, Walk, bfs_dist, is_compatible_walk, INF,
-)
+from .core import Endpoint, Graph, InvariantError, TransitionSystem, Walk, bfs_dist, INF
 from .compath import (
-    SlotGraph, _shortest_walk, _slot_walk_dists, family_for_bound, oriented_compath,
+    SlotGraph, _check_witness, _shortest_walk, _slot_walk_dists, family_for_bound,
+    oriented_compath,
 )
-
-
-@dataclass(frozen=True)
-class LayerStructure:
-    """BFS layers from s."""
-
-    layers: tuple  # layers[i] = tuple of vertices at distance i
-
-    @staticmethod
-    def build(dist) -> "LayerStructure":
-        """The layers of bfs_dist(g, s)."""
-        finite = [int(d) for d in dist if d != INF]
-        top = max(finite) if finite else 0
-        layers = [[] for _ in range(top + 1)]
-        for v, dv in enumerate(dist):
-            if dv != INF:
-                layers[int(dv)].append(v)
-        return LayerStructure(tuple(tuple(l) for l in layers))
-
-    def band(self, lo: int, hi: int) -> set:
-        """Vertex set of the layers lo..hi; G_(x, hi] is {x} | band(dist(x)+1, hi)."""
-        return set().union(*self.layers[lo:hi + 1])
 
 
 # counters that comdetour adds to stats
@@ -106,23 +86,34 @@ def comdetour(
 ) -> DetourResult:
     """Decide whether a compatible s-tgt path of length <= dist(s,tgt)+k exists.
 
-    Returns the achieved shortest such length nu when one exists, and a
-    witness path on request.  The walk step answers first (module
-    docstring): no compatible walk of length <= d + k is an exact "no", and
-    a shortest walk that is a path is the answer and its witness.  Only
-    otherwise, never at k <= 2, does the layered search run.  When given,
+    Returns the achieved shortest such length nu when one exists.  The walk
+    step answers first (module docstring): no compatible walk of length
+    <= d + k is an exact "no", and a shortest walk that is a path is the
+    answer and its witness.  Only otherwise, never at k <= 2, does the
+    layered search run.  Every "yes" is built with its path, which is
+    checked to be a compatible s-tgt path of length nu (compath's check);
+    witness only selects whether the result carries it.  When given,
     stats gains STAT_KEYS: the oriented ComPath calls made and the total
     length of the goal lists passed to them, both 0 when the walk answers.
     """
-    Endpoint.vertex(s).validate(g)
-    Endpoint.vertex(tgt).validate(g)
+    x, y = Endpoint.vertex(s), Endpoint.vertex(tgt)
+    x.validate(g)
+    y.validate(g)
     if k < 0:
         raise ValueError("k must be nonnegative")
     stats = {} if stats is None else stats
     for key in STAT_KEYS:
         stats.setdefault(key, 0)
+    res = _decide(g, t, s, tgt, k, seed, stats)
+    if res.yes:
+        _check_witness(g, t, x, y, res.nu, res.witness)
+    return res if witness else replace(res, witness=None)
+
+
+def _decide(g, t, s, tgt, k, seed, stats) -> DetourResult:
+    """comdetour's answer, with its witness on a "yes", before the check."""
     if s == tgt:
-        return DetourResult(True, 0, 0, Walk((s,), ()) if witness else None)
+        return DetourResult(True, 0, 0, Walk((s,), ()))
     dist = bfs_dist(g, s)
     if dist[tgt] == INF:
         return DetourResult(False, None, None, diagnostic="target unreachable from source")
@@ -132,15 +123,11 @@ def comdetour(
     if walk is None:
         return DetourResult(False, None, d)
     if walk.is_path():
-        if not witness:
-            return DetourResult(True, walk.length, d)
-        if not is_compatible_walk(g, t, walk):
-            raise InvariantError("shortest compatible walk breaks a transition")
         return DetourResult(True, walk.length, d, walk)
-    return _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats)
+    return _layered(g, t, s, tgt, k, dist, sg, seed, stats)
 
 
-def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
+def _layered(g, t, s, tgt, k, dist, sg, seed, stats) -> DetourResult:
     """The layered colour-coding search, for d = dist[tgt] > 0 finite and
     sg = SlotGraph(g, t); adds its calls and goals to stats' STAT_KEYS."""
     d = int(dist[tgt])
@@ -148,21 +135,22 @@ def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
     def sweep(start, goals, bound, region):
         stats["oriented_calls"] += 1
         stats["goals"] += len(goals)
-        res = oriented_compath(
-            g, t, start, goals, bound, fam,
-            allowed_vertices=region, slot_graph=sg, witness=witness,
-        )
-        return res if witness else (res, [None] * len(goals))
+        return oriented_compath(sg, start, goals, bound, fam, allowed_vertices=region)
 
     if d <= k:
         # small distance: one plain ComPath call within the bound d + k
         fam = family_for_bound(g.n, d + k, seed)
         (ln,), (w,) = sweep(("v", s), [("v", tgt)], d + k, None)
-        if ln is None:
-            return DetourResult(False, None, d, certified=fam.certified)
-        return DetourResult(True, ln, d, w, certified=fam.certified)
+        return DetourResult(ln is not None, ln, d, w, certified=fam.certified)
 
-    ls = LayerStructure.build(dist)
+    layers = {}  # distance from s -> the vertices at that distance
+    for v, dv in enumerate(dist):
+        layers.setdefault(dv, []).append(v)
+
+    def band_of(lo, hi):
+        """Vertex set of the layers lo..hi; G_(x, hi] is {x} | band_of(dist(x)+1, hi)."""
+        return set().union(*(layers.get(i, ()) for i in range(lo, hi + 1)))
+
     hi = d + k
     # Both the seeding calls and the join segments need length bound 2k+1:
     # an x..u prefix spans up to k+1 layers plus k slack, and a join with a
@@ -186,7 +174,7 @@ def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
         if lx < d - k - 1:
             continue
         if lx not in seeded:
-            band = ls.band(lx + 1, hi)
+            band = band_of(lx + 1, hi)
             seeded[lx] = (band, _walks_back(sg, into_tgt, band))
         band, back = seeded[lx]
         if not _may_reach(sg, sg.slot(e, g.other_end(e, x)), into_tgt, back, bound):
@@ -194,8 +182,7 @@ def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
         (ln,), (w,) = sweep(("e", e, x), [("v", tgt)], bound, band | {x})
         if ln is not None and lx + ln <= hi:
             table[e] = ln
-            if witness:
-                pieces[e] = ("seed", w)
+            pieces[e] = ("seed", w)
 
     up = {}  # u -> the inter-layer edges whose lower end is u
     for e, x in inter.items():
@@ -216,16 +203,16 @@ def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
         for du in range(m + 1, m + k + 2):
             if du not in joins:
                 joins[du] = []
-                for u in ls.layers[du]:
+                for u in layers[du]:
                     for w, f in g.adj(u):
                         g2s = [g2 for g2 in up.get(u, ()) if g2 in table and t.permits(f, g2)]
                         if g2s:
                             joins[du].append((f, u, w, g2s))
                 join_slots[du] = {sg.slot(f, u) for f, u, _, _ in joins[du]}
             if joins[du]:
-                band = ls.band(m + 1, du)
+                band = band_of(m + 1, du)
                 reach.append((du, band, _walks_back(sg, join_slots[du], band)))
-        for x in ls.layers[m]:
+        for x in layers[m]:
             for du, band, back in reach:
                 starts = [
                     e
@@ -248,25 +235,13 @@ def _layered(g, t, s, tgt, k, dist, sg, seed, witness, stats) -> DetourResult:
                             p = table[g2]
                             if m + r + p <= hi and table.get(e, INF) > r + p:
                                 table[e] = r + p
-                                if witness:
-                                    pieces[e] = ("join", w, g2)
+                                pieces[e] = ("join", w, g2)
 
-    nu = INF
-    nu_edge = None
-    for w, e in g.adj(s):
-        if table.get(e, INF) < nu:
-            nu = table[e]
-            nu_edge = e
+    nu_edge = min((e for _, e in g.adj(s)), key=lambda e: table.get(e, INF))
+    nu = table.get(nu_edge, INF)
     if nu > hi:
         return DetourResult(False, None, d, certified=fam.certified)
-    wit = None
-    if witness:
-        wit = _assemble(pieces, nu_edge)
-        if wit.vertices[0] != s or wit.vertices[-1] != tgt or wit.length != nu:
-            raise InvariantError("assembled detour has the wrong ends or length")
-        if not (wit.is_path() and is_compatible_walk(g, t, wit)):
-            raise InvariantError("assembled detour is not a compatible path")
-    return DetourResult(True, int(nu), d, wit, certified=fam.certified)
+    return DetourResult(True, int(nu), d, _assemble(pieces, nu_edge), certified=fam.certified)
 
 
 def _walks_back(sg: SlotGraph, goal_slots, band: set) -> list:

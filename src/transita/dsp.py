@@ -436,30 +436,29 @@ STAT_KEYS = ("blobs", "entry_sweeps", "pair_sweeps", "product_nodes")
 
 
 def edge_disjoint_2dspp(
-    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, witness: bool = True,
-    stats: dict = None,
+    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, stats: dict = None,
 ) -> DspResult:
     """Two edge-disjoint shortest compatible paths, in polynomial time.
 
-    Requires every directed cycle to have positive length.  A yes answer
-    carries two re-validated witness paths.  When given, stats gains the
-    STAT_KEYS counts: blobs routed through, line sweeps from entry arcs,
-    product sweeps from entry pairs, and nodes discovered by the product
-    search over the contracted star.
+    Requires every directed cycle to have positive length.  Every yes
+    answer carries its two witness paths, always reconstructed and
+    re-validated.  When given, stats gains the STAT_KEYS counts: blobs
+    routed through, line sweeps from entry arcs, product sweeps from entry
+    pairs, and nodes discovered by the product search over the contracted
+    star.
     """
-    return _two_dspp(g, t, s1, t1, s2, t2, "edge", witness, stats)
+    return _two_dspp(g, t, s1, t1, s2, t2, "edge", stats)
 
 
 def vertex_disjoint_2dspp(
-    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, witness: bool = True,
-    stats: dict = None,
+    g: DiGraph, t: TransitionSystem, s1: int, t1: int, s2: int, t2: int, stats: dict = None,
 ) -> DspResult:
     """Two vertex-disjoint shortest compatible paths, in polynomial time;
     stats as for edge_disjoint_2dspp."""
-    return _two_dspp(g, t, s1, t1, s2, t2, "vertex", witness, stats)
+    return _two_dspp(g, t, s1, t1, s2, t2, "vertex", stats)
 
 
-def _two_dspp(g, t, s1, t1, s2, t2, mode, witness, stats):
+def _two_dspp(g, t, s1, t1, s2, t2, mode, stats):
     """The 2-DSPP pipeline; vertex mode runs it on the split graph."""
     for v in (s1, t1, s2, t2):
         Endpoint.vertex(v).validate(g)
@@ -518,8 +517,6 @@ def _two_dspp(g, t, s1, t1, s2, t2, mode, witness, stats):
     stats["product_nodes"] += len(parent)
     if goal not in parent:
         return DspResult(False)
-    if not witness:
-        return DspResult(True)
     # working arcs of the input keep their int ids; sentinel and parallel
     # arcs have tuple ids
     arcs1, arcs2 = (

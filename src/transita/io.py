@@ -8,7 +8,8 @@ Instance::
      "transitions": [[e, f], ...],
      "terminals": [[a, b], ...]?}
 
-Edge index = position in "edges".  Weights are exact lengths (see
+Edge index = position in "edges".  Counts, ids and colors are JSON
+integers; true and false are not.  Weights are exact lengths (see
 core.DiGraph): a float such as 0.1 means its exact binary value, which the
 graph keeps as a Fraction, and serialize_instance writes that value, like
 every Fraction, as ["p", "q"], so parse(serialize(x)) == x.  NaN and
@@ -78,14 +79,14 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
     _expect("n" in obj, "n", "missing field")
     _expect("edges" in obj, "edges", "missing field")
     n = obj["n"]
-    _expect(isinstance(n, int) and n >= 0, "n", "must be a nonnegative integer")
+    _expect(type(n) is int and n >= 0, "n", "must be a nonnegative integer")
     directed = obj.get("directed", False)
     _expect(isinstance(directed, bool), "directed", "must be a boolean")
     edges = obj["edges"]
     _expect(isinstance(edges, list), "edges", "must be a list")
     for i, e in enumerate(edges):
         _expect(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e),
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e),
             f"edges[{i}]",
             "must be a pair of vertex ids",
         )
@@ -114,7 +115,7 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         _expect(isinstance(raw, list), "colors", "must be a list")
         _expect(len(raw) == len(edges), "colors", "one color per edge required")
         for i, c in enumerate(raw):
-            _expect(isinstance(c, int) and c >= 1, f"colors[{i}]", "colors are integers >= 1")
+            _expect(type(c) is int and c >= 1, f"colors[{i}]", "colors are integers >= 1")
         coloring = EdgeColoring(tuple(raw), max(raw) if raw else 1)
 
     trans = obj.get("transitions", [])
@@ -122,7 +123,7 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
     pairs = []
     for i, p in enumerate(trans):
         _expect(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p),
+            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p),
             f"transitions[{i}]",
             "must be a pair of edge ids",
         )
@@ -145,7 +146,7 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         pairs_t = []
         for i, p in enumerate(raw):
             _expect(
-                isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p),
+                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p),
                 f"terminals[{i}]",
                 "must be a pair of vertex ids",
             )
@@ -245,17 +246,17 @@ def parse_decomposition(data: Union[bytes, str]) -> DecompositionFile:
     _expect(isinstance(bags, list) and bags, "bags", "must be a nonempty list")
     for i, bag in enumerate(bags):
         _expect(
-            isinstance(bag, list) and all(isinstance(v, int) for v in bag),
+            isinstance(bag, list) and all(type(v) is int for v in bag),
             f"bags[{i}]",
             "must be a list of vertex ids",
         )
     root = obj["root"]
-    _expect(isinstance(root, int) and 0 <= root < len(bags), "root", "node id out of range")
+    _expect(type(root) is int and 0 <= root < len(bags), "root", "node id out of range")
     te = obj["tree_edges"]
     _expect(isinstance(te, list), "tree_edges", "must be a list")
     for i, e in enumerate(te):
         _expect(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e),
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e),
             f"tree_edges[{i}]",
             "must be a pair of node ids",
         )

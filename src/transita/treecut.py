@@ -756,8 +756,6 @@ def _disjoint_paths_search(lg: LGraph, pairs: List[frozenset]) -> bool:
         if idx == len(pairs):
             return True
         a, b = sorted(pairs[idx], key=repr)
-        if a not in lg.adj or b not in lg.adj:
-            return False
 
         def dfs(v, prev, local):
             if v == b:

@@ -30,7 +30,7 @@ VERTICES = st.sampled_from(["0", "1", "3", "5", "-1", "9"])
 SMALL = st.sampled_from(["-1", "0", "1", "2", "4"])
 PAIRS = st.sampled_from(["0,1", "2,3", "1,4", "0,0", "0-1", "9,1", "0,1,2"])
 QUADS = st.sampled_from(["0,1,2,3", "1,0,3,2", "0,2,3,4", "0,0,1,2", "0,9,1,2", "0,1,2"])
-CORRUPTIONS = st.sampled_from(["", "}", "-1", "99", '"x"', "[]", "null"])
+CORRUPTIONS = st.sampled_from(["", "}", "-1", "99", '"x"', "[]", "null", "true"])
 GEN_KINDS = st.sampled_from(["random-ftg", "random-colored", "psi-reduce", "psi-reduce-ham"])
 GEN_SIZES = st.sampled_from(["-1", "0", "1", "3", "6"])
 GEN_PROBS = st.sampled_from(["-0.5", "0", "0.5", "1", "2"])

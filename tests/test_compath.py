@@ -12,7 +12,8 @@ from transita.compath import (
     SlotGraph, compath, family_for_bound, oriented_compath, verify_k_perfect,
 )
 from transita.core import (
-    Endpoint, Graph, TransitionSystem, Walk, all_transitions, bfs_dist, is_compatible_walk,
+    Endpoint, Graph, InvariantError, TransitionSystem, Walk, all_transitions, bfs_dist,
+    is_compatible_walk,
 )
 from transita.detour import _walks_back
 from transita.genred import gen_random_ftg
@@ -262,11 +263,9 @@ def test_backward_searches_match_a_bfs_over_reference_predecessors(monkeypatch):
     bounds = []
     real = transita.compath._colorful_run
 
-    def recorded(sg, col, starts, pending, bound, results, wits, slot_goal, allowed, back,
-                 witness):
+    def recorded(sg, col, starts, pending, bound, results, wits, slot_goal, allowed, back):
         bounds.append((list(slot_goal), allowed, back))
-        return real(sg, col, starts, pending, bound, results, wits, slot_goal, allowed, back,
-                    witness)
+        return real(sg, col, starts, pending, bound, results, wits, slot_goal, allowed, back)
 
     monkeypatch.setattr(transita.compath, "_colorful_run", recorded)
     checked = 0
@@ -294,7 +293,7 @@ def test_backward_searches_match_a_bfs_over_reference_predecessors(monkeypatch):
             ref = _reference_walks_back(pred, heads, tails, seeds, region)
             assert [back[s ^ 1] for s in range(2 * g.m)] == ref
             bounds.clear()
-            oriented_compath(g, t, ("v", rng.randrange(g.n)), goals, 4,
+            oriented_compath(sg, ("v", rng.randrange(g.n)), goals, 4,
                              family_for_bound(g.n, 4), allowed_vertices=allowed)
             for slot_goal, allowed_, back in bounds[:1]:
                 ref = _reference_walks_back(pred, heads, tails, slot_goal, allowed_)
@@ -407,8 +406,9 @@ def test_family_for_bound_reuses_cache():
 def test_oriented_compath_answers_a_goal_equal_to_the_start(monkeypatch):
     g = Graph(3, [(0, 1), (1, 2)])
     t = all_transitions(g)
+    sg = SlotGraph(g, t)
     fam = family_for_bound(g.n, 3)
-    res, wits = oriented_compath(g, t, ("v", 0), [("v", 0), ("v", 2)], 3, fam, witness=True)
+    res, wits = oriented_compath(sg, ("v", 0), [("v", 0), ("v", 2)], 3, fam)
     assert res == [0, 2]
     assert wits[0] == Walk((0,), ()) and wits[1].vertices == (0, 1, 2)
     # with the start as the only goal, no member is swept
@@ -420,10 +420,11 @@ def test_oriented_compath_answers_a_goal_equal_to_the_start(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(transita.compath, "_colorful_run", counted)
-    assert oriented_compath(g, t, ("v", 1), [("v", 1)], 3, fam) == [0]
+    assert oriented_compath(sg, ("v", 1), [("v", 1)], 3, fam) == ([0], [Walk((1,), ())])
     assert runs[0] == 0
     # a start outside the allowed vertices is no path, not even to itself
-    assert oriented_compath(g, t, ("v", 0), [("v", 0)], 3, fam, allowed_vertices={1, 2}) == [None]
+    assert oriented_compath(sg, ("v", 0), [("v", 0)], 3, fam, allowed_vertices={1, 2}) == (
+        [None], [None])
 
 
 def _turned_graph(rnd):
@@ -517,6 +518,22 @@ def test_walk_step_answers_sweep_no_family(monkeypatch):
     assert calls == {"_slot_walk_dists": 2}
 
 
+def test_a_corrupt_sweep_walk_raises_without_a_witness(monkeypatch):
+    # the sweep's walk is checked whether or not the caller asks for it
+    g, t = _uturn_graph()
+    solve = transita.compath.oriented_compath
+
+    def short_witness(*args, **kwargs):
+        res, ws = solve(*args, **kwargs)
+        return res, [w and Walk(w.vertices[:-1], w.edge_ids[:-1]) for w in ws]
+
+    assert compath(g, t, 0, 2, 6) == 6
+    monkeypatch.setattr(transita.compath, "oriented_compath", short_witness)
+    for witness in (False, True):
+        with pytest.raises(InvariantError, match="compath witness has the wrong ends"):
+            compath(g, t, 0, 2, 6, witness=witness)
+
+
 def test_a_walk_that_repeats_a_vertex_still_sweeps(monkeypatch):
     g, t = _uturn_graph()
     calls = {}
@@ -546,7 +563,7 @@ def test_a_sweep_stops_once_no_goal_can_improve(monkeypatch):
     monkeypatch.setattr(transita.compath, "_colorful_run", counted)
     n = 12
     g = Graph(n, list(itertools.combinations(range(n), 2)))
-    res, wits = oriented_compath(g, all_transitions(g), ("v", 0), [("v", 1)], 8,
-                                 family_for_bound(n, 8), witness=True)
+    res, wits = oriented_compath(SlotGraph(g, all_transitions(g)), ("v", 0), [("v", 1)], 8,
+                                 family_for_bound(n, 8))
     assert res == [1] and wits[0].vertices == (0, 1)
     assert states == [n - 1]

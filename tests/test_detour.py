@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import transita.detour
 
 from transita.core import (
-    Graph, TransitionSystem, all_transitions, bfs_dist, is_compatible_walk, validate_walk, INF,
+    Graph, InvariantError, TransitionSystem, Walk, all_transitions, bfs_dist, is_compatible_walk,
+    validate_walk, INF,
 )
 from transita.detour import STAT_KEYS, SlotGraph, comdetour
 from transita.genred import gen_random_ftg
@@ -16,14 +17,16 @@ from transita.oracle import brute_compatible_path
 
 def layered(g, t, s, tgt, k, seed=0, witness=False, stats=None):
     """comdetour without its walk step: the layered search answers every
-    query with s != tgt and tgt reachable, whatever the slack."""
+    query with s != tgt and tgt reachable, whatever the slack.  It always
+    builds its witness, which is dropped unless witness is set."""
     stats = {} if stats is None else stats
     for key in STAT_KEYS:
         stats.setdefault(key, 0)
     dist = bfs_dist(g, s)
     if s == tgt or dist[tgt] == INF:
         return comdetour(g, t, s, tgt, k, seed, witness, stats)
-    return transita.detour._layered(g, t, s, tgt, k, dist, SlotGraph(g, t), seed, witness, stats)
+    res = transita.detour._layered(g, t, s, tgt, k, dist, SlotGraph(g, t), seed, stats)
+    return res if witness else replace(res, witness=None)
 
 
 def grid3():
@@ -221,6 +224,16 @@ def uturn_graph():
     return g, TransitionSystem(p for p in all_transitions(g).pairs if p != straight)
 
 
+def triangle_turn_graph():
+    # the path 0-1-2 with its straight turn at 1 forbidden, the triangle
+    # 1-3-4 at 1 and the bypass 0-5-6-7-8-9-2: the shortest compatible 0-2
+    # walk 0-1-3-4-1-2 repeats vertex 1, and the shortest path is the bypass
+    g = Graph(10, [(0, 1), (1, 2), (1, 3), (3, 4), (1, 4)] + [(v, v + 1) for v in range(5, 9)]
+              + [(0, 5), (2, 9)])
+    straight = tuple(sorted((g.edge_id(0, 1), g.edge_id(1, 2))))
+    return g, TransitionSystem(p for p in all_transitions(g).pairs if p != straight)
+
+
 def test_layered_search_runs_when_the_shortest_walk_turns_round_a_triangle():
     g, t = uturn_graph()
     walk, _ = transita.detour._shortest_walk(SlotGraph(g, t), 0, 6, INF)
@@ -237,6 +250,30 @@ def test_layered_search_runs_when_the_shortest_walk_turns_round_a_triangle():
             if witness and res.yes:
                 assert res.witness.vertices == (0, 1, 2, 9, 10, 11, 12, 13, 4, 5, 6)
                 assert is_compatible_walk(g, t, res.witness)
+
+
+@pytest.mark.parametrize("graph, tgt", [(triangle_turn_graph, 2), (uturn_graph, 6)])
+def test_a_corrupt_sweep_walk_raises_without_a_witness(monkeypatch, graph, tgt):
+    # sweep walks to the target, shortened by one edge: at slack 4 on the
+    # triangle turn (d = 2 <= k) the one ComPath call's walk is the answer;
+    # on uturn_graph (d = 6 > k) the seeding calls' walks end the assembled
+    # path.  Either way comdetour's check fails, with or without a witness
+    g, t = graph()
+    k = 4
+    assert comdetour(g, t, 0, tgt, k).yes
+    solve = transita.detour.oriented_compath
+
+    def short_witness(sg, start, goals, *args, **kwargs):
+        res, ws = solve(sg, start, goals, *args, **kwargs)
+        return res, [w and Walk(w.vertices[:-1], w.edge_ids[:-1]) if goal == ("v", tgt) else w
+                     for w, goal in zip(ws, goals)]
+
+    monkeypatch.setattr(transita.detour, "oriented_compath", short_witness)
+    for witness in (False, True):
+        stats = {}
+        with pytest.raises(InvariantError, match="compath witness has the wrong ends"):
+            comdetour(g, t, 0, tgt, k, witness=witness, stats=stats)
+        assert stats["oriented_calls"] > 0
 
 
 def test_comdetour_witness_on_a_long_path():
@@ -261,9 +298,9 @@ def test_join_makes_one_sweep_per_start_edge_and_layer(monkeypatch):
     calls = []
     real = transita.detour.oriented_compath
 
-    def counted(g_, t_, start, goals, *args, **kwargs):
+    def counted(sg, start, goals, *args, **kwargs):
         calls.append((start, tuple(goals)))
-        return real(g_, t_, start, goals, *args, **kwargs)
+        return real(sg, start, goals, *args, **kwargs)
 
     monkeypatch.setattr(transita.detour, "oriented_compath", counted)
     for k in range(3):
@@ -311,9 +348,9 @@ def test_join_asks_only_for_goals_that_can_join(monkeypatch):
     calls = []
     real = transita.detour.oriented_compath
 
-    def recorded(g_, t_, start, goals, *args, **kwargs):
+    def recorded(sg, start, goals, *args, **kwargs):
         calls.append(tuple(goals))
-        return real(g_, t_, start, goals, *args, **kwargs)
+        return real(sg, start, goals, *args, **kwargs)
 
     monkeypatch.setattr(transita.detour, "oriented_compath", recorded)
     rng = random.Random(1105)
@@ -344,10 +381,10 @@ def test_comdetour_counts_its_calls_and_goals(monkeypatch):
     seen = [0, 0]
     real = transita.detour.oriented_compath
 
-    def counted(g_, t_, start, goals, *args, **kwargs):
+    def counted(sg, start, goals, *args, **kwargs):
         seen[0] += 1
         seen[1] += len(goals)
-        return real(g_, t_, start, goals, *args, **kwargs)
+        return real(sg, start, goals, *args, **kwargs)
 
     monkeypatch.setattr(transita.detour, "oriented_compath", counted)
     for witness in (False, True):

@@ -189,7 +189,6 @@ def test_vertex_witness_through_a_contracted_blob():
     # contracted blob, whose two inner paths must be rebuilt
     g = DiGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
     t = all_transitions(g)
-    assert vertex_disjoint_2dspp(g, t, 1, 5, 0, 4, witness=False).yes
     res = vertex_disjoint_2dspp(g, t, 1, 5, 0, 4)
     assert res.yes
     assert [list(w.vertices) for w in res.paths] == [[1, 2, 5], [0, 3, 4]]

@@ -416,6 +416,45 @@ def test_corrupt_compath_witness_writes_an_internal_error_report(tmp_path, monke
     assert "compath witness" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("field, text", [
+    ("n", '{"n": true, "edges": []}'),
+    ("edges[0]", '{"n": 3, "edges": [[false, 1]]}'),
+    ("colors[0]", '{"n": 2, "edges": [[0, 1]], "colors": [true]}'),
+    ("transitions[0]", '{"n": 3, "edges": [[0, 1], [1, 2]], "transitions": [[0, true]]}'),
+    ("terminals[0]", '{"n": 3, "edges": [[0, 1]], "terminals": [[true, 2]]}'),
+])
+def test_a_boolean_is_no_integer_in_an_instance(field, text):
+    # JSON true and false are Python bools, which isinstance(x, int) accepts
+    from transita.io import InstanceFormatError
+
+    with pytest.raises(InstanceFormatError) as ei:
+        parse_instance(text)
+    assert ei.value.field == field
+
+
+@pytest.mark.parametrize("field, text", [
+    ("root", '{"root": false, "tree_edges": [], "bags": [[0]]}'),
+    ("bags[0]", '{"root": 0, "tree_edges": [], "bags": [[true]]}'),
+    ("tree_edges[0]", '{"root": 0, "tree_edges": [[0, true]], "bags": [[0], [1]]}'),
+])
+def test_a_boolean_is_no_integer_in_a_decomposition(field, text):
+    from transita.io import InstanceFormatError
+
+    with pytest.raises(InstanceFormatError) as ei:
+        parse_decomposition(text)
+    assert ei.value.field == field
+
+
+def test_boolean_vertex_ids_write_an_input_format_report(tmp_path):
+    # once read as vertices 0 and 1, and reported back in the witness
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": 3, "edges": [[false, true], [true, 2]], "transitions": [[0, true]]}')
+    code, out = run_cli(["compath", "--instance", str(path), "--from", "0", "--to", "2",
+                         "--max-len", "3", "--witness"])
+    report = _assert_error_report(code, out, "input-format")
+    assert "edges[0]" in report["error"]["message"]
+
+
 def test_infinite_weight_is_an_input_format_error(tmp_path):
     path = tmp_path / "inf.json"
     path.write_text(

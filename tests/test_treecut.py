@@ -654,6 +654,31 @@ def test_scomvdp_precondition():
         scomvdp_state(LGraph.from_core(g, all_transitions(g)), set(), {1})
 
 
+def test_scomvdp_early_exits(monkeypatch):
+    # each exit answers "no" before the exhaustive search; the first two
+    # also come before the degree check that vertex 0 outside the core fails
+    def no_search(lg, pairs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(treecut, "_disjoint_paths_search", no_search)
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    lg = LGraph.from_core(g, all_transitions(g))
+    more_pairs = {frozenset((2 * i, 2 * i + 1)) for i in range(5)}
+    assert not scomvdp_state(lg, more_pairs, {1})
+    assert not scomvdp_state(lg, {frozenset((0, 1)), frozenset((1, 2))}, {1})
+    # a terminal that the working graph no longer holds
+    path = Graph(3, [(0, 1), (1, 2)])
+    lg = LGraph.from_core(path, all_transitions(path))
+    lg.remove_vertex(2)
+    assert not scomvdp_state(lg, {frozenset((0, 2))}, {1})
+
+
+def test_comvdp_refuses_overlapping_terminal_pairs():
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert comvdp(g, all_transitions(g), [(0, 1), (1, 2)], single_bag_treecut(g)) == (
+        False, {"reason": "overlapping terminal pairs"})
+
+
 def _solvable_instance(rng):
     while True:
         n = rng.randint(4, 9)
