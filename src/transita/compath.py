@@ -545,5 +545,9 @@ def _check_witness(g, t, x: Endpoint, y: Endpoint, length: int, w: Walk) -> None
 
     if not (ends_at(x, 0) and ends_at(y, -1) and w.length == length):
         raise InvariantError("compath witness has the wrong ends or length")
-    if not (w.is_path() and is_compatible_walk(g, t, w)):
+    try:
+        ok = w.is_path() and is_compatible_walk(g, t, w)
+    except ValueError as exc:  # the edge ids do not join the vertices
+        raise InvariantError(f"compath witness is not a walk: {exc}") from exc
+    if not ok:
         raise InvariantError("compath witness is not a compatible path")

@@ -209,14 +209,6 @@ class TransitionSystem:
     def permits(self, e: int, f: int) -> bool:
         return _pair(e, f) in self.pairs
 
-    def at(self, g, v: int) -> frozenset:
-        """The view T(v): permitted pairs whose common endpoint is v."""
-        inc = g.incident(v) if isinstance(g, Graph) else tuple(
-            a for _, a in g.into(v)
-        ) + tuple(a for _, a in g.out(v))
-        inc = set(inc)
-        return frozenset(p for p in self.pairs if p[0] in inc and p[1] in inc)
-
     def __repr__(self):
         return f"TransitionSystem({sorted(self.pairs)!r})"
 

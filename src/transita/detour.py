@@ -119,28 +119,30 @@ def _decide(g, t, s, tgt, k, seed, stats) -> DetourResult:
         return DetourResult(False, None, None, diagnostic="target unreachable from source")
     d = int(dist[tgt])
     sg = SlotGraph(g, t)
-    walk, _ = _shortest_walk(sg, s, tgt, d + k)
+    walk, fwd = _shortest_walk(sg, s, tgt, d + k)
     if walk is None:
         return DetourResult(False, None, d)
     if walk.is_path():
         return DetourResult(True, walk.length, d, walk)
-    return _layered(g, t, s, tgt, k, dist, sg, seed, stats)
+    return _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats)
 
 
-def _layered(g, t, s, tgt, k, dist, sg, seed, stats) -> DetourResult:
+def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
     """The layered colour-coding search, for d = dist[tgt] > 0 finite and
-    sg = SlotGraph(g, t); adds its calls and goals to stats' STAT_KEYS."""
+    sg = SlotGraph(g, t); adds its calls and goals to stats' STAT_KEYS.
+    fwd, when not None, is the walk step's forward search from s, stopped
+    at d + k, which the d <= k sweep reuses."""
     d = int(dist[tgt])
 
-    def sweep(start, goals, bound, region):
+    def sweep(start, goals, bound, region, walk_dists=None):
         stats["oriented_calls"] += 1
         stats["goals"] += len(goals)
-        return oriented_compath(sg, start, goals, bound, fam, allowed_vertices=region)
+        return oriented_compath(sg, start, goals, bound, fam, region, walk_dists)
 
     if d <= k:
         # small distance: one plain ComPath call within the bound d + k
         fam = family_for_bound(g.n, d + k, seed)
-        (ln,), (w,) = sweep(("v", s), [("v", tgt)], d + k, None)
+        (ln,), (w,) = sweep(("v", s), [("v", tgt)], d + k, None, fwd)
         return DetourResult(ln is not None, ln, d, w, certified=fam.certified)
 
     layers = {}  # distance from s -> the vertices at that distance

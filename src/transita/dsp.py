@@ -417,7 +417,11 @@ def _validated_result(g, t, s_pairs, arcs1, arcs2, mode):
         w = Walk((s,) + tuple(g.head(a) for a in arcs), tuple(arcs))
         if w.vertices[-1] != tgt:
             raise InvariantError("reconstructed witness misses its target")
-        if not (w.is_path() and is_compatible_walk(g, t, w)):
+        try:
+            ok = w.is_path() and is_compatible_walk(g, t, w)
+        except ValueError as exc:  # an arc does not follow the one before
+            raise InvariantError(f"reconstructed witness is not a walk: {exc}") from exc
+        if not ok:
             raise InvariantError("reconstructed witness is not a compatible path")
         if sum(g.weight(a) for a in arcs) != dijkstra(g, s)[tgt]:
             raise InvariantError("reconstructed witness is not a shortest path")

@@ -16,6 +16,11 @@ every Fraction, as ["p", "q"], so parse(serialize(x)) == x.  NaN and
 infinite weights are rejected.  Decomposition::
 
     {"root": int, "tree_edges": [[t, t'], ...], "bags": [[v, ...], ...]}
+
+Each rule is checked once: here the shapes and types of every field and
+every id range but the edge endpoints', one loop per list; in core the
+graph rules (the Graph and DiGraph constructors) and the transition rules
+(validate_transition_system).
 """
 
 from __future__ import annotations
@@ -56,50 +61,66 @@ def _expect(cond: bool, field: str, message: str) -> None:
         raise InstanceFormatError(field, message)
 
 
-def _parse_weight(w, field: str):
-    if isinstance(w, (int, float)) and not isinstance(w, bool):
-        return w
-    if isinstance(w, list) and len(w) == 2 and all(isinstance(x, str) for x in w):
-        try:
-            return Fraction(int(w[0]), int(w[1]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(field, f"bad rational {w!r}: {exc}") from exc
-    raise InstanceFormatError(field, f"weight must be a number or [\"p\",\"q\"], got {w!r}")
+def _id_pair(p, field: str, i: int, noun: str, bound: Optional[int] = None) -> tuple:
+    """Item i of list field as a pair of integer ids, each below bound if
+    given; the field name is formatted only when the item fails."""
+    if type(p) is list and len(p) == 2:
+        a, b = p
+        if type(a) is int and type(b) is int:
+            if bound is None or (0 <= a < bound and 0 <= b < bound):
+                return a, b
+            raise InstanceFormatError(f"{field}[{i}]", f"{noun} id out of range")
+    raise InstanceFormatError(f"{field}[{i}]", f"must be a pair of {noun} ids")
 
 
-def parse_instance(data: Union[bytes, str]) -> Instance:
-    """Parse an instance file; malformed input raises InstanceFormatError."""
+def _load(data: Union[bytes, str], what: str) -> dict:
+    """The JSON object in UTF-8 data; what names the file kind in errors."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"line {exc.lineno}", exc.msg) from exc
-    _expect(isinstance(obj, dict), "$", "instance must be a JSON object")
+    _expect(isinstance(obj, dict), "$", f"{what} must be a JSON object")
+    return obj
+
+
+def _parse_weight(w, i: int):
+    if isinstance(w, (int, float)) and not isinstance(w, bool):
+        return w
+    if isinstance(w, list) and len(w) == 2 and all(isinstance(x, str) for x in w):
+        try:
+            return Fraction(int(w[0]), int(w[1]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InstanceFormatError(f"weights[{i}]", f"bad rational {w!r}: {exc}") from exc
+    message = f"weight must be a number or [\"p\",\"q\"], got {w!r}"
+    raise InstanceFormatError(f"weights[{i}]", message)
+
+
+def parse_instance(data: Union[bytes, str]) -> Instance:
+    """Parse an instance file; malformed input raises InstanceFormatError."""
+    obj = _load(data, "instance")
     _expect("n" in obj, "n", "missing field")
     _expect("edges" in obj, "edges", "missing field")
     n = obj["n"]
     _expect(type(n) is int and n >= 0, "n", "must be a nonnegative integer")
     directed = obj.get("directed", False)
     _expect(isinstance(directed, bool), "directed", "must be a boolean")
-    edges = obj["edges"]
-    _expect(isinstance(edges, list), "edges", "must be a list")
-    for i, e in enumerate(edges):
-        _expect(
-            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e),
-            f"edges[{i}]",
-            "must be a pair of vertex ids",
-        )
+    raw = obj["edges"]
+    _expect(isinstance(raw, list), "edges", "must be a list")
+    edges = [_id_pair(e, "edges", i, "vertex") for i, e in enumerate(raw)]
+    m = len(edges)
     weights = None
     if obj.get("weights") is not None:
         raw = obj["weights"]
         _expect(isinstance(raw, list), "weights", "must be a list")
-        _expect(len(raw) == len(edges), "weights", "one weight per edge required")
-        weights = [_parse_weight(w, f"weights[{i}]") for i, w in enumerate(raw)]
+        _expect(len(raw) == m, "weights", "one weight per edge required")
+        weights = [_parse_weight(w, i) for i, w in enumerate(raw)]
         for i, w in enumerate(weights):
-            finite = not isinstance(w, float) or math.isfinite(w)
-            _expect(finite, f"weights[{i}]", "must be finite")
-            _expect(w >= 0, f"weights[{i}]", "must be nonnegative")
+            if isinstance(w, float) and not math.isfinite(w):
+                raise InstanceFormatError(f"weights[{i}]", "must be finite")
+            if w < 0:
+                raise InstanceFormatError(f"weights[{i}]", "must be nonnegative")
     try:
         if directed:
             graph = DiGraph(n, edges, weights)
@@ -113,28 +134,15 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
     if obj.get("colors") is not None:
         raw = obj["colors"]
         _expect(isinstance(raw, list), "colors", "must be a list")
-        _expect(len(raw) == len(edges), "colors", "one color per edge required")
+        _expect(len(raw) == m, "colors", "one color per edge required")
         for i, c in enumerate(raw):
-            _expect(type(c) is int and c >= 1, f"colors[{i}]", "colors are integers >= 1")
+            if type(c) is not int or c < 1:
+                raise InstanceFormatError(f"colors[{i}]", "colors are integers >= 1")
         coloring = EdgeColoring(tuple(raw), max(raw) if raw else 1)
 
-    trans = obj.get("transitions", [])
-    _expect(isinstance(trans, list), "transitions", "must be a list")
-    pairs = []
-    for i, p in enumerate(trans):
-        _expect(
-            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p),
-            f"transitions[{i}]",
-            "must be a pair of edge ids",
-        )
-        e, f = p
-        _expect(
-            0 <= e < len(edges) and 0 <= f < len(edges),
-            f"transitions[{i}]",
-            "edge id out of range",
-        )
-        pairs.append((e, f))
-    ts = TransitionSystem(pairs)
+    raw = obj.get("transitions", [])
+    _expect(isinstance(raw, list), "transitions", "must be a list")
+    ts = TransitionSystem([_id_pair(p, "transitions", i, "edge", m) for i, p in enumerate(raw)])
     bad = validate_transition_system(graph, ts)
     _expect(not bad, "transitions", "; ".join(f"{v.pair}: {v.reason}" for v in bad))
 
@@ -143,20 +151,14 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         raw = obj["terminals"]
         _expect(isinstance(raw, list), "terminals", "must be a list")
         seen = set()
-        pairs_t = []
         for i, p in enumerate(raw):
-            _expect(
-                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p),
-                f"terminals[{i}]",
-                "must be a pair of vertex ids",
-            )
-            a, b = p
-            _expect(0 <= a < n and 0 <= b < n, f"terminals[{i}]", "vertex id out of range")
-            _expect(a != b, f"terminals[{i}]", "terminals must be distinct")
-            _expect(a not in seen and b not in seen, f"terminals[{i}]", "terminal reused")
+            a, b = _id_pair(p, "terminals", i, "vertex", n)
+            if a == b:
+                raise InstanceFormatError(f"terminals[{i}]", "terminals must be distinct")
+            if a in seen or b in seen:
+                raise InstanceFormatError(f"terminals[{i}]", "terminal reused")
             seen.update((a, b))
-            pairs_t.append((a, b))
-        terminals = tuple(pairs_t)
+        terminals = tuple(tuple(p) for p in raw)
 
     return Instance(graph, ts, coloring, terminals)
 
@@ -233,39 +235,20 @@ def postorder(children, root) -> list:
 
 
 def parse_decomposition(data: Union[bytes, str]) -> DecompositionFile:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"line {exc.lineno}", exc.msg) from exc
-    _expect(isinstance(obj, dict), "$", "decomposition must be a JSON object")
+    obj = _load(data, "decomposition")
     for field in ("root", "tree_edges", "bags"):
         _expect(field in obj, field, "missing field")
     bags = obj["bags"]
     _expect(isinstance(bags, list) and bags, "bags", "must be a nonempty list")
     for i, bag in enumerate(bags):
-        _expect(
-            isinstance(bag, list) and all(type(v) is int for v in bag),
-            f"bags[{i}]",
-            "must be a list of vertex ids",
-        )
+        if type(bag) is not list or any(type(v) is not int for v in bag):
+            raise InstanceFormatError(f"bags[{i}]", "must be a list of vertex ids")
     root = obj["root"]
     _expect(type(root) is int and 0 <= root < len(bags), "root", "node id out of range")
     te = obj["tree_edges"]
     _expect(isinstance(te, list), "tree_edges", "must be a list")
-    for i, e in enumerate(te):
-        _expect(
-            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e),
-            f"tree_edges[{i}]",
-            "must be a pair of node ids",
-        )
-        _expect(
-            all(0 <= x < len(bags) for x in e),
-            f"tree_edges[{i}]",
-            "node id out of range",
-        )
-    dec = DecompositionFile(root, tuple(tuple(e) for e in te), tuple(tuple(b) for b in bags))
+    tree_edges = tuple(_id_pair(e, "tree_edges", i, "node", len(bags)) for i, e in enumerate(te))
+    dec = DecompositionFile(root, tree_edges, tuple(tuple(b) for b in bags))
     dec.children_map()
     return dec
 

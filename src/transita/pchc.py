@@ -23,8 +23,9 @@ from typing import Sequence
 from .core import EdgeColoring, Graph, InvariantError
 from .io import DecompositionFile, postorder
 
-# Lexicographically smallest irreducible polynomial of each degree over
-# GF(2), bitmask encoding with the leading term included.
+# Lexicographically smallest primitive polynomial of each degree over GF(2),
+# bitmask encoding with the leading term included: x generates the field's
+# multiplicative group.
 IRREDUCIBLE = {
     1: 0b11,
     2: 0b111,
@@ -33,15 +34,15 @@ IRREDUCIBLE = {
     5: 0b100101,
     6: 0b1000011,
     7: 0b10000011,
-    8: 0b100011011,
-    9: 0b1000000011,
+    8: 0b100011101,
+    9: 0b1000010001,
     10: 0b10000001001,
     11: 0b100000000101,
-    12: 0b1000000001001,
+    12: 0b1000001010011,
     13: 0b10000000011011,
-    14: 0b100000000100001,
+    14: 0b100000000101011,
     15: 0b1000000000000011,
-    16: 0b10000000000101011,
+    16: 0b10000000000101101,
 }
 
 
@@ -57,44 +58,16 @@ class FieldGF2a:
         self._exp = [0] * (2 * self.size)
         self._log = [0] * self.size
         x = 1
-        hit = set()
         for i in range(self.size - 1):
+            if i and x == 1:
+                raise InvariantError(f"x does not generate GF(2^{a})")
             self._exp[i] = x
             self._log[x] = i
-            hit.add(x)
             x <<= 1
             if x & self.size:
                 x ^= self.poly
-        if len(hit) != self.size - 1:
-            # x is irreducible-root but not primitive; rebuild the tables
-            # from a multiplicative generator found by search.
-            self._build_tables_generic()
         for i in range(self.size - 1, 2 * self.size):
             self._exp[i] = self._exp[i - (self.size - 1)]
-
-    def _clmul(self, x: int, y: int) -> int:
-        r = 0
-        while y:
-            if y & 1:
-                r ^= x
-            y >>= 1
-            x <<= 1
-            if x & self.size:
-                x ^= self.poly
-        return r
-
-    def _build_tables_generic(self):
-        for g in range(2, self.size):
-            seen = set()
-            x = 1
-            for i in range(self.size - 1):
-                self._exp[i] = x
-                self._log[x] = i
-                seen.add(x)
-                x = self._clmul(x, g)
-            if len(seen) == self.size - 1:
-                return
-        raise InvariantError("no multiplicative generator found")
 
     def add(self, x: int, y: int) -> int:
         return x ^ y
@@ -120,9 +93,8 @@ def field_for_colors(num_colors: int) -> FieldGF2a:
 
 @lru_cache(maxsize=None)
 def _field(a: int) -> FieldGF2a:
-    # One shared instance per exponent: its tables are never written after
-    # construction, which for a = 8, 9, 12, 14 and 16 searches for a
-    # generator (over 0.1 s at a = 16).
+    # One shared instance per exponent, whose tables are never written after
+    # construction: building them walks all 2^a - 1 powers of x.
     return FieldGF2a(a)
 
 

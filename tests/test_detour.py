@@ -25,7 +25,7 @@ def layered(g, t, s, tgt, k, seed=0, witness=False, stats=None):
     dist = bfs_dist(g, s)
     if s == tgt or dist[tgt] == INF:
         return comdetour(g, t, s, tgt, k, seed, witness, stats)
-    res = transita.detour._layered(g, t, s, tgt, k, dist, SlotGraph(g, t), seed, stats)
+    res = transita.detour._layered(g, t, s, tgt, k, dist, SlotGraph(g, t), None, seed, stats)
     return res if witness else replace(res, witness=None)
 
 
@@ -401,6 +401,25 @@ def test_comdetour_counts_its_calls_and_goals(monkeypatch):
         stats = {}
         assert comdetour(g, t, 0, tgt, 2, seed=2, witness=witness, stats=stats).yes
         assert stats == {"oriented_calls": 0, "goals": 0} and seen == [0, 0]
+
+
+def test_small_distance_sweep_reuses_the_walk_search(monkeypatch):
+    # at d = 2 <= k = 4 the walk turns round the triangle, so one sweep
+    # runs; it reuses the walk step's forward search, and the only other
+    # search is the sweep's backward bound
+    g, t = triangle_turn_graph()
+    calls = [0]
+    real = transita.compath._slot_walk_dists
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transita.compath, "_slot_walk_dists", counted)
+    stats = {}
+    assert comdetour(g, t, 0, 2, 4, stats=stats).nu == 6
+    assert stats == {"oriented_calls": 1, "goals": 1}
+    assert calls == [2]
 
 
 def test_start_filter_changes_no_result(monkeypatch):

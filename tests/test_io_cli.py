@@ -416,6 +416,56 @@ def test_corrupt_compath_witness_writes_an_internal_error_report(tmp_path, monke
     assert "compath witness" in report["error"]["message"]
 
 
+def test_compath_witness_whose_edges_do_not_chain_writes_an_internal_error_report(
+    tmp_path, monkeypatch
+):
+    # the sweep's walk 0-5-...-2 with its first edge id replaced by its
+    # second's: the walk test inside the witness check raises ValueError
+    import transita.compath
+    from transita.core import Walk
+
+    solve = transita.compath.oriented_compath
+
+    def unchained(*args, **kwargs):
+        res, ws = solve(*args, **kwargs)
+        return res, [w and Walk(w.vertices, w.edge_ids[1:2] + w.edge_ids[1:]) for w in ws]
+
+    monkeypatch.setattr(transita.compath, "oriented_compath", unchained)
+    code, out = run_cli(
+        ["compath", "--instance", _uturn_instance(tmp_path, 10), "--from", "0", "--to", "2",
+         "--max-len", "6"]
+    )
+    report = _assert_error_report(code, out, "internal")
+    assert report["error"]["message"] == (
+        "compath witness is not a walk: edge 5 does not join step 0 of the walk"
+    )
+
+
+def test_dsp_witness_whose_arcs_do_not_chain_writes_an_internal_error_report(
+    tmp_path, monkeypatch
+):
+    # the first path 0-1-2 rebuilt with arc 4 (0->4) for arc 0 (0->1): its
+    # walk is 0-4-2, and arc 1 (1->2) does not follow 4
+    import transita.dsp
+    from transita.core import DiGraph, all_transitions
+
+    rebuild = transita.dsp._reconstruct
+
+    def rerouted(*args):
+        p1, p2 = rebuild(*args)
+        return [4 if a == 0 else a for a in p1], p2
+
+    monkeypatch.setattr(transita.dsp, "_reconstruct", rerouted)
+    g = DiGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 4)])
+    path = tmp_path / "two.json"
+    path.write_bytes(serialize_instance(Instance(g, all_transitions(g))))
+    code, out = run_cli(["dsp", "--instance", str(path), "--mode", "edge", "--pairs", "0,2,3,5"])
+    report = _assert_error_report(code, out, "internal")
+    assert report["error"]["message"] == (
+        "reconstructed witness is not a walk: arc 1 does not follow step 1 of the walk"
+    )
+
+
 @pytest.mark.parametrize("field, text", [
     ("n", '{"n": true, "edges": []}'),
     ("edges[0]", '{"n": 3, "edges": [[false, 1]]}'),
@@ -443,6 +493,84 @@ def test_a_boolean_is_no_integer_in_a_decomposition(field, text):
     with pytest.raises(InstanceFormatError) as ei:
         parse_decomposition(text)
     assert ei.value.field == field
+
+
+_DIRECTED_P3 = '"directed": true, "n": 3, "edges": [[0, 1], [1, 2]]'
+_P3 = '"n": 3, "edges": [[0, 1], [1, 2]]'
+
+
+@pytest.mark.parametrize("parse, text, field, message", [
+    # one input per error branch of parse_instance, in the order checked
+    ("instance", '{"n": 1,', "line 1", "Expecting property name enclosed in double quotes"),
+    ("instance", "[]", "$", "instance must be a JSON object"),
+    ("instance", '{"edges": []}', "n", "missing field"),
+    ("instance", '{"n": 1}', "edges", "missing field"),
+    ("instance", '{"n": -1, "edges": []}', "n", "must be a nonnegative integer"),
+    ("instance", '{"n": 1, "edges": [], "directed": 1}', "directed", "must be a boolean"),
+    ("instance", '{"n": 1, "edges": {}}', "edges", "must be a list"),
+    ("instance", '{"n": 3, "edges": [[0, 1], [1]]}', "edges[1]", "must be a pair of vertex ids"),
+    ("instance", "{%s, \"weights\": 1}" % _DIRECTED_P3, "weights", "must be a list"),
+    ("instance", "{%s, \"weights\": [1]}" % _DIRECTED_P3, "weights",
+     "one weight per edge required"),
+    ("instance", "{%s, \"weights\": [1, [\"1\", \"0\"]]}" % _DIRECTED_P3, "weights[1]",
+     "bad rational ['1', '0']: Fraction(1, 0)"),
+    ("instance", "{%s, \"weights\": [1, \"2\"]}" % _DIRECTED_P3, "weights[1]",
+     "weight must be a number or [\"p\",\"q\"], got '2'"),
+    ("instance", "{%s, \"weights\": [Infinity, -1]}" % _DIRECTED_P3, "weights[0]",
+     "must be finite"),
+    ("instance", "{%s, \"weights\": [1, -1]}" % _DIRECTED_P3, "weights[1]",
+     "must be nonnegative"),
+    ("instance", '{"directed": true, "n": 2, "edges": [[0, 2]]}', "edges",
+     "arc 0: endpoint out of range"),
+    ("instance", '{"n": 3, "edges": [[0, 1], [1, 0]]}', "edges", "edge 1: parallel to edge 0"),
+    # the undirected-weights check raises inside the graph block, whose
+    # handler reports it under "edges"
+    ("instance", "{%s, \"weights\": [1, 1]}" % _P3, "edges",
+     "weights: weights require a directed instance"),
+    ("instance", "{%s, \"colors\": 1}" % _P3, "colors", "must be a list"),
+    ("instance", "{%s, \"colors\": [1]}" % _P3, "colors", "one color per edge required"),
+    ("instance", "{%s, \"colors\": [1, 0]}" % _P3, "colors[1]", "colors are integers >= 1"),
+    ("instance", "{%s, \"transitions\": {}}" % _P3, "transitions", "must be a list"),
+    ("instance", "{%s, \"transitions\": [[0, 1], [0]]}" % _P3, "transitions[1]",
+     "must be a pair of edge ids"),
+    ("instance", "{%s, \"transitions\": [[0, 2]]}" % _P3, "transitions[0]",
+     "edge id out of range"),
+    ("instance", "{%s, \"transitions\": [[0, 0]]}" % _P3, "transitions",
+     "(0, 0): edges not distinct"),
+    ("instance", "{%s, \"terminals\": 1}" % _P3, "terminals", "must be a list"),
+    ("instance", "{%s, \"terminals\": [[0, 1, 2]]}" % _P3, "terminals[0]",
+     "must be a pair of vertex ids"),
+    ("instance", "{%s, \"terminals\": [[0, 3]]}" % _P3, "terminals[0]", "vertex id out of range"),
+    ("instance", "{%s, \"terminals\": [[1, 1]]}" % _P3, "terminals[0]",
+     "terminals must be distinct"),
+    ("instance", "{%s, \"terminals\": [[0, 1], [2, 1]]}" % _P3, "terminals[1]",
+     "terminal reused"),
+    # and of parse_decomposition
+    ("decomposition", '{\n"root": }', "line 2", "Expecting value"),
+    ("decomposition", "1", "$", "decomposition must be a JSON object"),
+    ("decomposition", '{"root": 0, "bags": [[0]]}', "tree_edges", "missing field"),
+    ("decomposition", '{"root": 0, "tree_edges": [], "bags": []}', "bags",
+     "must be a nonempty list"),
+    ("decomposition", '{"root": 0, "tree_edges": [], "bags": [[0], [0.5]]}', "bags[1]",
+     "must be a list of vertex ids"),
+    ("decomposition", '{"root": 1, "tree_edges": [], "bags": [[0]]}', "root",
+     "node id out of range"),
+    ("decomposition", '{"root": 0, "tree_edges": null, "bags": [[0]]}', "tree_edges",
+     "must be a list"),
+    ("decomposition", '{"root": 0, "tree_edges": [[0, 1], []], "bags": [[0], [1]]}',
+     "tree_edges[1]", "must be a pair of node ids"),
+    ("decomposition", '{"root": 0, "tree_edges": [[0, 2]], "bags": [[0], [1]]}',
+     "tree_edges[0]", "node id out of range"),
+    ("decomposition", '{"root": 0, "tree_edges": [[0, 1], [1, 0]], "bags": [[0], [1]]}',
+     "tree_edges", "edges do not form a tree on all nodes"),
+])
+def test_every_parser_error_names_its_field_and_message(parse, text, field, message):
+    from transita.io import InstanceFormatError
+
+    with pytest.raises(InstanceFormatError) as ei:
+        (parse_instance if parse == "instance" else parse_decomposition)(text)
+    assert ei.value.field == field
+    assert str(ei.value) == f"{field}: {message}"
 
 
 def test_boolean_vertex_ids_write_an_input_format_report(tmp_path):

@@ -107,12 +107,23 @@ def test_irreducible_polynomials_are_irreducible():
             u ^= q << (u.bit_length() - 1 - dq)
         return u == 0
 
+    def order_of_x(p, a):
+        x, i = 1, 0
+        while x != 1 or i == 0:
+            x <<= 1
+            if x >> a:
+                x ^= p
+            i += 1
+        return i
+
     for a, p in IRREDUCIBLE.items():
         assert p.bit_length() - 1 == a
         if a <= 12:
             for d in range(1, a):
                 for q in range(1 << d, 1 << (d + 1)):
                     assert not divides(q, p), (a, q)
+        # primitive: x generates the multiplicative group
+        assert order_of_x(p, a) == (1 << a) - 1, a
 
 
 def test_field_axioms_exhaustive_small():
@@ -143,8 +154,8 @@ def test_field_for_colors_sizes():
 
 
 def test_field_for_colors_builds_each_exponent_once():
-    # 300 and 500 colors share GF(2^9), whose x is no generator; the shared
-    # field keeps the tables of a fresh one
+    # 300 and 500 colors share GF(2^9); the shared field keeps the tables of
+    # a fresh one
     field = field_for_colors(500)
     assert field_for_colors(300) is field
     fresh = FieldGF2a(9)
