@@ -29,7 +29,8 @@ check it before they report; ``--witness`` only adds it to the report, as
 seeded random rather than certified perfect (n > 32), so that a "no" is
 only probable.  Neither is uncertified unless colour coding swept such a
 family: an answer from the shortest compatible walk sweeps none (see
-``compath`` and ``detour``).  A ``compath`` report's "family_size" is the
+``compath`` and ``detour``), for edge endpoints (``--from eK``) as for
+vertices, so an edge-endpoint report can be certified at any n.  A ``compath`` report's "family_size" is the
 size of the family swept, 0 when none was.  A ``detour`` report's "stats"
 also holds the solver's counters ``oriented_calls`` and ``goals`` (see
 ``detour.comdetour``).  A ``pchc`` report carries ``max_family`` and, from

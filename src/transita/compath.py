@@ -6,13 +6,15 @@ is found iff some family member colors its vertices injectively, and read
 off the states' back-pointers.  Endpoints may be vertices or edges (the
 path then starts/ends with that edge).  Every answer's path is checked.
 
-Between two vertices a walk step answers first.  Compatible walks, unlike
+A walk step answers first, for any endpoints.  Compatible walks, unlike
 compatible paths, are found by one BFS over the edge slots (`SlotGraph`),
+from the slots a path from x starts on to those a path to y ends on,
 stopped at depth k (`_shortest_walk`): when no compatible walk has length
 <= k, no path has either, an exact "no"; when the shortest walk found is a
 path, it is the answer and its witness.  Neither sweeps a family.  Only a
 shortest walk that repeats a vertex leads to the colour-coding sweep, which
-reuses that search as its walk lower bound (`oriented_compath`).
+runs from all of x's start slots at once and reuses that search as its
+walk lower bound (`oriented_compath`).
 
 The one family construction, `family_for_bound`, is certified perfect for
 n <= 32: it walks the C(n, j-2) prefixes of the j-subsets, j = bound - 1,
@@ -219,28 +221,13 @@ class SlotGraph:
         raise ValueError(f"vertex {head} not an endpoint of edge {e}")
 
 
-def _start_slots(sg: SlotGraph, start, allowed) -> list:
-    g = sg.g
-    if start[0] == "v":
-        x = start[1]
-        return [
-            sg.slot(e, w)
-            for w, e in g.adj(x)
-            if allowed is None or w in allowed
-        ]
-    _, e, first = start
-    head = g.other_end(e, first)
-    if allowed is not None and head not in allowed:
-        return []
-    return [sg.slot(e, head)]
-
-
-def _goal_slots(sg: SlotGraph, goal, allowed) -> list:
-    """The slots a path to goal can end on: the reversed start slots of goal
-    read as a start, when the goal's named vertex is allowed."""
-    if allowed is not None and goal[-1] not in allowed:
-        return []
-    return [s ^ 1 for s in _start_slots(sg, goal, allowed)]
+def _endpoint_slots(sg: SlotGraph, ep: Endpoint) -> list:
+    """The slots a path from ep starts on: the slots out of a vertex, or an
+    edge in both directions.  Reversed, they are the slots a path to ep
+    ends on."""
+    if ep.kind == "vertex":
+        return [sg.slot(e, w) for w, e in sg.g.adj(ep.ident)]
+    return [2 * ep.ident, 2 * ep.ident + 1]
 
 
 def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed, limit=INF) -> list:
@@ -270,17 +257,17 @@ def _slot_walk_dists(sg: SlotGraph, seeds: Iterable[int], allowed, limit=INF) ->
     return dist
 
 
-def _shortest_walk(sg: SlotGraph, s: int, tgt: int, limit) -> tuple:
-    """The walk step: one shortest compatible s-tgt walk of at most limit
-    edges, s != tgt, or None when none exists; and the forward search it
-    came from, `_slot_walk_dists` from the slots leaving s, stopped at limit.
+def _shortest_walk(sg: SlotGraph, starts: list, goals: list, limit) -> tuple:
+    """The walk step: one shortest compatible walk of at most limit edges
+    from a start slot to a goal slot, or None when none exists; and the
+    forward search it came from, `_slot_walk_dists` from starts, stopped at
+    limit.
 
-    The walk ends in the lowest-numbered nearest slot into tgt, then walks
-    back, each time to the lowest-numbered slot one edge nearer s: the
-    predecessors of slot p are the reversed successors of p ^ 1.
+    The walk ends in the lowest-numbered nearest goal slot, then walks
+    back, each time to the lowest-numbered slot one edge nearer a start:
+    the predecessors of slot p are the reversed successors of p ^ 1.
     """
-    dist = _slot_walk_dists(sg, _start_slots(sg, ("v", s), None), None, limit)
-    goals = _goal_slots(sg, ("v", tgt), None)
+    dist = _slot_walk_dists(sg, starts, None, limit)
     sid = min(goals, key=lambda x: (dist[x], x), default=None)
     if sid is None or dist[sid] == INF:
         return None, dist
@@ -369,65 +356,44 @@ def _rebuild(sg: SlotGraph, parents, state) -> Walk:
 
 def oriented_compath(
     sg: SlotGraph,
-    start,
-    goals: Sequence,
+    starts: Sequence[int],
+    goals: Sequence[Sequence[int]],
     bound: int,
     family: HashFamily,
     allowed_vertices: Optional[set] = None,
     walk_dists: Optional[list] = None,
 ):
-    """Shortest compatible paths from one oriented start to several goals,
-    over the slot graph sg of the instance.
+    """Shortest compatible paths from the start slots starts to several
+    goals, over the slot graph sg of the instance.
 
-    start is ("v", x) or ("e", e, first_vertex); each goal is ("v", y) or
-    ("e", e, last_vertex), where the named vertex is the path's first/last
-    vertex.  Returns optional lengths (<= bound) per goal and, in parallel,
-    the walk that gave each length, read off the sweep's back-pointers.
-    Family members are swept with early exit once every reachable goal
-    matches its compatible-walk lower bound, read from a forward walk
-    search from the start slots stopped at bound.  walk_dists is that
+    A path begins with one of starts and, to reach goal i, ends with one
+    of goals[i]; every other slot of it keeps both ends in
+    allowed_vertices, when given, and the caller picks starts and goal
+    slots inside that region.  Returns optional lengths (<= bound) per
+    goal and, in parallel, the walk that gave each length, read off the
+    sweep's back-pointers.  The path's first and last vertices, the tails
+    of starts and the heads of the open goals' slots, take special colours
+    of their own, so a member need only colour the inner vertices
+    injectively.  Family members are swept with early exit once every
+    reachable goal matches its compatible-walk lower bound, read from a
+    forward walk search from starts stopped at bound.  walk_dists is that
     search when the caller has already run it.
     """
-    g = sg.g
     allowed = allowed_vertices
     results = [None] * len(goals)
     wits = [None] * len(goals)
-
-    for i, goal in enumerate(goals):
-        if start[0] == "v" and goal == start:
-            if allowed is None or start[1] in allowed:
-                results[i] = 0
-                wits[i] = Walk((start[1],), ())
-        elif (
-            start[0] == "e"
-            and goal[0] == "e"
-            and goal[1] == start[1]
-            and goal[2] == g.other_end(start[1], start[2])
-            and bound >= 1
-        ):
-            if allowed is None or (start[2] in allowed and goal[2] in allowed):
-                results[i] = 1
-                wits[i] = Walk((start[2], goal[2]), (start[1],))
-
-    starts = _start_slots(sg, start, allowed)
-    if not starts:
-        return results, wits
     fwd = walk_dists if walk_dists is not None else _slot_walk_dists(sg, starts, allowed, bound)
 
     slot_goal = {}
     lower = {}
-    for i, goal in enumerate(goals):
-        gs = _goal_slots(sg, goal, allowed)
+    for i, gs in enumerate(goals):
         walk_best = min((fwd[s] for s in gs), default=INF)
-        if results[i] is not None:
-            lower[i] = results[i]
-            continue
-        if walk_best == INF or walk_best > bound:
+        if walk_best > bound:
             continue  # not even a compatible walk fits the bound
         lower[i] = walk_best
         for s in gs:
             slot_goal.setdefault(s, []).append(i)
-    pending = [i for i in lower if results[i] != lower[i]]
+    pending = list(lower)
     if not pending:
         return results, wits
 
@@ -435,19 +401,9 @@ def oriented_compath(
     back = _slot_walk_dists(sg, [s ^ 1 for s in slot_goal], allowed)
 
     special = {}
-    if start[0] == "v":
-        special[start[1]] = 0
-    else:
-        special[start[2]] = 0
-        special.setdefault(g.other_end(start[1], start[2]), len(special))
-    for i in pending:
-        goal = goals[i]
-        if goal[0] == "v":
-            special.setdefault(goal[1], len(special))
-        else:
-            a, b = g.edges[goal[1]]
-            special.setdefault(a, len(special))
-            special.setdefault(b, len(special))
+    ends = [sg.tails[s] for s in starts] + [sg.heads[s] for i in pending for s in goals[i]]
+    for v in ends:
+        special.setdefault(v, len(special))
     base = len(special)
 
     for fn in family.functions:
@@ -459,15 +415,6 @@ def oriented_compath(
         if all(results[i] is not None and results[i] <= lower[i] for i in pending):
             break
     return results, wits
-
-
-def _orientations(g: Graph, ep: Endpoint, is_start: bool) -> list:
-    if ep.kind == "vertex":
-        return [("v", ep.ident)]
-    a, b = g.endpoints(ep.ident)
-    if is_start:
-        return [("e", ep.ident, a), ("e", ep.ident, b)]
-    return [("e", ep.ident, b), ("e", ep.ident, a)]
 
 
 def compath(
@@ -482,18 +429,18 @@ def compath(
 ):
     """Length of a shortest compatible x-y path of length <= k, or None.
 
-    Between two distinct vertices the walk step answers first (module
-    docstring): one walk search stopped at depth k either finds no walk, an
-    exact "no", or a shortest walk that is a path, the answer.  Otherwise
-    the colorful dynamic program sweeps the members of the hash family
-    `family_for_bound(g.n, k, seed)`, taking the minimum over members and
-    endpoint orientations; between vertices it reuses the walk search.
-    Every answer comes with the walk it was read from, and that walk is
-    checked to be a compatible x-y path of that length whatever witness
-    says; witness=True only returns (length, Walk) instead of the length.
-    When given, stats gains the size of the family swept, "family_size", 0
-    when none was, and "certified", False only when that family is
-    uncertified, so that a "no" is only probable.
+    The walk step answers first (module docstring), for vertex and edge
+    endpoints alike: one walk search stopped at depth k either finds no
+    walk, an exact "no", or a shortest walk that is a path, the answer.
+    Otherwise the colorful dynamic program sweeps the members of the hash
+    family `family_for_bound(g.n, k, seed)`, from every start slot of x at
+    once, and reuses the walk search.  Every answer comes with the walk it
+    was read from, and that walk is checked to be a compatible x-y path of
+    that length whatever witness says; witness=True only returns
+    (length, Walk) instead of the length.  When given, stats gains the
+    size of the family swept, "family_size", 0 when none was, and
+    "certified", False only when that family is uncertified, so that a
+    "no" is only probable.
     """
     stats = {} if stats is None else stats
     stats.update(family_size=0, certified=True)
@@ -516,22 +463,16 @@ def _answer(g, t, x: Endpoint, y: Endpoint, k: int, seed: int, stats: dict) -> t
     if k < 1:
         return None, None
     sg = SlotGraph(g, t)
-    fwd = None
-    if x.kind == "vertex" and y.kind == "vertex":
-        walk, fwd = _shortest_walk(sg, x.ident, y.ident, k)
-        if walk is None:
-            return None, None
-        if walk.is_path():
-            return walk.length, walk
+    starts = _endpoint_slots(sg, x)
+    goals = [s ^ 1 for s in _endpoint_slots(sg, y)]
+    walk, fwd = _shortest_walk(sg, starts, goals, k)
+    if walk is None:
+        return None, None
+    if walk.is_path():
+        return walk.length, walk
     family = family_for_bound(g.n, k, seed)
     stats.update(family_size=len(family), certified=family.certified)
-    goals = _orientations(g, y, False)
-    best = best_w = None
-    # fwd, when set, is the walk search from the one orientation of vertex x
-    for st in _orientations(g, x, True):
-        for r, w in zip(*oriented_compath(sg, st, goals, k, family, walk_dists=fwd)):
-            if r is not None and (best is None or r < best):
-                best, best_w = r, w
+    (best,), (best_w,) = oriented_compath(sg, starts, [goals], k, family, walk_dists=fwd)
     return best, best_w
 
 

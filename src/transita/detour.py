@@ -1,11 +1,11 @@
 """ComDetour: compatible s-t paths of length at most dist(s,t) + k.
 
-The walk step that `compath.compath` takes between two vertices answers
-first (`compath._shortest_walk`, see the compath module): one BFS over the
-edge slots, stopped at depth d + k with d = dist(s, t).  When no compatible
-walk has length <= d + k, no path has either, an exact "no"; when the
-shortest walk found is a path, it is the answer and its witness.  No hash
-family is swept, so both answers are certified.  Within slack 2 of d one
+The walk step of `compath.compath` answers first (`compath._shortest_walk`,
+see the compath module): one BFS over the edge slots, from those leaving s
+to those entering t, stopped at depth d + k with d = dist(s, t).  When no
+compatible walk has length <= d + k, no path has either, an exact "no";
+when the shortest walk found is a path, it is the answer and its witness.
+No hash family is swept, so both answers are certified.  Within slack 2 of d one
 of the two always holds.  Across BFS layers a walk of length d + j has
 (flat steps) + 2 (down steps) = j, while a repeated vertex needs a closed
 sub-walk of at least three edges, as a U-turn on one edge is never a
@@ -52,8 +52,8 @@ from typing import Optional
 
 from .core import Endpoint, Graph, InvariantError, TransitionSystem, Walk, bfs_dist, INF
 from .compath import (
-    SlotGraph, _check_witness, _shortest_walk, _slot_walk_dists, family_for_bound,
-    oriented_compath,
+    SlotGraph, _check_witness, _endpoint_slots, _shortest_walk, _slot_walk_dists,
+    family_for_bound, oriented_compath,
 )
 
 
@@ -119,7 +119,8 @@ def _decide(g, t, s, tgt, k, seed, stats) -> DetourResult:
         return DetourResult(False, None, None, diagnostic="target unreachable from source")
     d = int(dist[tgt])
     sg = SlotGraph(g, t)
-    walk, fwd = _shortest_walk(sg, s, tgt, d + k)
+    into_tgt = [sid ^ 1 for sid in _endpoint_slots(sg, Endpoint.vertex(tgt))]
+    walk, fwd = _shortest_walk(sg, _endpoint_slots(sg, Endpoint.vertex(s)), into_tgt, d + k)
     if walk is None:
         return DetourResult(False, None, d)
     if walk.is_path():
@@ -133,16 +134,19 @@ def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
     fwd, when not None, is the walk step's forward search from s, stopped
     at d + k, which the d <= k sweep reuses."""
     d = int(dist[tgt])
+    heads, tails = sg.heads, sg.tails
+    into_tgt = [sid ^ 1 for sid in _endpoint_slots(sg, Endpoint.vertex(tgt))]
 
-    def sweep(start, goals, bound, region, walk_dists=None):
+    def sweep(starts, goals, bound, region, walk_dists=None):
         stats["oriented_calls"] += 1
         stats["goals"] += len(goals)
-        return oriented_compath(sg, start, goals, bound, fam, region, walk_dists)
+        return oriented_compath(sg, starts, goals, bound, fam, region, walk_dists)
 
     if d <= k:
         # small distance: one plain ComPath call within the bound d + k
         fam = family_for_bound(g.n, d + k, seed)
-        (ln,), (w,) = sweep(("v", s), [("v", tgt)], d + k, None, fwd)
+        starts = _endpoint_slots(sg, Endpoint.vertex(s))
+        (ln,), (w,) = sweep(starts, [into_tgt], d + k, None, fwd)
         return DetourResult(ln is not None, ln, d, w, certified=fam.certified)
 
     layers = {}  # distance from s -> the vertices at that distance
@@ -169,7 +173,6 @@ def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
             inter[e] = u if dist[u] < dist[v] else v
     # Seed the last layers with direct ComPath calls.  seeded[lx] holds the
     # layers above lx and the backward walk distances to tgt inside them.
-    into_tgt = {sg.slot(e, tgt) for _, e in g.adj(tgt)}
     seeded = {}
     for e, x in inter.items():
         lx = int(dist[x])
@@ -179,9 +182,12 @@ def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
             band = band_of(lx + 1, hi)
             seeded[lx] = (band, _walks_back(sg, into_tgt, band))
         band, back = seeded[lx]
-        if not _may_reach(sg, sg.slot(e, g.other_end(e, x)), into_tgt, back, bound):
+        sid = sg.slot(e, g.other_end(e, x))
+        if not _may_reach(sg, sid, into_tgt, back, bound):
             continue
-        (ln,), (w,) = sweep(("e", e, x), [("v", tgt)], bound, band | {x})
+        region = band | {x}
+        goal = [s2 for s2 in into_tgt if tails[s2] in region]
+        (ln,), (w,) = sweep([sid], [goal], bound, region)
         if ln is not None and lx + ln <= hi:
             table[e] = ln
             pieces[e] = ("seed", w)
@@ -191,13 +197,13 @@ def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
         up.setdefault(x, []).append(e)
 
     # Fill earlier layers.  One sweep per (x, du, start edge) reaches the
-    # joinable edges into layer du inside G_(x, du].  joins[du] lists each
-    # edge (f, u) into layer du, its far end w, and the entries g2 in
-    # up[u] that are already in the table and that f may turn onto; edges
-    # with no such g2 cannot join and are never asked for.  The list is
-    # built once, when layer du is first needed: by then no later join
-    # writes an entry whose lower end is at layer du (module docstring).
-    # join_slots[du] holds the slots of those edges entering u.
+    # joinable edges into layer du inside G_(x, du].  joins[du] lists the
+    # slot of each edge (f, u) entering layer du at u, its far end w, and
+    # the entries g2 in up[u] that are already in the table and that f may
+    # turn onto; edges with no such g2 cannot join and are never asked
+    # for.  The list is built once, when layer du is first needed: by then
+    # no later join writes an entry whose lower end is at layer du (module
+    # docstring).  join_slots[du] holds those slots.
     joins = {}
     join_slots = {}
     for m in range(d - k - 1, -1, -1):
@@ -209,28 +215,27 @@ def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
                     for w, f in g.adj(u):
                         g2s = [g2 for g2 in up.get(u, ()) if g2 in table and t.permits(f, g2)]
                         if g2s:
-                            joins[du].append((f, u, w, g2s))
-                join_slots[du] = {sg.slot(f, u) for f, u, _, _ in joins[du]}
+                            joins[du].append((sg.slot(f, u), w, g2s))
+                join_slots[du] = {sid for sid, _, _ in joins[du]}
             if joins[du]:
                 band = band_of(m + 1, du)
                 reach.append((du, band, _walks_back(sg, join_slots[du], band)))
         for x in layers[m]:
+            out = _endpoint_slots(sg, Endpoint.vertex(x))
             for du, band, back in reach:
-                starts = [
-                    e
-                    for w, e in g.adj(x)
-                    if w in band and _may_reach(sg, sg.slot(e, w), join_slots[du], back, bound)
-                ]
+                starts = [sid for sid in out if heads[sid] in band
+                          and _may_reach(sg, sid, join_slots[du], back, bound)]
                 if not starts:
                     continue
                 region = band | {x}
-                entries = [j for j in joins[du] if j[2] in region]
+                entries = [j for j in joins[du] if j[1] in region]
                 if not entries:
                     continue
-                goals = [("e", f, u) for f, u, _, _ in entries]
-                for e in starts:
-                    res, ws = sweep(("e", e, x), goals, bound, region)
-                    for (_, _, _, g2s), r, w in zip(entries, res, ws):
+                goals = [[sid] for sid, _, _ in entries]
+                for sid in starts:
+                    res, ws = sweep([sid], goals, bound, region)
+                    e = sid // 2
+                    for (_, _, g2s), r, w in zip(entries, res, ws):
                         if r is None:
                             continue
                         for g2 in g2s:

@@ -76,7 +76,11 @@ def _id_pair(p, field: str, i: int, noun: str, bound: Optional[int] = None) -> t
 def _load(data: Union[bytes, str], what: str) -> dict:
     """The JSON object in UTF-8 data; what names the file kind in errors."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise InstanceFormatError(f"line {line}", f"not UTF-8: {exc.reason}") from exc
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -121,12 +125,9 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
                 raise InstanceFormatError(f"weights[{i}]", "must be finite")
             if w < 0:
                 raise InstanceFormatError(f"weights[{i}]", "must be nonnegative")
+    _expect(directed or weights is None, "weights", "weights require a directed instance")
     try:
-        if directed:
-            graph = DiGraph(n, edges, weights)
-        else:
-            _expect(weights is None, "weights", "weights require a directed instance")
-            graph = Graph(n, edges)
+        graph = DiGraph(n, edges, weights) if directed else Graph(n, edges)
     except ValueError as exc:
         raise InstanceFormatError("edges", str(exc)) from exc
 

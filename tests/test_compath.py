@@ -242,23 +242,26 @@ def _reference_walks_back(pred, heads, tails, seeds, allowed):
 
 
 def _reference_goal_slots(g, goal, allowed):
-    # the slots entering the goal's named vertex from an allowed vertex
+    # the slots with both ends allowed that enter a goal vertex, or that
+    # traverse a goal edge towards either end
     def ok(v):
         return allowed is None or v in allowed
 
-    if goal[0] == "v":
-        y = goal[1]
+    if goal.kind == "vertex":
+        y = goal.ident
         return [2 * e + (g.edges[e][1] != y) for _, e in g.adj(y)
                 if ok(y) and ok(g.other_end(e, y))]
-    _, e, last = goal
-    return [2 * e + (g.edges[e][1] != last)] if ok(last) and ok(g.other_end(e, last)) else []
+    e = goal.ident
+    return [2 * e + (g.edges[e][1] != last) for last in g.edges[e]
+            if ok(last) and ok(g.other_end(e, last))]
 
 
 def test_backward_searches_match_a_bfs_over_reference_predecessors(monkeypatch):
-    # goal slots, _walks_back and the backward bound of oriented_compath run
-    # over reversed slots; on the random and junk-pair graphs, unrestricted
-    # and inside a band of BFS layers, they agree with the reference built
-    # from predecessor lists
+    # goal slots, the reversed endpoint slots kept inside the region, and
+    # _walks_back and the backward bound of oriented_compath run over
+    # reversed slots; on the random and junk-pair graphs, unrestricted and
+    # inside a band of BFS layers, they agree with the reference built from
+    # predecessor lists
     rng = random.Random(1226)
     bounds = []
     real = transita.compath._colorful_run
@@ -279,21 +282,26 @@ def test_backward_searches_match_a_bfs_over_reference_predecessors(monkeypatch):
         lo = rng.randint(0, top)
         band = {v for v in range(g.n) if lo <= dist[v] <= rng.randint(lo, top)}
         for allowed in (None, band):
-            goals = [("v", rng.randrange(g.n)) for _ in range(2)]
-            for e in rng.sample(range(g.m), min(2, g.m)):
-                goals.append(("e", e, g.edges[e][rng.randrange(2)]))
-            slots = set()
-            for goal in goals:
-                gs = transita.compath._goal_slots(sg, goal, allowed)
-                assert gs == _reference_goal_slots(g, goal, allowed)
-                slots.update(gs)
             region = set(range(g.n)) if allowed is None else allowed
+
+            def inside(slots):
+                return [s for s in slots if heads[s] in region and tails[s] in region]
+
+            goals = [Endpoint.vertex(rng.randrange(g.n)) for _ in range(2)]
+            goals += [Endpoint.edge(e) for e in rng.sample(range(g.m), min(2, g.m))]
+            goal_slots = []
+            for goal in goals:
+                gs = inside(s ^ 1 for s in transita.compath._endpoint_slots(sg, goal))
+                assert gs == _reference_goal_slots(g, goal, allowed)
+                goal_slots.append(gs)
+            slots = set().union(*goal_slots)
             back = _walks_back(sg, slots, region)
             seeds = [s for s in slots if heads[s] in region and tails[s] in region]
             ref = _reference_walks_back(pred, heads, tails, seeds, region)
             assert [back[s ^ 1] for s in range(2 * g.m)] == ref
             bounds.clear()
-            oriented_compath(sg, ("v", rng.randrange(g.n)), goals, 4,
+            x = Endpoint.vertex(rng.choice(sorted(region)))
+            oriented_compath(sg, inside(transita.compath._endpoint_slots(sg, x)), goal_slots, 4,
                              family_for_bound(g.n, 4), allowed_vertices=allowed)
             for slot_goal, allowed_, back in bounds[:1]:
                 ref = _reference_walks_back(pred, heads, tails, slot_goal, allowed_)
@@ -401,30 +409,6 @@ def test_family_for_bound_reuses_cache():
     a = family_for_bound(10, 4, seed=0)
     b = family_for_bound(10, 4, seed=0)
     assert a is b
-
-
-def test_oriented_compath_answers_a_goal_equal_to_the_start(monkeypatch):
-    g = Graph(3, [(0, 1), (1, 2)])
-    t = all_transitions(g)
-    sg = SlotGraph(g, t)
-    fam = family_for_bound(g.n, 3)
-    res, wits = oriented_compath(sg, ("v", 0), [("v", 0), ("v", 2)], 3, fam)
-    assert res == [0, 2]
-    assert wits[0] == Walk((0,), ()) and wits[1].vertices == (0, 1, 2)
-    # with the start as the only goal, no member is swept
-    runs = [0]
-    real = transita.compath._colorful_run
-
-    def counted(*args):
-        runs[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(transita.compath, "_colorful_run", counted)
-    assert oriented_compath(sg, ("v", 1), [("v", 1)], 3, fam) == ([0], [Walk((1,), ())])
-    assert runs[0] == 0
-    # a start outside the allowed vertices is no path, not even to itself
-    assert oriented_compath(sg, ("v", 0), [("v", 0)], 3, fam, allowed_vertices={1, 2}) == (
-        [None], [None])
 
 
 def _turned_graph(rnd):
@@ -549,6 +533,82 @@ def test_a_walk_that_repeats_a_vertex_still_sweeps(monkeypatch):
         assert calls == {"oriented_compath": 1, "_slot_walk_dists": 2}
 
 
+def test_an_edge_endpoint_walk_that_is_a_path_sweeps_no_family():
+    # above n = 32 a sweep would be uncertified; the walk step answers
+    # exactly instead, from edge 0 to vertex 3 and from vertex 39 to edge 36
+    g = Graph(40, [(v, v + 1) for v in range(39)])
+    t = all_transitions(g)
+    for x, y, want in ((Endpoint.edge(0), 3, 3), (39, Endpoint.edge(36), 3)):
+        stats = {}
+        ln, w = compath(g, t, x, y, 4, witness=True, stats=stats)
+        assert ln == want and stats == {"family_size": 0, "certified": True}
+        assert w.is_path() and w.length == want
+    stats = {}
+    assert compath(g, t, Endpoint.edge(0), Endpoint.edge(5), 5, stats=stats) is None
+    assert stats == {"family_size": 0, "certified": True}
+
+
+def test_an_edge_start_whose_walk_turns_makes_one_sweep(monkeypatch):
+    # from edge (0, 1) to vertex 2 of the U-turn graph the shortest walk
+    # 0-1-3-4-1-2 repeats vertex 1; one sweep from both of the edge's
+    # directions finds the path 1-0-5-...-9-2 and reuses the walk search
+    g, t = _uturn_graph()
+    calls = {}
+    for name in ("oriented_compath", "_slot_walk_dists"):
+        _counting(monkeypatch, name, calls)
+    stats = {}
+    ln, w = compath(g, t, Endpoint.edge(g.edge_id(0, 1)), 2, 7, witness=True, stats=stats)
+    assert ln == 7 and w.vertices == (1, 0, 5, 6, 7, 8, 9, 2)
+    assert stats == {"family_size": len(family_for_bound(g.n, 7)), "certified": True}
+    assert calls == {"oriented_compath": 1, "_slot_walk_dists": 2}
+
+
+def _reference_walk_length(g, t, x, y, k):
+    # shortest compatible x-y walk of length <= k, by a BFS over (edge,
+    # head) states built with t.permits; None when none fits
+    if x == y and x.kind == "vertex":
+        return 0
+    if x.kind == "vertex":
+        frontier = {(e, w) for w, e in g.adj(x.ident)}
+    else:
+        frontier = {(x.ident, v) for v in g.endpoints(x.ident)}
+    seen = set(frontier)
+    for length in range(1, k + 1):
+        if any((e if y.kind == "edge" else h) == y.ident for e, h in frontier):
+            return length
+        frontier = {(f, w) for e, h in frontier for w, f in g.adj(h)
+                    if f != e and t.permits(e, f)} - seen
+        seen |= frontier
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 6))
+def test_compath_agrees_with_the_oracle_for_every_pair_of_endpoint_kinds(seed, k):
+    # the same graph queried vertex-vertex, vertex-edge, edge-vertex and
+    # edge-edge; no sweep runs when no walk fits, and one must run when the
+    # shortest walk is shorter than the shortest path
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 9)
+    g, t = gen_random_ftg(n, rnd.choice([0.3, 0.5, 0.8]), rnd.choice([0.4, 0.7, 0.9]),
+                          rnd.randrange(10**6))
+    if not g.m:
+        return
+    for kinds in itertools.product(("vertex", "edge"), repeat=2):
+        x, y = (Endpoint(kind, rnd.randrange(n if kind == "vertex" else g.m)) for kind in kinds)
+        ref = brute_compatible_path(g, t, x, y, k)
+        stats = {}
+        ln, w = compath(g, t, x, y, k, seed=4, witness=True, stats=stats)
+        assert ln == ref and stats["certified"]
+        walk = _reference_walk_length(g, t, x, y, k)
+        if walk is None:
+            assert stats["family_size"] == 0
+        elif ref is None or walk < ref:
+            assert stats["family_size"] == len(family_for_bound(n, k, 4))
+        if ln is not None:
+            assert w.is_path() and is_compatible_walk(g, t, w) and w.length == ln
+
+
 def test_a_sweep_stops_once_no_goal_can_improve(monkeypatch):
     # on K12 with every turn kept the goal is one edge away; the first sweep
     # finds it in round 1, and with nothing left to improve it stops there,
@@ -563,7 +623,9 @@ def test_a_sweep_stops_once_no_goal_can_improve(monkeypatch):
     monkeypatch.setattr(transita.compath, "_colorful_run", counted)
     n = 12
     g = Graph(n, list(itertools.combinations(range(n), 2)))
-    res, wits = oriented_compath(SlotGraph(g, all_transitions(g)), ("v", 0), [("v", 1)], 8,
-                                 family_for_bound(n, 8))
+    sg = SlotGraph(g, all_transitions(g))
+    starts = transita.compath._endpoint_slots(sg, Endpoint.vertex(0))
+    goal = [s ^ 1 for s in transita.compath._endpoint_slots(sg, Endpoint.vertex(1))]
+    res, wits = oriented_compath(sg, starts, [goal], 8, family_for_bound(n, 8))
     assert res == [1] and wits[0].vertices == (0, 1)
     assert states == [n - 1]

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import transita.detour
 
+from transita.compath import _endpoint_slots
 from transita.core import (
-    Graph, InvariantError, TransitionSystem, Walk, all_transitions, bfs_dist, is_compatible_walk,
-    validate_walk, INF,
+    Endpoint, Graph, InvariantError, TransitionSystem, Walk, all_transitions, bfs_dist,
+    is_compatible_walk, validate_walk, INF,
 )
 from transita.detour import STAT_KEYS, SlotGraph, comdetour
 from transita.genred import gen_random_ftg
@@ -236,7 +237,9 @@ def triangle_turn_graph():
 
 def test_layered_search_runs_when_the_shortest_walk_turns_round_a_triangle():
     g, t = uturn_graph()
-    walk, _ = transita.detour._shortest_walk(SlotGraph(g, t), 0, 6, INF)
+    sg = SlotGraph(g, t)
+    out, into = (_endpoint_slots(sg, Endpoint.vertex(v)) for v in (0, 6))
+    walk, _ = transita.detour._shortest_walk(sg, out, [s ^ 1 for s in into], INF)
     assert walk.length == 9 and not walk.is_path()
     assert walk.vertices[3:6] in ((3, 7, 8), (3, 8, 7)) and walk.vertices[6] == 3
     for k, nu in ((2, None), (3, None), (4, 10)):
@@ -263,9 +266,12 @@ def test_a_corrupt_sweep_walk_raises_without_a_witness(monkeypatch, graph, tgt):
     assert comdetour(g, t, 0, tgt, k).yes
     solve = transita.detour.oriented_compath
 
-    def short_witness(sg, start, goals, *args, **kwargs):
-        res, ws = solve(sg, start, goals, *args, **kwargs)
-        return res, [w and Walk(w.vertices[:-1], w.edge_ids[:-1]) if goal == ("v", tgt) else w
+    def short_witness(sg, starts, goals, *args, **kwargs):
+        # only the goals made of slots into tgt; the join's edge goals
+        # never enter tgt
+        res, ws = solve(sg, starts, goals, *args, **kwargs)
+        return res, [w and Walk(w.vertices[:-1], w.edge_ids[:-1])
+                     if all(sg.heads[s] == tgt for s in goal) else w
                      for w, goal in zip(ws, goals)]
 
     monkeypatch.setattr(transita.detour, "oriented_compath", short_witness)
@@ -298,9 +304,11 @@ def test_join_makes_one_sweep_per_start_edge_and_layer(monkeypatch):
     calls = []
     real = transita.detour.oriented_compath
 
-    def counted(sg, start, goals, *args, **kwargs):
-        calls.append((start, tuple(goals)))
-        return real(sg, start, goals, *args, **kwargs)
+    def counted(sg, starts, goals, *args, **kwargs):
+        # each call as its start slots and its goals' heads
+        calls.append(([(sg.tails[s], s // 2) for s in starts],
+                      [{sg.heads[s] for s in goal} for goal in goals]))
+        return real(sg, starts, goals, *args, **kwargs)
 
     monkeypatch.setattr(transita.detour, "oriented_compath", counted)
     for k in range(3):
@@ -308,11 +316,12 @@ def test_join_makes_one_sweep_per_start_edge_and_layer(monkeypatch):
         res = layered(g, t, 0, tgt, k, seed=2)
         ref = brute_compatible_path(g, t, 0, tgt, int(dist[tgt]) + k, size_guard=False)
         assert res.nu == ref
-        joins = [(start, goals) for start, goals in calls if goals[0][0] == "e"]
+        # the join's goals are edges into a layer, never slots into tgt
+        joins = [(starts, heads) for starts, heads in calls if heads[0] != {tgt}]
         assert joins, "the instance must reach the join"
         keys = []
-        for (_, e, x), goals in joins:
-            layers = {int(dist[u]) for _, _, u in goals}
+        for [(x, e)], heads in joins:
+            layers = {int(dist[u]) for (u,) in heads}
             assert len(layers) == 1
             keys.append((x, layers.pop(), e))
         assert len(keys) == len(set(keys))
@@ -348,9 +357,10 @@ def test_join_asks_only_for_goals_that_can_join(monkeypatch):
     calls = []
     real = transita.detour.oriented_compath
 
-    def recorded(sg, start, goals, *args, **kwargs):
-        calls.append(tuple(goals))
-        return real(sg, start, goals, *args, **kwargs)
+    def recorded(sg, starts, goals, *args, **kwargs):
+        # each goal as its (edge, head) pairs
+        calls.append([[(s // 2, sg.heads[s]) for s in goal] for goal in goals])
+        return real(sg, starts, goals, *args, **kwargs)
 
     monkeypatch.setattr(transita.detour, "oriented_compath", recorded)
     rng = random.Random(1105)
@@ -366,7 +376,7 @@ def test_join_asks_only_for_goals_that_can_join(monkeypatch):
             ref = brute_compatible_path(g, t, 0, tgt, int(dist[tgt]) + k, size_guard=False)
             assert res.yes == (ref is not None) and res.nu == ref
             for goals in calls:
-                for _, f, u in (goal for goal in goals if goal[0] == "e"):
+                for [(f, u)] in (goal for goal in goals if goal[0][1] != tgt):
                     assert any(
                         dist[w] == dist[u] + 1 and t.permits(f, g2) for w, g2 in g.adj(u)
                     ), (f, u)
@@ -381,10 +391,10 @@ def test_comdetour_counts_its_calls_and_goals(monkeypatch):
     seen = [0, 0]
     real = transita.detour.oriented_compath
 
-    def counted(sg, start, goals, *args, **kwargs):
+    def counted(sg, starts, goals, *args, **kwargs):
         seen[0] += 1
         seen[1] += len(goals)
-        return real(sg, start, goals, *args, **kwargs)
+        return real(sg, starts, goals, *args, **kwargs)
 
     monkeypatch.setattr(transita.detour, "oriented_compath", counted)
     for witness in (False, True):

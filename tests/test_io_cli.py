@@ -355,6 +355,13 @@ def test_reports_say_when_the_family_is_uncertified(tmp_path, uturn_file):
     assert code == 0 and report["length"] == 3 and report["certified"] is True
     assert report["family_size"] == 0
     code, out = run_cli(
+        ["compath", "--instance", str(path), "--from", "e0", "--to", "3", "--max-len", "4"]
+    )
+    report = json.loads(out)
+    # the same from an edge endpoint
+    assert code == 0 and report["length"] == 3 and report["certified"] is True
+    assert report["family_size"] == 0
+    code, out = run_cli(
         ["detour", "--instance", str(path), "--from", "0", "--to", "39", "--slack", "1"]
     )
     report = json.loads(out)
@@ -501,6 +508,7 @@ _P3 = '"n": 3, "edges": [[0, 1], [1, 2]]'
 
 @pytest.mark.parametrize("parse, text, field, message", [
     # one input per error branch of parse_instance, in the order checked
+    ("instance", b'{"n": 1,\n"edges": []}\xff', "line 2", "not UTF-8: invalid start byte"),
     ("instance", '{"n": 1,', "line 1", "Expecting property name enclosed in double quotes"),
     ("instance", "[]", "$", "instance must be a JSON object"),
     ("instance", '{"edges": []}', "n", "missing field"),
@@ -520,13 +528,11 @@ _P3 = '"n": 3, "edges": [[0, 1], [1, 2]]'
      "must be finite"),
     ("instance", "{%s, \"weights\": [1, -1]}" % _DIRECTED_P3, "weights[1]",
      "must be nonnegative"),
+    ("instance", "{%s, \"weights\": [1, 1]}" % _P3, "weights",
+     "weights require a directed instance"),
     ("instance", '{"directed": true, "n": 2, "edges": [[0, 2]]}', "edges",
      "arc 0: endpoint out of range"),
     ("instance", '{"n": 3, "edges": [[0, 1], [1, 0]]}', "edges", "edge 1: parallel to edge 0"),
-    # the undirected-weights check raises inside the graph block, whose
-    # handler reports it under "edges"
-    ("instance", "{%s, \"weights\": [1, 1]}" % _P3, "edges",
-     "weights: weights require a directed instance"),
     ("instance", "{%s, \"colors\": 1}" % _P3, "colors", "must be a list"),
     ("instance", "{%s, \"colors\": [1]}" % _P3, "colors", "one color per edge required"),
     ("instance", "{%s, \"colors\": [1, 0]}" % _P3, "colors[1]", "colors are integers >= 1"),
@@ -571,6 +577,15 @@ def test_every_parser_error_names_its_field_and_message(parse, text, field, mess
         (parse_instance if parse == "instance" else parse_decomposition)(text)
     assert ei.value.field == field
     assert str(ei.value) == f"{field}: {message}"
+
+
+def test_input_that_is_not_utf8_writes_an_input_format_report(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"n": 1, "edges": []}\xff')
+    code, out = run_cli(["validate", "--instance", str(path)])
+    report = _assert_error_report(code, out, "input-format")
+    assert report["error"]["message"] == "line 1: not UTF-8: invalid start byte"
+    assert "input_digest" in report
 
 
 def test_boolean_vertex_ids_write_an_input_format_report(tmp_path):
