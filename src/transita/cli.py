@@ -25,17 +25,21 @@ exactly one report, with ``"answer": null`` and
 ``compath``, ``detour`` and ``dsp`` build the path behind every "yes" and
 check it before they report; ``--witness`` only adds it to the report, as
 "witness" (``dsp`` always reports its two "paths").  ``compath`` and
-``detour`` reports carry "certified": false when the hash family swept was
-seeded random rather than certified perfect (n > 32), so that a "no" is
-only probable.  Neither is uncertified unless colour coding swept such a
-family: an answer from the shortest compatible walk sweeps none (see
-``compath`` and ``detour``), for edge endpoints (``--from eK``) as for
-vertices, so an edge-endpoint report can be certified at any n.  A ``compath`` report's "family_size" is the
-size of the family swept, 0 when none was.  A ``detour`` report's "stats"
-also holds the solver's counters ``oriented_calls`` and ``goals`` (see
-``detour.comdetour``).  A ``pchc`` report carries ``max_family`` and, from
-the rank engine (null for ``--engine naive``), ``max_family_before_prune``
-and ``dead_groups`` (see ``pchc.rank_based_pchc``).
+``detour`` reports carry "certified": false when colour coding swept a
+hash family that was seeded random rather than certified perfect
+(n > 32), so that a "no" is only probable.  An answer from the shortest
+compatible walk or from the budgeted path search is exact at any n, for
+edge endpoints (``--from eK``) as for vertices: ``compath`` sweeps only when
+the search runs out of budget, and ``detour`` also in its layered search,
+when dist(s, t) exceeds the slack (see ``compath`` and ``detour``).  A
+``compath`` report's "step" names the step that answered (``walk``,
+``search`` or ``sweep``), "expansions" counts the search's expansions, and
+"family_size" is the size of the family swept, 0 when none was.  A
+``detour`` report's "stats" also holds the solver's counters
+``oriented_calls`` and ``goals`` (see ``detour.comdetour``).  A ``pchc``
+report carries ``max_family`` and, from the rank engine (null for
+``--engine naive``), ``max_family_before_prune`` and ``dead_groups`` (see
+``pchc.rank_based_pchc``).
 
 Exit codes: 0 when the run answers; 1 when it answers "no" under
 ``--strict-exit``; 2 for an error report.  Usage errors found by argparse
@@ -211,6 +215,7 @@ def cmd_compath(args, report) -> None:
     )
     report.update(
         answer=length is not None, length=length,
+        step=stats["step"], expansions=stats["expansions"],
         family_size=stats["family_size"], certified=stats["certified"],
     )
     if args.witness and wit is not None:

@@ -1,26 +1,38 @@
-"""Fixed-parameter shortest compatible path via color coding.
+"""Fixed-parameter shortest compatible path: a walk step, a search and a
+colour-coding sweep.
 
-The solver colors vertices with functions from a perfect hash family and
-runs a dynamic program over (color set, last directed edge) states; a path
-is found iff some family member colors its vertices injectively, and read
-off the states' back-pointers.  Endpoints may be vertices or edges (the
-path then starts/ends with that edge).  Every answer's path is checked.
+Endpoints may be vertices or edges (the path then starts/ends with that
+edge), and three steps answer in turn.  Every answer's path is checked.
 
-A walk step answers first, for any endpoints.  Compatible walks, unlike
-compatible paths, are found by one BFS over the edge slots (`SlotGraph`),
-from the slots a path from x starts on to those a path to y ends on,
-stopped at depth k (`_shortest_walk`): when no compatible walk has length
-<= k, no path has either, an exact "no"; when the shortest walk found is a
-path, it is the answer and its witness.  Neither sweeps a family.  Only a
-shortest walk that repeats a vertex leads to the colour-coding sweep, which
-runs from all of x's start slots at once and reuses that search as its
-walk lower bound (`oriented_compath`).
+1. The walk step.  Compatible walks, unlike compatible paths, are found by
+   one BFS over the edge slots (`SlotGraph`), from the slots a path from x
+   starts on to those a path to y ends on, stopped at depth k
+   (`_shortest_walk`): when no compatible walk has length <= k, no path
+   has either, an exact "no"; when the shortest walk found is a path, it
+   is the answer and its witness.
+2. The search step, when the shortest walk repeats a vertex
+   (`_path_search`): a depth-first branch and bound over the simple
+   compatible slot paths from x's start slots, pruned by the sweep's own
+   walk lower bound to the goal slots.  It has a budget of 2m expansions
+   per member of the family the sweep would use, roughly the slot visits
+   of one sweep, and when it completes within it its answer is exact at
+   any n.
+3. The sweep, when the search runs out of budget (`oriented_compath`):
+   colour coding (Alon, Yuster and Zwick) colors vertices with the
+   members of a perfect hash family and runs a dynamic program over
+   (color set, last slot) states; a path is found iff some member colors
+   its vertices injectively, and read off the states' back-pointers.  It
+   runs from all of x's start slots at once and reuses the walk step's
+   search as its lower bound.  A query that reaches it has spent at most
+   about one sweep on the search, so it costs at most about twice the
+   sweep alone, and the algorithm keeps its fixed-parameter bound.
 
 The one family construction, `family_for_bound`, is certified perfect for
 n <= 32: it walks the C(n, j-2) prefixes of the j-subsets, j = bound - 1,
 and tests each prefix's C(n, 2) completions at once, as an AND of n*n-bit
 pair masks over the members injective on the prefix.  Above n = 32 the
-family is seeded random and a "no" is only probable.
+family is seeded random, and a "no" from a sweep is only probable; the
+walk step's and the search's answers are exact.
 """
 
 from __future__ import annotations
@@ -165,13 +177,13 @@ class SlotGraph:
     Slot 2e+d is edge e traversed so that its head is endpoints(e)[1-d].
     Successors follow permitted transitions at the head.  Compatible walks
     are exactly the walks of this digraph, which makes it the shared
-    substrate for walk prefilters and the colorful DP.  heads[sid] and
-    tails[sid] are the slot's head and tail vertices.  Transitions are
-    unordered, so slot s ^ 1 is s reversed and s -> s2 exactly when
-    s2 ^ 1 -> s ^ 1: a backward search is a forward one over reversed
-    slots, and only successors are stored, in the order of t.pairs: no
-    answer depends on their order, only which of several shortest paths a
-    sweep returns.
+    substrate for walk prefilters, the path search and the colorful DP.
+    heads[sid] and tails[sid] are the slot's head and tail vertices.
+    Transitions are unordered, so slot s ^ 1 is s reversed and s -> s2
+    exactly when s2 ^ 1 -> s ^ 1: a backward search is a forward one over
+    reversed slots, and only successors are stored, in the order of
+    t.pairs: no answer depends on their order, only which of several
+    shortest paths a sweep returns.
     """
 
     __slots__ = ("g", "succ", "heads", "tails")
@@ -429,21 +441,24 @@ def compath(
 ):
     """Length of a shortest compatible x-y path of length <= k, or None.
 
-    The walk step answers first (module docstring), for vertex and edge
-    endpoints alike: one walk search stopped at depth k either finds no
+    Three steps answer in turn (module docstring), for vertex and edge
+    endpoints alike.  The walk step's search stopped at depth k finds no
     walk, an exact "no", or a shortest walk that is a path, the answer.
-    Otherwise the colorful dynamic program sweeps the members of the hash
-    family `family_for_bound(g.n, k, seed)`, from every start slot of x at
-    once, and reuses the walk search.  Every answer comes with the walk it
-    was read from, and that walk is checked to be a compatible x-y path of
-    that length whatever witness says; witness=True only returns
-    (length, Walk) instead of the length.  When given, stats gains the
-    size of the family swept, "family_size", 0 when none was, and
-    "certified", False only when that family is uncertified, so that a
-    "no" is only probable.
+    Otherwise the search step looks for a shortest path within its budget
+    and, when it completes, answers exactly.  Only when it runs out does
+    the colorful dynamic program sweep the members of the hash family
+    `family_for_bound(g.n, k, seed)`, from every start slot of x at once,
+    reusing the walk search.  Every answer comes with the walk it was read
+    from, and that walk is checked to be a compatible x-y path of that
+    length whatever witness says; witness=True only returns (length, Walk)
+    instead of the length.  When given, stats gains "step", the step that
+    answered ("walk", "search" or "sweep"), "expansions", the search's
+    expansions (0 when the walk step answered), "family_size", the size of
+    the family swept (0 when none was), and "certified", False only when
+    that family is uncertified, so that a "no" is only probable.
     """
     stats = {} if stats is None else stats
-    stats.update(family_size=0, certified=True)
+    stats.update(step="walk", expansions=0, family_size=0, certified=True)
     x = x if isinstance(x, Endpoint) else Endpoint.vertex(x)
     y = y if isinstance(y, Endpoint) else Endpoint.vertex(y)
     x.validate(g)
@@ -470,10 +485,83 @@ def _answer(g, t, x: Endpoint, y: Endpoint, k: int, seed: int, stats: dict) -> t
         return None, None
     if walk.is_path():
         return walk.length, walk
-    family = family_for_bound(g.n, k, seed)
-    stats.update(family_size=len(family), certified=family.certified)
-    (best,), (best_w,) = oriented_compath(sg, starts, [goals], k, family, walk_dists=fwd)
+    return _search_then_sweep(sg, starts, goals, k, seed, fwd, stats, oriented_compath)
+
+
+def _search_then_sweep(sg, starts, goals, bound, seed, fwd, stats, sweep) -> tuple:
+    """The search step, then the sweep step when the search runs out of
+    budget: a shortest compatible path of at most bound edges from a start
+    slot to a goal slot, as (length, Walk), or (None, None).
+
+    fwd is the walk step's forward search, which the sweep reuses, and
+    sweep is oriented_compath or a wrapper with its signature.  stats gets
+    the step that answered, the search's expansions and, after a sweep,
+    the family's size and whether it is certified.
+    """
+    g = sg.g
+    back = _slot_walk_dists(sg, [s ^ 1 for s in goals], None, bound)
+    found, stats["expansions"] = _path_search(
+        sg, starts, goals, bound, back,
+        lambda: 2 * g.m * len(family_for_bound(g.n, bound, seed)),
+    )
+    if found is not None:
+        stats["step"] = "search"
+        return found
+    family = family_for_bound(g.n, bound, seed)
+    stats.update(step="sweep", family_size=len(family), certified=family.certified)
+    (best,), (best_w,) = sweep(sg, starts, [goals], bound, family, None, fwd)
     return best, best_w
+
+
+def _path_search(sg, starts, goals, bound, back, budget) -> tuple:
+    """The search step: a depth-first branch and bound over the simple
+    compatible slot paths from the start slots.
+
+    It keeps the shortest path to a goal slot found so far, at first none
+    within bound, and skips a successor s2 whose head is on the path or
+    with length + back[s2 ^ 1] >= best: back[s2 ^ 1] is the fewest slots of
+    a walk from s2 to a goal slot, counting both, so no path through s2
+    beats best.  Successors are tried in ascending back order, so the
+    first path found is short and the bounds soon cut the rest; once
+    one fails the bound, so do the siblings after it.  Returns
+    ((length, Walk) or (None, None), expansions), or (None, expansions)
+    when it would need more than budget() expansions, the slot visits of
+    one sweep per family member.  Until it has made 2m expansions, one
+    member's share, it does not call budget, which may build the family.
+    """
+    succ, heads, tails = sg.succ, sg.heads, sg.tails
+    goal = set(goals)
+
+    def order(slots):
+        return sorted(slots, key=lambda s: (back[s ^ 1], s))
+
+    best, found = bound + 1, None
+    spent, limit = 0, len(succ)
+    path, on = [], set()
+    stack = [iter(order(starts))]
+    while stack:
+        s = next(stack[-1], None)
+        if s is None or len(path) + back[s ^ 1] >= best:
+            stack.pop()
+            if path:
+                on.discard(heads[path.pop()])
+            continue
+        if path and heads[s] in on:
+            continue
+        if spent >= limit:
+            limit = budget()
+            if spent >= limit:
+                return None, spent
+        spent += 1
+        if s in goal:
+            best, found = len(path) + 1, path + [s]
+            continue
+        if not path:
+            on = {tails[s]}
+        path.append(s)
+        on.add(heads[s])
+        stack.append(iter(order(succ[s])))
+    return ((best, _walk_of(sg, found)) if found else (None, None)), spent
 
 
 def _check_witness(g, t, x: Endpoint, y: Endpoint, length: int, w: Walk) -> None:

@@ -2,18 +2,22 @@
 
 The walk step of `compath.compath` answers first (`compath._shortest_walk`,
 see the compath module): one BFS over the edge slots, from those leaving s
-to those entering t, stopped at depth d + k with d = dist(s, t).  When no
-compatible walk has length <= d + k, no path has either, an exact "no";
-when the shortest walk found is a path, it is the answer and its witness.
-No hash family is swept, so both answers are certified.  Within slack 2 of d one
-of the two always holds.  Across BFS layers a walk of length d + j has
-(flat steps) + 2 (down steps) = j, while a repeated vertex needs a closed
-sub-walk of at least three edges, as a U-turn on one edge is never a
-permitted transition, and that sub-walk alone costs at least 3.
+to those entering t, stopped at depth d + k, where d = dist(s, t) comes
+from a BFS from s that stops at t's level.  When no compatible walk has
+length <= d + k, no path has either, an exact "no"; when the shortest walk
+found is a path, it is the answer and its witness.  No hash family is
+swept, so both answers are certified.  Within slack 2 of d one of the two
+always holds.  Across BFS layers a walk of length d + j has (flat steps)
++ 2 (down steps) = j, while a repeated vertex needs a closed sub-walk of
+at least three edges, as a U-turn on one edge is never a permitted
+transition, and that sub-walk alone costs at least 3.
 
-Only when the shortest walk repeats a vertex, so k >= 3, does colour
-coding run: one ComPath call within d + k when d <= k, else the layered
-search (`_layered`).  The layered search classifies vertices into BFS
+Only when the shortest walk repeats a vertex, so k >= 3, does more run.
+When d <= k it is one ComPath call within d + k: compath's search step,
+exact when it completes, and its sweep when the search runs out of budget
+(`compath._search_then_sweep`).  When d > k it is the layered
+colour-coding search (`_layered`), the paper's algorithm, fixed-parameter
+in k, after a full BFS from s.  It classifies vertices into BFS
 layers, seeds a table over inter-layer edges near the target with direct
 ComPath calls, and fills earlier layers by joining short ComPath segments
 with already-computed entries across permitted transitions.  The join runs
@@ -52,8 +56,8 @@ from typing import Optional
 
 from .core import Endpoint, Graph, InvariantError, TransitionSystem, Walk, bfs_dist, INF
 from .compath import (
-    SlotGraph, _check_witness, _endpoint_slots, _shortest_walk, _slot_walk_dists,
-    family_for_bound, oriented_compath,
+    SlotGraph, _check_witness, _endpoint_slots, _search_then_sweep, _shortest_walk,
+    _slot_walk_dists, family_for_bound, oriented_compath,
 )
 
 
@@ -68,9 +72,9 @@ class DetourResult:
     dist: Optional[int]
     witness: Optional[Walk] = None
     diagnostic: Optional[str] = None
-    # False only when the layered search swept an uncertified hash family,
-    # so that a "no" is only probable (see compath.family_for_bound); the
-    # walk step's answers sweep none and are exact
+    # False only when colour coding swept an uncertified hash family, so
+    # that a "no" is only probable (see compath.family_for_bound); the walk
+    # step's and the search's answers sweep none and are exact
     certified: bool = True
 
 
@@ -89,12 +93,14 @@ def comdetour(
     Returns the achieved shortest such length nu when one exists.  The walk
     step answers first (module docstring): no compatible walk of length
     <= d + k is an exact "no", and a shortest walk that is a path is the
-    answer and its witness.  Only otherwise, never at k <= 2, does the
-    layered search run.  Every "yes" is built with its path, which is
-    checked to be a compatible s-tgt path of length nu (compath's check);
-    witness only selects whether the result carries it.  When given,
+    answer and its witness.  Only otherwise, never at k <= 2, does
+    compath's search step (d <= k) or the layered search (d > k) run.
+    Every "yes" is built with its path, which is checked to be a
+    compatible s-tgt path of length nu (compath's check); witness only
+    selects whether the result carries it.  When given,
     stats gains STAT_KEYS: the oriented ComPath calls made and the total
-    length of the goal lists passed to them, both 0 when the walk answers.
+    length of the goal lists passed to them, both 0 when the walk step or
+    the search answers.
     """
     x, y = Endpoint.vertex(s), Endpoint.vertex(tgt)
     x.validate(g)
@@ -114,10 +120,9 @@ def _decide(g, t, s, tgt, k, seed, stats) -> DetourResult:
     """comdetour's answer, with its witness on a "yes", before the check."""
     if s == tgt:
         return DetourResult(True, 0, 0, Walk((s,), ()))
-    dist = bfs_dist(g, s)
-    if dist[tgt] == INF:
+    d = _distance(g, s, tgt)
+    if d == INF:
         return DetourResult(False, None, None, diagnostic="target unreachable from source")
-    d = int(dist[tgt])
     sg = SlotGraph(g, t)
     into_tgt = [sid ^ 1 for sid in _endpoint_slots(sg, Endpoint.vertex(tgt))]
     walk, fwd = _shortest_walk(sg, _endpoint_slots(sg, Endpoint.vertex(s)), into_tgt, d + k)
@@ -125,30 +130,52 @@ def _decide(g, t, s, tgt, k, seed, stats) -> DetourResult:
         return DetourResult(False, None, d)
     if walk.is_path():
         return DetourResult(True, walk.length, d, walk)
-    return _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats)
+    return _layered(g, t, s, tgt, k, d, sg, fwd, seed, stats)
 
 
-def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
-    """The layered colour-coding search, for d = dist[tgt] > 0 finite and
+def _distance(g, s, tgt):
+    """dist(s, tgt), by a BFS from s that stops at the level that reaches
+    tgt; INF when tgt is unreachable."""
+    seen = [False] * g.n
+    seen[s] = True
+    level, depth = [s], 0
+    while level:
+        depth += 1
+        nxt = []
+        for v in level:
+            for w, _ in g.adj(v):
+                if not seen[w]:
+                    if w == tgt:
+                        return depth
+                    seen[w] = True
+                    nxt.append(w)
+        level = nxt
+    return INF
+
+
+def _layered(g, t, s, tgt, k, d, sg, fwd, seed, stats) -> DetourResult:
+    """The layered colour-coding search, for d = dist(s, tgt) > 0 finite and
     sg = SlotGraph(g, t); adds its calls and goals to stats' STAT_KEYS.
     fwd, when not None, is the walk step's forward search from s, stopped
     at d + k, which the d <= k sweep reuses."""
-    d = int(dist[tgt])
     heads, tails = sg.heads, sg.tails
     into_tgt = [sid ^ 1 for sid in _endpoint_slots(sg, Endpoint.vertex(tgt))]
 
-    def sweep(starts, goals, bound, region, walk_dists=None):
+    def sweep(sg, starts, goals, bound, family, region=None, walk_dists=None):
         stats["oriented_calls"] += 1
         stats["goals"] += len(goals)
-        return oriented_compath(sg, starts, goals, bound, fam, region, walk_dists)
+        return oriented_compath(sg, starts, goals, bound, family, region, walk_dists)
 
     if d <= k:
-        # small distance: one plain ComPath call within the bound d + k
-        fam = family_for_bound(g.n, d + k, seed)
+        # small distance: one plain ComPath call within the bound d + k,
+        # which compath's search step answers exactly unless its budget
+        # runs out
         starts = _endpoint_slots(sg, Endpoint.vertex(s))
-        (ln,), (w,) = sweep(starts, [into_tgt], d + k, None, fwd)
-        return DetourResult(ln is not None, ln, d, w, certified=fam.certified)
+        inner = {}
+        ln, w = _search_then_sweep(sg, starts, into_tgt, d + k, seed, fwd, inner, sweep)
+        return DetourResult(ln is not None, ln, d, w, certified=inner.get("certified", True))
 
+    dist = bfs_dist(g, s)
     layers = {}  # distance from s -> the vertices at that distance
     for v, dv in enumerate(dist):
         layers.setdefault(dv, []).append(v)
@@ -187,7 +214,7 @@ def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
             continue
         region = band | {x}
         goal = [s2 for s2 in into_tgt if tails[s2] in region]
-        (ln,), (w,) = sweep([sid], [goal], bound, region)
+        (ln,), (w,) = sweep(sg, [sid], [goal], bound, fam, region)
         if ln is not None and lx + ln <= hi:
             table[e] = ln
             pieces[e] = ("seed", w)
@@ -233,7 +260,7 @@ def _layered(g, t, s, tgt, k, dist, sg, fwd, seed, stats) -> DetourResult:
                     continue
                 goals = [[sid] for sid, _, _ in entries]
                 for sid in starts:
-                    res, ws = sweep([sid], goals, bound, region)
+                    res, ws = sweep(sg, [sid], goals, bound, fam, region)
                     e = sid // 2
                     for (_, _, g2s), r, w in zip(entries, res, ws):
                         if r is None:

@@ -489,6 +489,36 @@ def _uturn_graph():
     return g, TransitionSystem(p for p in all_transitions(g).pairs if p != straight)
 
 
+def budget_graph(bypass=0):
+    """A graph on which the search step runs out of budget and the sweep
+    answers.
+
+    x = 0 is joined to a K5 on 1..5, with every turn kept but those at 6.
+    Vertex 1 reaches y = 9 only through the U-turn 1-6-7-8-6-9: at 6 only
+    {1-6, 6-7} and {8-6, 6-9} are turns, so the shortest compatible 0-9
+    walk 0-1-6-7-8-6-9 repeats 6 and no path uses the U-turn.  With
+    bypass >= 7 the path 0-10-...-9 of that many edges is the one compatible
+    path, n = bypass + 9.  The search tries the K5 first, its walks to 9
+    being the shortest, and the 325 simple paths from 0 into it outlast
+    2m expansions per family member: without the bypass at bounds 9..12,
+    where the family has one or two members, and with bypass = 7 at bounds
+    above n, where it is one injection.  Returns g and t.
+    """
+    edges = [(0, v) for v in range(1, 6)] + list(itertools.combinations(range(1, 6), 2))
+    edges += [(1, 6), (6, 7), (7, 8), (6, 8), (6, 9)]
+    way = [0] + list(range(10, 9 + bypass)) + [9] if bypass else []
+    g = Graph(max(10, 9 + bypass), edges + list(zip(way, way[1:])))
+    at6 = {g.edge_id(6, v) for v in (1, 7, 8, 9)}
+    turns = {tuple(sorted((g.edge_id(6, a), g.edge_id(6, b)))) for a, b in ((1, 7), (8, 9))}
+    return g, TransitionSystem(p for p in all_transitions(g).pairs
+                               if not set(p) <= at6 or p in turns)
+
+
+def _gives_up(*args):
+    # the search step run out of budget at once
+    return None, 0
+
+
 def test_walk_step_answers_sweep_no_family(monkeypatch):
     calls = {}
     for name in ("family_for_bound", "oriented_compath", "_slot_walk_dists"):
@@ -498,39 +528,65 @@ def test_walk_step_answers_sweep_no_family(monkeypatch):
     for k, want in ((4, 3), (2, None)):
         stats = {}
         assert compath(g, all_transitions(g), 0, 3, k, witness=True, stats=stats)[0] == want
-        assert stats == {"family_size": 0, "certified": True}
+        assert stats == {"step": "walk", "expansions": 0, "family_size": 0, "certified": True}
     assert calls == {"_slot_walk_dists": 2}
+
+
+def test_the_search_answers_a_walk_that_repeats_a_vertex(monkeypatch):
+    # on the U-turn graph the search step finds the bypass, or that no
+    # path fits, inside its budget: no family is built or swept
+    g, t = _uturn_graph()
+    calls = {}
+    for name in ("family_for_bound", "oriented_compath", "_slot_walk_dists"):
+        _counting(monkeypatch, name, calls)
+    for k, want in ((5, None), (6, 6)):
+        calls.clear()
+        stats = {}
+        ln, w = compath(g, t, 0, 2, k, witness=True, stats=stats)
+        assert ln == want and stats["step"] == "search"
+        assert stats["family_size"] == 0 and stats["certified"]
+        assert 0 < stats["expansions"] <= 2 * g.m
+        assert want is None or w.vertices == (0, 5, 6, 7, 8, 9, 2)
+        # the walk step's forward search and the search's backward bound
+        assert calls == {"_slot_walk_dists": 2}
 
 
 def test_a_corrupt_sweep_walk_raises_without_a_witness(monkeypatch):
     # the sweep's walk is checked whether or not the caller asks for it
-    g, t = _uturn_graph()
+    g, t = budget_graph(7)
     solve = transita.compath.oriented_compath
 
     def short_witness(*args, **kwargs):
         res, ws = solve(*args, **kwargs)
         return res, [w and Walk(w.vertices[:-1], w.edge_ids[:-1]) for w in ws]
 
-    assert compath(g, t, 0, 2, 6) == 6
+    stats = {}
+    assert compath(g, t, 0, 9, 17, stats=stats) == 7 and stats["step"] == "sweep"
     monkeypatch.setattr(transita.compath, "oriented_compath", short_witness)
     for witness in (False, True):
         with pytest.raises(InvariantError, match="compath witness has the wrong ends"):
-            compath(g, t, 0, 2, 6, witness=witness)
+            compath(g, t, 0, 9, 17, witness=witness)
 
 
 def test_a_walk_that_repeats_a_vertex_still_sweeps(monkeypatch):
-    g, t = _uturn_graph()
+    # once the search has spent its budget, 2m expansions per member, one
+    # sweep answers; it reuses the walk step's forward search, and the
+    # other searches are the search's and the sweep's backward bounds
     calls = {}
     for name in ("oriented_compath", "_slot_walk_dists"):
         _counting(monkeypatch, name, calls)
-    for k, want in ((5, None), (6, 6)):
-        calls.clear()
-        stats = {}
-        assert compath(g, t, 0, 2, k, stats=stats) == want
-        assert stats == {"family_size": len(family_for_bound(g.n, k)), "certified": True}
-        # one sweep, which reuses the walk step's forward search: the only
-        # other search is the sweep's backward bound
-        assert calls == {"oriented_compath": 1, "_slot_walk_dists": 2}
+    for bypass, bounds, want in ((0, (9, 10, 11, 12), None), (7, (17, 19), 7)):
+        g, t = budget_graph(bypass)
+        for k in bounds:
+            calls.clear()
+            stats = {}
+            assert compath(g, t, 0, 9, k, stats=stats) == want
+            assert brute_compatible_path(g, t, 0, 9, k, size_guard=False) == want
+            size = len(family_for_bound(g.n, k))
+            assert size <= 2
+            assert stats == {"step": "sweep", "expansions": 2 * g.m * size,
+                             "family_size": size, "certified": True}
+            assert calls == {"oriented_compath": 1, "_slot_walk_dists": 3}
 
 
 def test_an_edge_endpoint_walk_that_is_a_path_sweeps_no_family():
@@ -538,29 +594,99 @@ def test_an_edge_endpoint_walk_that_is_a_path_sweeps_no_family():
     # exactly instead, from edge 0 to vertex 3 and from vertex 39 to edge 36
     g = Graph(40, [(v, v + 1) for v in range(39)])
     t = all_transitions(g)
+    walked = {"step": "walk", "expansions": 0, "family_size": 0, "certified": True}
     for x, y, want in ((Endpoint.edge(0), 3, 3), (39, Endpoint.edge(36), 3)):
         stats = {}
         ln, w = compath(g, t, x, y, 4, witness=True, stats=stats)
-        assert ln == want and stats == {"family_size": 0, "certified": True}
+        assert ln == want and stats == walked
         assert w.is_path() and w.length == want
     stats = {}
     assert compath(g, t, Endpoint.edge(0), Endpoint.edge(5), 5, stats=stats) is None
-    assert stats == {"family_size": 0, "certified": True}
+    assert stats == walked
 
 
 def test_an_edge_start_whose_walk_turns_makes_one_sweep(monkeypatch):
-    # from edge (0, 1) to vertex 2 of the U-turn graph the shortest walk
-    # 0-1-3-4-1-2 repeats vertex 1; one sweep from both of the edge's
-    # directions finds the path 1-0-5-...-9-2 and reuses the walk search
-    g, t = _uturn_graph()
+    # from edge (0, 1) to vertex 9 of the budget graph the shortest walk
+    # 1-0-... cannot turn back, and 0-1-6-7-8-6-9 repeats vertex 6; one
+    # sweep from both of the edge's directions finds the path 1-0-10-...-9
+    # and reuses the walk search
+    g, t = budget_graph(7)
     calls = {}
     for name in ("oriented_compath", "_slot_walk_dists"):
         _counting(monkeypatch, name, calls)
     stats = {}
-    ln, w = compath(g, t, Endpoint.edge(g.edge_id(0, 1)), 2, 7, witness=True, stats=stats)
-    assert ln == 7 and w.vertices == (1, 0, 5, 6, 7, 8, 9, 2)
-    assert stats == {"family_size": len(family_for_bound(g.n, 7)), "certified": True}
-    assert calls == {"oriented_compath": 1, "_slot_walk_dists": 2}
+    ln, w = compath(g, t, Endpoint.edge(g.edge_id(0, 1)), 9, 17, witness=True, stats=stats)
+    assert ln == 8 and w.vertices == (1, 0, 10, 11, 12, 13, 14, 15, 9)
+    assert stats == {"step": "sweep", "expansions": 2 * g.m, "family_size": 1,
+                     "certified": True}
+    assert calls == {"oriented_compath": 1, "_slot_walk_dists": 3}
+
+
+def test_reports_say_the_family_is_uncertified_only_after_a_sweep(monkeypatch):
+    # above n = 32 the search answers exactly; only a sweep of the random
+    # family, here forced by a search that gives up, leaves a "no" probable
+    big = Graph(40, list(_uturn_graph()[0].edges))
+    t = TransitionSystem(_uturn_graph()[1].pairs)
+    stats = {}
+    assert compath(big, t, 0, 2, 6, stats=stats) == 6
+    assert stats["step"] == "search" and stats["certified"]
+    monkeypatch.setattr(transita.compath, "_path_search", _gives_up)
+    assert compath(big, t, 0, 2, 6, stats=stats) == 6
+    assert stats == {"step": "sweep", "expansions": 0,
+                     "family_size": len(family_for_bound(40, 6)), "certified": False}
+
+
+def _planted_no_instance(n, rng):
+    # x and y joined through n // 5 hubs h, each with its triangle h-c-d:
+    # at h only {x-h, h-c} and {d-h, h-y} are turns, so every short x-y
+    # walk enters a hub twice and no x-y path is compatible.  The other
+    # vertices form two random graphs, one around x and one around y.
+    # Returns g, t, x, y and the hubs
+    hubs = n // 5
+    na = (n - 3 * hubs) // 2
+    ga, ta = gen_random_ftg(na, 3 / (na - 1), 0.7, rng.randrange(10**6))
+    gb, tb = gen_random_ftg(n - 3 * hubs - na, 3 / (na - 1), 0.7, rng.randrange(10**6))
+    x, y = rng.randrange(na), na + rng.randrange(gb.n)
+    edges = list(ga.edges) + [(u + na, v + na) for u, v in gb.edges]
+    gadgets = [[(x, h), (h, y), (h, h + 1), (h + 1, h + 2), (h + 2, h)]
+               for h in range(na + gb.n, n, 3)]
+    g = Graph(n, edges + [e for gadget in gadgets for e in gadget])
+    pairs = list(ta.pairs) + [(e + ga.m, f + ga.m) for e, f in tb.pairs]
+    for gadget in gadgets:
+        x_h, h_y, h_c, c_d, d_h = (g.edge_id(u, v) for u, v in gadget)
+        pairs += [(e, x_h) for _, e in ga.adj(x)] + [(h_y, e + ga.m) for _, e in gb.adj(y - na)]
+        pairs += [(x_h, h_c), (h_c, c_d), (c_d, d_h), (d_h, h_y)]
+    return g, TransitionSystem(pairs), x, y, [gadget[0][1] for gadget in gadgets]
+
+
+def test_the_search_pins_its_expansions_on_a_planted_instance():
+    # each of the 8 hubs costs three expansions, x-h, h-c and c-d, as d-h
+    # enters h again; no walk into the random sides comes back within the
+    # bound, so none of their slots passes the backward bound
+    g, t, x, y, hubs = _planted_no_instance(40, random.Random(3301))
+    for k in (5, 6, 7):
+        stats = {}
+        assert compath(g, t, x, y, k, stats=stats) is None
+        assert stats == {"step": "search", "expansions": 3 * len(hubs), "family_size": 0,
+                         "certified": True}
+
+
+def test_the_search_answers_edge_endpoints_beyond_n_32():
+    # vertex-edge and edge-vertex queries on planted no-instances, where
+    # the family would be random: x to a hub's edge into y, a hub's edge
+    # out of x to y.  Each walk repeats its hub, and the search answers
+    # exactly, like the oracle
+    rng = random.Random(4080)
+    for n in (40, 56, 80):
+        g, t, x, y, hubs = _planted_no_instance(n, rng)
+        for k in (5, 6, 7):
+            h = rng.choice(hubs)
+            for a, b in ((Endpoint.vertex(x), Endpoint.edge(g.edge_id(h, y))),
+                         (Endpoint.edge(g.edge_id(x, h)), Endpoint.vertex(y))):
+                stats = {}
+                ln, w = compath(g, t, a, b, k, witness=True, stats=stats)
+                assert ln == brute_compatible_path(g, t, a, b, k, size_guard=False)
+                assert stats["step"] == "search" and stats["certified"]
 
 
 def _reference_walk_length(g, t, x, y, k):
@@ -586,8 +712,9 @@ def _reference_walk_length(g, t, x, y, k):
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 6))
 def test_compath_agrees_with_the_oracle_for_every_pair_of_endpoint_kinds(seed, k):
     # the same graph queried vertex-vertex, vertex-edge, edge-vertex and
-    # edge-edge; no sweep runs when no walk fits, and one must run when the
-    # shortest walk is shorter than the shortest path
+    # edge-edge; the walk step answers when no walk fits, and the search or
+    # the sweep when the shortest walk is shorter than the shortest path;
+    # only a sweep builds a family
     rnd = random.Random(seed)
     n = rnd.randint(2, 9)
     g, t = gen_random_ftg(n, rnd.choice([0.3, 0.5, 0.8]), rnd.choice([0.4, 0.7, 0.9]),
@@ -602,9 +729,13 @@ def test_compath_agrees_with_the_oracle_for_every_pair_of_endpoint_kinds(seed, k
         assert ln == ref and stats["certified"]
         walk = _reference_walk_length(g, t, x, y, k)
         if walk is None:
-            assert stats["family_size"] == 0
+            assert stats["step"] == "walk"
         elif ref is None or walk < ref:
+            assert stats["step"] in ("search", "sweep")
+        if stats["step"] == "sweep":
             assert stats["family_size"] == len(family_for_bound(n, k, 4))
+        else:
+            assert stats["family_size"] == 0
         if ln is not None:
             assert w.is_path() and is_compatible_walk(g, t, w) and w.length == ln
 

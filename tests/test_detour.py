@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import transita.compath
 import transita.detour
 
 from transita.compath import _endpoint_slots
@@ -14,6 +15,8 @@ from transita.core import (
 from transita.detour import STAT_KEYS, SlotGraph, comdetour
 from transita.genred import gen_random_ftg
 from transita.oracle import brute_compatible_path
+
+from test_compath import _gives_up, budget_graph
 
 
 def layered(g, t, s, tgt, k, seed=0, witness=False, stats=None):
@@ -26,7 +29,8 @@ def layered(g, t, s, tgt, k, seed=0, witness=False, stats=None):
     dist = bfs_dist(g, s)
     if s == tgt or dist[tgt] == INF:
         return comdetour(g, t, s, tgt, k, seed, witness, stats)
-    res = transita.detour._layered(g, t, s, tgt, k, dist, SlotGraph(g, t), None, seed, stats)
+    res = transita.detour._layered(g, t, s, tgt, k, int(dist[tgt]), SlotGraph(g, t), None, seed,
+                                   stats)
     return res if witness else replace(res, witness=None)
 
 
@@ -168,9 +172,11 @@ def test_witness_layer_identity():
         assert a_cnt + b_cnt <= k
 
 
-def test_comdetour_says_whether_its_family_is_certified():
-    # a path 0-1-...-(n-1): the layered branch (dist > k) and the delegated
-    # branch (dist <= k) both report the family they swept; comdetour
+def test_comdetour_says_whether_its_family_is_certified(monkeypatch):
+    # a path 0-1-...-(n-1): the layered branch (dist > k) reports the family
+    # it swept; the delegated branch (dist <= k) answers from compath's
+    # search step, exact at any n, and reports the family only once a
+    # sweep runs, here forced by a search that gives up.  comdetour
     # answers both from its walk step, which sweeps no family
     for n, certified in ((20, True), (40, False)):
         g = Graph(n, [(v, v + 1) for v in range(n - 1)])
@@ -178,9 +184,12 @@ def test_comdetour_says_whether_its_family_is_certified():
         far = layered(g, t, 0, n - 1, 2)
         near = layered(g, t, 0, 2, 2)
         assert far.yes and far.nu == n - 1 and far.certified is certified
-        assert near.yes and near.nu == 2 and near.certified is certified
+        assert near.yes and near.nu == 2 and near.certified
         assert comdetour(g, t, 0, n - 1, 2) == replace(far, certified=True)
-        assert comdetour(g, t, 0, 2, 2) == replace(near, certified=True)
+        assert comdetour(g, t, 0, 2, 2) == near
+        with monkeypatch.context() as patched:
+            patched.setattr(transita.compath, "_path_search", _gives_up)
+            assert layered(g, t, 0, 2, 2) == replace(near, certified=certified)
     assert comdetour(Graph(40, []), TransitionSystem(), 0, 3, 1).certified
 
 
@@ -255,14 +264,15 @@ def test_layered_search_runs_when_the_shortest_walk_turns_round_a_triangle():
                 assert is_compatible_walk(g, t, res.witness)
 
 
-@pytest.mark.parametrize("graph, tgt", [(triangle_turn_graph, 2), (uturn_graph, 6)])
-def test_a_corrupt_sweep_walk_raises_without_a_witness(monkeypatch, graph, tgt):
-    # sweep walks to the target, shortened by one edge: at slack 4 on the
-    # triangle turn (d = 2 <= k) the one ComPath call's walk is the answer;
-    # on uturn_graph (d = 6 > k) the seeding calls' walks end the assembled
-    # path.  Either way comdetour's check fails, with or without a witness
+@pytest.mark.parametrize("graph, tgt, k", [(lambda: budget_graph(7), 9, 14), (uturn_graph, 6, 4)],
+                         ids=["budget_graph-9", "uturn_graph-6"])
+def test_a_corrupt_sweep_walk_raises_without_a_witness(monkeypatch, graph, tgt, k):
+    # sweep walks to the target, shortened by one edge: at slack 14 on the
+    # budget graph (d = 3 <= k) the search gives up and the one sweep's
+    # walk is the answer; on uturn_graph (d = 6 > k) the seeding calls'
+    # walks end the assembled path.  Either way comdetour's check fails,
+    # with or without a witness
     g, t = graph()
-    k = 4
     assert comdetour(g, t, 0, tgt, k).yes
     solve = transita.detour.oriented_compath
 
@@ -414,10 +424,16 @@ def test_comdetour_counts_its_calls_and_goals(monkeypatch):
 
 
 def test_small_distance_sweep_reuses_the_walk_search(monkeypatch):
-    # at d = 2 <= k = 4 the walk turns round the triangle, so one sweep
-    # runs; it reuses the walk step's forward search, and the only other
-    # search is the sweep's backward bound
+    # at d = 2 <= k = 4 the walk turns round the triangle, and compath's
+    # search step finds the bypass: no sweep
     g, t = triangle_turn_graph()
+    stats = {}
+    assert comdetour(g, t, 0, 2, 4, stats=stats).nu == 6
+    assert stats == {"oriented_calls": 0, "goals": 0}
+    # at d = 3 <= k = 14 on the budget graph the search gives up, and one
+    # sweep runs; it reuses the walk step's forward search, and the other
+    # searches are the search's and the sweep's backward bounds
+    g, t = budget_graph(7)
     calls = [0]
     real = transita.compath._slot_walk_dists
 
@@ -427,9 +443,9 @@ def test_small_distance_sweep_reuses_the_walk_search(monkeypatch):
 
     monkeypatch.setattr(transita.compath, "_slot_walk_dists", counted)
     stats = {}
-    assert comdetour(g, t, 0, 2, 4, stats=stats).nu == 6
+    assert comdetour(g, t, 0, 9, 14, stats=stats).nu == 7
     assert stats == {"oriented_calls": 1, "goals": 1}
-    assert calls == [2]
+    assert calls == [3]
 
 
 def test_start_filter_changes_no_result(monkeypatch):

@@ -19,6 +19,8 @@ from transita.io import (
     serialize_instance,
 )
 
+from test_compath import _gives_up, budget_graph
+
 
 def run_cli(argv):
     buf = io.StringIO()
@@ -110,8 +112,8 @@ def _uturn_instance(tmp_path, n):
     # n >= 10 vertices, those above 9 isolated: the path 0-1-2 with its
     # straight turn at 1 forbidden, the triangle 1-3-4 at 1 and the bypass
     # 0-5-6-7-8-9-2.  The shortest compatible 0-2 walk 0-1-3-4-1-2 repeats
-    # vertex 1, so ComPath and ComDetour run colour coding; the shortest
-    # compatible path is the bypass, length 6 and slack 4
+    # vertex 1, so ComPath and ComDetour run compath's search step; the
+    # shortest compatible path is the bypass, length 6 and slack 4
     from transita.core import Graph, TransitionSystem, all_transitions
 
     g = Graph(n, [(0, 1), (1, 2), (1, 3), (3, 4), (1, 4)] + [(v, v + 1) for v in range(5, 9)]
@@ -125,14 +127,23 @@ def _uturn_instance(tmp_path, n):
 
 @pytest.fixture()
 def uturn_file(tmp_path):
-    # 40 vertices, so the family swept is random (n > 32)
+    # 40 vertices, so a family swept would be random (n > 32)
     return _uturn_instance(tmp_path, 40)
 
 
-def test_detour_report_carries_solver_counters(uturn_file):
+def _budget_instance(tmp_path):
+    # the budget graph with its bypass 0-10-...-9 of 7 edges (test_compath):
+    # from 0 to 9 within a bound above n = 16, ComPath's search step gives
+    # up and one sweep answers 7, as does ComDetour's at slack 14 (d = 3)
+    path = tmp_path / "budget.json"
+    path.write_bytes(serialize_instance(Instance(*budget_graph(7))))
+    return str(path)
+
+
+def test_detour_report_carries_solver_counters(tmp_path):
     # two runs print the same bytes once the elapsed time is blanked
-    argv = ["detour", "--instance", uturn_file, "--from", "0", "--to", "2",
-            "--slack", "3", "--seed", "4"]
+    argv = ["detour", "--instance", _budget_instance(tmp_path), "--from", "0", "--to", "9",
+            "--slack", "14", "--seed", "4"]
     outs = [re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', run_cli(argv)[1])
             for _ in range(2)]
     assert outs[0] == outs[1]
@@ -335,15 +346,24 @@ def test_failures_write_one_error_report(cli_inputs, argv, kind):
     assert report["solver"].startswith(argv[0])
 
 
-def test_reports_say_when_the_family_is_uncertified(tmp_path, uturn_file):
+def test_reports_say_when_the_family_is_uncertified(tmp_path, uturn_file, monkeypatch):
+    import transita.compath
     from transita.core import Graph, all_transitions
 
-    code, out = run_cli(
-        ["compath", "--instance", uturn_file, "--from", "0", "--to", "2", "--max-len", "6"]
-    )
+    argv = ["compath", "--instance", uturn_file, "--from", "0", "--to", "2", "--max-len", "6"]
+    code, out = run_cli(argv)
     report = json.loads(out)
-    assert code == 0 and report["length"] == 6 and report["certified"] is False
-    assert report["family_size"] == len(family_for_bound(40, 6))
+    # the walk repeats a vertex, and the search answers exactly
+    assert code == 0 and report["length"] == 6 and report["certified"] is True
+    assert report["step"] == "search" and report["family_size"] == 0
+    # a search that gives up leaves the answer to a sweep of a random family
+    with monkeypatch.context() as patched:
+        patched.setattr(transita.compath, "_path_search", _gives_up)
+        code, out = run_cli(argv)
+        report = json.loads(out)
+        assert code == 0 and report["length"] == 6 and report["certified"] is False
+        assert report["step"] == "sweep" and report["expansions"] == 0
+        assert report["family_size"] == len(family_for_bound(40, 6))
     g = Graph(40, [(v, v + 1) for v in range(39)])
     path = tmp_path / "p40.json"
     path.write_bytes(serialize_instance(Instance(g, all_transitions(g))))
@@ -367,11 +387,14 @@ def test_reports_say_when_the_family_is_uncertified(tmp_path, uturn_file):
     report = json.loads(out)
     # answered by the shortest compatible walk, a path: no family is swept
     assert code == 0 and report["nu"] == 39 and report["certified"] is True
-    code, out = run_cli(
-        ["detour", "--instance", uturn_file, "--from", "0", "--to", "2", "--slack", "4"]
-    )
-    report = json.loads(out)
-    assert code == 0 and report["nu"] == 6 and report["certified"] is False
+    argv = ["detour", "--instance", uturn_file, "--from", "0", "--to", "2", "--slack", "4"]
+    report = json.loads(run_cli(argv)[1])
+    assert report["nu"] == 6 and report["certified"] is True
+    with monkeypatch.context() as patched:
+        patched.setattr(transita.compath, "_path_search", _gives_up)
+        code, out = run_cli(argv)
+        report = json.loads(out)
+        assert code == 0 and report["nu"] == 6 and report["certified"] is False
 
 
 def test_dsp_vertex_witness_through_a_contracted_blob(tmp_path):
@@ -414,10 +437,10 @@ def test_corrupt_compath_witness_writes_an_internal_error_report(tmp_path, monke
         return res, [w and Walk(w.vertices[:-1], w.edge_ids[:-1]) for w in ws]
 
     monkeypatch.setattr(transita.compath, "oriented_compath", short_witness)
-    # the walk there repeats a vertex, so the witness comes from the sweep
+    # the search gives up there, so the witness comes from the sweep
     code, out = run_cli(
-        ["compath", "--instance", _uturn_instance(tmp_path, 10), "--from", "0", "--to", "2",
-         "--max-len", "6", "--witness"]
+        ["compath", "--instance", _budget_instance(tmp_path), "--from", "0", "--to", "9",
+         "--max-len", "17", "--witness"]
     )
     report = _assert_error_report(code, out, "internal")
     assert "compath witness" in report["error"]["message"]
@@ -426,7 +449,7 @@ def test_corrupt_compath_witness_writes_an_internal_error_report(tmp_path, monke
 def test_compath_witness_whose_edges_do_not_chain_writes_an_internal_error_report(
     tmp_path, monkeypatch
 ):
-    # the sweep's walk 0-5-...-2 with its first edge id replaced by its
+    # the sweep's walk 0-10-...-9 with its first edge id replaced by its
     # second's: the walk test inside the witness check raises ValueError
     import transita.compath
     from transita.core import Walk
@@ -439,12 +462,12 @@ def test_compath_witness_whose_edges_do_not_chain_writes_an_internal_error_repor
 
     monkeypatch.setattr(transita.compath, "oriented_compath", unchained)
     code, out = run_cli(
-        ["compath", "--instance", _uturn_instance(tmp_path, 10), "--from", "0", "--to", "2",
-         "--max-len", "6"]
+        ["compath", "--instance", _budget_instance(tmp_path), "--from", "0", "--to", "9",
+         "--max-len", "17"]
     )
     report = _assert_error_report(code, out, "internal")
     assert report["error"]["message"] == (
-        "compath witness is not a walk: edge 5 does not join step 0 of the walk"
+        "compath witness is not a walk: edge 21 does not join step 0 of the walk"
     )
 
 
